@@ -298,10 +298,12 @@ class ReplicaBase(SessionListener):
                     self._arm_sync_timer()
                 return
         tail = [e for e in delta.entries if e.seq > self._applied_seq]
-        if not tail:
+        if not tail and self._synced:
             return  # fully covered already — nothing to reconcile
         # Certified at or behind our head with a matching overlap: take
-        # the missing tail.  Synced-but-behind targets take it too: a
+        # the missing tail — empty when an unsynced joiner asks an idle
+        # group, which is current the moment its base certifies.
+        # Synced-but-behind targets take it too: a
         # merged-back member whose history is a strict prefix of the
         # group's (it wrote nothing while away) is synced — it was its
         # own singleton group — yet missing every op it was partitioned

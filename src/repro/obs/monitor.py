@@ -45,7 +45,9 @@ docs/MONITORING.md.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.obs.probe import ProbeBus, ProbeEvent
@@ -75,31 +77,69 @@ __all__ = [
 _UP_STATES = frozenset({"hungry", "eating", "starving"})
 
 
+_emission_order = attrgetter("n")
+
+
+class _Series:
+    """The retained events of one (kind, node), sorted by time.
+
+    ``ats`` mirrors ``events`` one timestamp per event, so windowing and
+    pruning bisect over plain floats and never touch an event nobody
+    asked for.
+    """
+
+    __slots__ = ("ats", "events")
+
+    def __init__(self) -> None:
+        self.ats: list[float] = []
+        self.events: list[ProbeEvent] = []
+
+    def since(self, start: float) -> list[ProbeEvent]:
+        """Events stamped at or after ``start``, oldest first."""
+        return self.events[bisect_left(self.ats, start):]
+
+
 @dataclass(frozen=True)
 class RuleWindow:
     """Everything a rule function may look at — its *entire* world.
 
-    ``events`` is the trailing window of probe events, already filtered
-    to the rule's scope (one node's events for node-scope rules, every
-    node's for cluster scope), in global emission order.  ``uptime`` and
-    ``view_size`` are derived deterministically from the probe stream by
-    the monitor so rules stay pure functions of their inputs.
+    :meth:`kinds` is the only view of the probe stream: the trailing
+    window's events of one kind, already filtered to the rule's scope
+    (one node's events for node-scope rules, every node's for cluster
+    scope).  ``uptime`` and ``view_size`` are derived deterministically
+    from the probe stream by the monitor so rules stay pure functions of
+    their inputs.
     """
 
     start: float  #: window start (sim time)
     end: float  #: evaluation instant (sim time)
     node: str  #: node under evaluation, or ``"*"`` for cluster scope
-    events: tuple[ProbeEvent, ...]
     #: seconds the node has been continuously up (member states) at ``end``;
     #: for cluster scope, the longest such uptime over all nodes.
     uptime: float
     #: current membership-view size at ``end`` (from ``view.change``).
     view_size: int
     params: Mapping[str, float]
+    #: the monitor's kind -> node -> series index; rules read it through
+    #: :meth:`kinds`, which costs a bisect per series it actually returns.
+    series: Mapping[str, Mapping[str, _Series]] = field(repr=False)
 
     def kinds(self, kind: str) -> list[ProbeEvent]:
         """The window's events of one probe kind, in emission order."""
-        return [e for e in self.events if e.kind == kind]
+        by_node = self.series.get(kind)
+        if by_node is None:
+            return []
+        if self.node != "*":
+            series = by_node.get(self.node)
+            return [] if series is None else series.since(self.start)
+        slices = [
+            events for s in by_node.values() if (events := s.since(self.start))
+        ]
+        if len(slices) == 1:
+            return slices[0]
+        merged = [e for events in slices for e in events]
+        merged.sort(key=_emission_order)
+        return merged
 
     @property
     def span(self) -> float:
@@ -294,12 +334,15 @@ def check_fd_latency(w: RuleWindow) -> Breach | None:
     bound = w.params["bound"]
     tolerance = w.params["tolerance"]
     limit = bound * (1.0 + tolerance)
+    verdicts = w.kinds("fd.fire") + w.kinds("fd.false_alarm")
+    if not verdicts:
+        return None
     armed: dict[tuple[object, object], float] = {}
     worst: tuple[float, ProbeEvent] | None = None
-    for e in w.events:
+    for e in sorted(w.kinds("fd.arm") + verdicts, key=_emission_order):
         if e.kind == "fd.arm":
             armed[(e.args[0], e.args[1])] = e.at
-        elif e.kind in ("fd.fire", "fd.false_alarm"):
+        else:
             at_armed = armed.pop((e.args[0], e.args[1]), None)
             if at_armed is None:
                 continue
@@ -619,9 +662,11 @@ class _NodeTrack:
 class ContractMonitor:
     """Evaluates a rule set over the live probe stream of one cluster.
 
-    Subscribes to the bus, retains a trailing buffer bounded by the
-    longest rule window, and ticks on the event loop every ``interval``
-    virtual seconds.  At each tick every rule is evaluated per scope;
+    Subscribes to the bus, files every event under its (kind, node) in a
+    time-sorted series bounded by the longest rule window, and ticks on
+    the event loop every ``interval`` virtual seconds.  At each tick every
+    rule is evaluated per scope over the series it asks for — a kind no
+    rule reads costs its append and its share of the prune, nothing more;
     breaches must persist ``for_duration`` before they latch an
     :class:`Alert` (re-armed after the breach clears).
 
@@ -652,7 +697,8 @@ class ContractMonitor:
         self.alerts: list[Alert] = []
         self.ticks = 0
         self.started_at: float | None = None
-        self._events: list[ProbeEvent] = []
+        #: kind -> node -> retained events (see :class:`_Series`)
+        self._series: dict[str, dict[str, _Series]] = {}
         self._horizon = max((r.window for r in self.rules), default=1.0)
         self._tracks: dict[str, _NodeTrack] = {}
         #: (rule name, node) -> sim time the current continuous breach began
@@ -685,8 +731,24 @@ class ContractMonitor:
         self._on_event(event)
 
     def _on_event(self, event: ProbeEvent) -> None:
-        self._events.append(event)
         kind = event.kind
+        try:
+            series = self._series[kind][event.node]
+        except KeyError:
+            series = self._series.setdefault(kind, {}).setdefault(
+                event.node, _Series()
+            )
+        at = event.at
+        ats = series.ats
+        if ats and at < ats[-1]:
+            # A wall-clock straggler released behind its successors (the
+            # collector's reorder allowance is finite): file it by time.
+            i = bisect_right(ats, at)
+            ats.insert(i, at)
+            series.events.insert(i, event)
+        else:
+            ats.append(at)
+            series.events.append(event)
         if kind == "node.state":
             track = self._track(event.node)
             if event.args[1] in _UP_STATES:
@@ -699,14 +761,13 @@ class ContractMonitor:
 
     def _prune(self, now: float) -> None:
         cutoff = now - self._horizon
-        events = self._events
-        drop = 0
-        for e in events:
-            if e.at >= cutoff:
-                break
-            drop += 1
-        if drop:
-            del events[:drop]
+        for by_node in self._series.values():
+            for series in by_node.values():
+                ats = series.ats
+                if ats and ats[0] < cutoff:
+                    drop = bisect_left(ats, cutoff)
+                    del ats[:drop]
+                    del series.events[:drop]
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -756,25 +817,20 @@ class ContractMonitor:
         return max((t.view_size for t in self._tracks.values()), default=1)
 
     def _window_for(self, rule: RuleSpec, node: str, now: float) -> RuleWindow:
-        start = now - rule.window
         if node == "*":
-            events = tuple(e for e in self._events if e.at >= start)
             uptime = self._cluster_uptime(now)
             view = self._cluster_view_size()
         else:
-            events = tuple(
-                e for e in self._events if e.node == node and e.at >= start
-            )
             uptime = self._uptime(node, now)
             view = self._track(node).view_size
         return RuleWindow(
-            start=start,
+            start=now - rule.window,
             end=now,
             node=node,
-            events=events,
             uptime=uptime,
             view_size=view,
             params=rule.params,
+            series=self._series,
         )
 
     def evaluate(self, now: float | None = None) -> list[Alert]:

@@ -204,13 +204,16 @@ def event_record(event: ProbeEvent) -> dict[str, object]:
     }
 
 
+def _tupled(values: list) -> tuple:
+    return tuple(_tupled(v) if isinstance(v, list) else v for v in values)
+
+
 def event_from_record(record: dict) -> ProbeEvent:
-    """Rebuild a :class:`ProbeEvent` from :func:`event_record` output."""
-    args = tuple(
-        tuple(a) if isinstance(a, list) else a for a in record["args"]
-    )
+    """Rebuild a :class:`ProbeEvent` from :func:`event_record` output
+    (lists become tuples again, at every depth)."""
     return ProbeEvent(
-        record["n"], record["at"], record["node"], record["kind"], args
+        record["n"], record["at"], record["node"], record["kind"],
+        _tupled(record["args"]),
     )
 
 

@@ -47,10 +47,10 @@ Metrics (all higher-is-better except ``wall_clock_per_sim_second``):
   the instrumentation it rides on).
 * ``telemetry_overhead_ratio`` — wall-clock cost of the probed reference
   ring with a :class:`~repro.runtime.telemetry.TelemetryShipper`
-  subscribed (restamp + JSON-frame every probe event, sink discarded),
-  relative to probes + recorder alone (lower is better; prices what the
-  raintap shipping plane adds per event before the socket,
-  docs/TELEMETRY.md).
+  subscribed (take every probe event, restamp + JSON-frame them a batch
+  at a time, sink discarded), relative to probes + recorder alone (lower
+  is better; prices what the raintap shipping plane adds per event
+  before the socket, docs/TELEMETRY.md).
 
 ``repro bench`` (see :mod:`repro.cli`) runs the suite, writes a JSON
 report, and can gate on a committed baseline with a relative tolerance.
@@ -347,8 +347,8 @@ def bench_telemetry_overhead(sim_seconds: float) -> float:
     recorder, the ``probe_overhead_ratio`` numerator) twice — with and
     without a :class:`~repro.runtime.telemetry.TelemetryShipper`
     subscribed, its sink a no-op — and returns ``shipped_wall /
-    probed_wall``: the per-event restamp + JSON framing cost of the
-    raintap plane, measured without socket noise.
+    probed_wall``: the intake plus batched restamp + JSON framing cost
+    of the raintap plane, measured without socket noise.
     """
     from repro.cluster.harness import RaincoreCluster
     from repro.core.config import RaincoreConfig

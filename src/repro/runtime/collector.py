@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import socket
 import sys
 from dataclasses import dataclass, field
@@ -66,6 +67,55 @@ __all__ = [
 #: Collector-origin events carry this pseudo node id in the merged feed.
 COLLECTOR_NODE = "collector"
 
+#: List levels a row's ``args`` may nest, itself included (a tuple of
+#: tuples of primitives is as far as any catalogued probe goes).
+_MAX_ARG_DEPTH = 3
+
+
+def _finite(value: Any) -> float | None:
+    """``value`` as a finite float, or ``None`` for anything else
+    (strings, booleans, NaN, infinities, integers too large for a float)."""
+    if type(value) is not int and type(value) is not float:
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _primitive_arg(value: Any, depth: int = 0) -> bool:
+    if value is None or type(value) in (str, int, float, bool):
+        return True
+    return (
+        type(value) is list
+        and depth < _MAX_ARG_DEPTH
+        and all(_primitive_arg(v, depth + 1) for v in value)
+    )
+
+
+def _row_record(row: Any) -> dict | None:
+    """One wire row ``[n, at, node, kind, args]`` as an ``event_record``
+    dict, or ``None`` when it is anything but a well-formed catalogued
+    probe — total over whatever JSON a stranger put on the port."""
+    if type(row) is not list or len(row) != 5:
+        return None
+    n, at, node, kind, args = row
+    at = _finite(at)
+    if (
+        type(n) is not int
+        or at is None
+        or type(node) is not str
+        or type(kind) is not str
+        or type(args) is not list
+        or not _primitive_arg(args)
+    ):
+        return None
+    fields = PROBE_CATALOG.get(kind)
+    if fields is None or len(args) != len(fields):
+        return None
+    return {"n": n, "at": at, "node": node, "kind": kind, "args": args}
+
 
 def free_udp_ports(n: int) -> list[int]:
     """Reserve ``n`` distinct free localhost UDP ports (bind-probe)."""
@@ -84,7 +134,7 @@ class _Source:
 
     __slots__ = (
         "node", "addr", "peer", "last_seq", "watermark", "last_heard",
-        "pending", "received", "silent", "closed",
+        "pending", "received", "silent", "closed", "ring_count",
     )
 
     def __init__(self, node: str, peer: Any, at: float) -> None:
@@ -98,6 +148,8 @@ class _Source:
         self.received = 0
         self.silent = False
         self.closed = False
+        #: events the source said its ring dump shipped (``ring_end``)
+        self.ring_count: int | None = None
 
 
 class _CollectorEndpoint(asyncio.DatagramProtocol):
@@ -324,45 +376,54 @@ class TelemetryCollector:
             src.addr = str(body.get("addr", "?"))
             src.closed = False
             self._emit("telemetry.hello", node, src.addr, TELEMETRY_SCHEMA)
-        elif tag == "probe":
-            seq, ev = body.get("seq"), body.get("ev")
-            if not isinstance(seq, int) or not isinstance(ev, dict):
+        elif tag == "probes":
+            first, rows = body.get("first"), body.get("rows")
+            if type(first) is not int or first < 1 or type(rows) is not list:
                 self._drop("garbage", len(data))
                 return
-            missing = [k for k in ("n", "at", "node", "kind", "args") if k not in ev]
-            if missing or ev["kind"] not in PROBE_CATALOG:
-                self._drop("garbage", len(data))
-                return
-            if seq <= src.last_seq:
-                return  # duplicate or late twin of a released frame
             expected = src.last_seq + 1
-            if seq > expected:
-                lost = seq - expected
+            if first > expected:  # a whole batch (or several) never arrived
+                lost = first - expected
                 self.gaps += 1
                 self.events_lost += lost
-                self._emit("telemetry.gap", node, expected, seq, lost)
-            src.last_seq = seq
-            src.received += 1
-            at = float(ev["at"])
-            src.watermark = max(src.watermark, at)
-            src.pending.append((at, str(ev["node"]), seq, ev))
+                self._emit("telemetry.gap", node, expected, first, lost)
+                src.last_seq = first - 1
+            for seq, row in enumerate(rows, first):
+                if seq <= src.last_seq:
+                    continue  # duplicate or late twin of a released row
+                src.last_seq = seq
+                record = _row_record(row)
+                if record is None:
+                    self._drop("bad-row", len(data))
+                    continue
+                src.received += 1
+                at = record["at"]
+                src.watermark = max(src.watermark, at)
+                src.pending.append((at, record["node"], seq, record))
         elif tag == "mark":
-            now = body.get("now")
-            if isinstance(now, (int, float)):
-                src.watermark = max(src.watermark, float(now))
+            now = _finite(body.get("now"))
+            if now is not None:
+                src.watermark = max(src.watermark, now)
         elif tag == "ring":
-            events = body.get("events")
+            rows = body.get("rows")
             part = body.get("part")
-            if isinstance(events, list) and isinstance(part, int):
+            if type(rows) is list and type(part) is int:
                 self._rings.setdefault(node, {})[part] = [
-                    e for e in events if isinstance(e, dict)
+                    record
+                    for row in rows
+                    if (record := _row_record(row)) is not None
                 ]
         elif tag == "ring_end":
             self._rings.setdefault(node, {})
             self._rings_done.add(node)
+            count = body.get("count")
+            src.ring_count = count if type(count) is int else None
         elif tag == "bye":
             src.closed = True
-            self._emit("telemetry.bye", node, int(body.get("shipped", 0)))
+            shipped = body.get("shipped")
+            self._emit(
+                "telemetry.bye", node, shipped if type(shipped) is int else 0
+            )
         else:
             self._drop("garbage", len(data))
 
@@ -487,13 +548,11 @@ class TelemetryCollector:
         for node in sorted(self._rings):
             for part in sorted(self._rings[node]):
                 records.extend(self._rings[node][part])
-        records.sort(key=lambda r: (r.get("at", 0.0), str(r.get("node", ""))))
-        events = []
-        for i, record in enumerate(records):
-            try:
-                events.append(event_from_record({**record, "n": i + 1}))
-            except (KeyError, TypeError):
-                continue
+        records.sort(key=lambda r: (r["at"], r["node"]))
+        events = [
+            event_from_record({**record, "n": i + 1})
+            for i, record in enumerate(records)
+        ]
         first = self.monitor.alerts[0] if self.monitor.alerts else None
         bundle = build_bundle(
             f"contract:{first.rule}" if first else "contract:unknown",
@@ -508,6 +567,11 @@ class TelemetryCollector:
                         "received": s.received,
                         "silent": s.silent,
                         "closed": s.closed,
+                        # equal when the ring arrived whole
+                        "ring_events": sum(
+                            len(rows) for rows in self._rings.get(s.node, {}).values()
+                        ),
+                        "ring_count": s.ring_count,
                     }
                     for s in self.sources.values()
                 },

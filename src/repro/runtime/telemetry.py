@@ -10,9 +10,10 @@ clocks; this module is the bridge.  Each worker attaches its
 * restamps every event from the worker's monotonic scheduler clock onto
   the shared epoch wall clock (one fixed offset, measured at start-up, so
   intra-worker ordering and inter-event gaps are preserved exactly);
-* wraps it in a versioned, length-prefixed **JSON** frame — never pickle:
-  the telemetry port is a listening socket and frames from it must be
-  safe to parse no matter who sent them — and ships it over a dedicated
+* batches them into versioned, length-prefixed **JSON** frames — never
+  pickle: the telemetry port is a listening socket and frames from it
+  must be safe to parse no matter who sent them — one ``probes`` frame of
+  up to :data:`_PROBE_BATCH` compact rows per ``sendto`` over a dedicated
   UDP sidecar socket to the in-process collector
   (:mod:`repro.runtime.collector`);
 * heartbeats a ``mark`` frame when the node is idle, so the collector's
@@ -26,8 +27,10 @@ Wire format of one frame (docs/TELEMETRY.md)::
 
     b"RTAP" | version (u8) | body length (u32, big-endian) | JSON body
 
-The body is a JSON object with a ``t`` tag: ``hello``, ``probe``,
-``mark``, ``pull``, ``ring``, ``ring_end``, ``bye``.  Frames above
+The body is a JSON object with a ``t`` tag: ``hello``, ``probes``,
+``mark``, ``pull``, ``ring``, ``ring_end``, ``bye``.  A ``probes`` body is
+``{"first": seq, "rows": [[n, at, node, kind, args], ...], "src": ...}``:
+row *i* is the event with sequence number ``first + i``.  Frames above
 :data:`MAX_FRAME_BYTES` or failing any prefix/length/JSON check raise
 :class:`FrameError` on decode; the collector counts them as
 ``telemetry.drop`` and moves on.
@@ -46,7 +49,7 @@ import struct
 import time
 from typing import Any, Callable
 
-from repro.obs.probe import ProbeEvent, event_record
+from repro.obs.probe import ProbeEvent
 
 __all__ = [
     "TELEMETRY_MAGIC",
@@ -63,7 +66,7 @@ __all__ = [
 
 #: Frame prefix: 4 magic bytes, then a version byte, then a u32 length.
 TELEMETRY_MAGIC = b"RTAP"
-TELEMETRY_VERSION = 1
+TELEMETRY_VERSION = 2
 _HEADER = struct.Struct(">4sBI")
 
 #: Schema number carried in ``hello`` frames; collectors refuse sources
@@ -79,16 +82,24 @@ MAX_FRAME_BYTES = 60_000
 #: lines are ``event_record`` objects with epoch-wall-clock ``at``.
 CAPTURE_SCHEMA = "repro.obs.capture/1"
 
-#: Ring-dump chunking: events per ``ring`` frame.  Probe records are a
-#: few hundred bytes, so this stays far under MAX_FRAME_BYTES.
+#: Ring-dump chunking: events per ``ring`` frame (same rows as ``probes``).
 _RING_CHUNK = 24
+
+#: Events per ``probes`` frame.  A row is 60-80 B, so a full batch is a
+#: ~5 kB datagram; a partial one leaves on the worker's next loop tick.
+_PROBE_BATCH = 64
+
+#: Every body literal in this module lists its keys in sorted order, so
+#: frames are byte-stable without a ``sort_keys`` pass per encode.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class FrameError(ValueError):
     """A telemetry frame failed a prefix, length, or JSON check.
 
     ``where`` is the machine-readable drop label the collector reports
-    (``oversized``, ``bad-magic``, ``bad-version``, ``garbage``).
+    (``oversized``, ``bad-magic``, ``bad-version``, ``garbage``); the
+    collector adds ``bad-row`` for a malformed row inside a good frame.
     """
 
     def __init__(self, where: str, detail: str) -> None:
@@ -98,7 +109,7 @@ class FrameError(ValueError):
 
 def encode_frame(body: dict[str, Any]) -> bytes:
     """Encode one frame body; raises :class:`FrameError` when oversized."""
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+    payload = _dumps(body).encode()
     data = _HEADER.pack(TELEMETRY_MAGIC, TELEMETRY_VERSION, len(payload)) + payload
     if len(data) > MAX_FRAME_BYTES:
         raise FrameError("oversized", f"{len(data)} B > {MAX_FRAME_BYTES} B")
@@ -119,7 +130,7 @@ def decode_frame(data: bytes) -> dict[str, Any]:
         raise FrameError("garbage", f"length says {length} B, got {len(payload)} B")
     try:
         body = json.loads(payload.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FrameError("garbage", f"body is not JSON ({exc})") from exc
     if not isinstance(body, dict) or not isinstance(body.get("t"), str):
         raise FrameError("garbage", "body is not a tagged object")
@@ -156,7 +167,7 @@ class WallClock:
 
 
 class TelemetryShipper:
-    """Ships one worker's probe events to the collector, frame by frame.
+    """Ships one worker's probe events to the collector in batched frames.
 
     Parameters
     ----------
@@ -176,7 +187,10 @@ class TelemetryShipper:
 
     Subscribe with ``bus.subscribe(shipper.on_probe)`` — the shipper is a
     plain bus listener, so attaching it costs the same one-call fan-out
-    as any other subscriber.
+    as any other subscriber.  Whoever owns the shipper calls
+    :meth:`flush` on a timer shorter than the collector's reorder
+    allowance (the worker's 20 ms loop tick), so a quiet node's last
+    events do not wait for the batch to fill.
     """
 
     def __init__(
@@ -193,7 +207,8 @@ class TelemetryShipper:
         self.recorder = recorder
         self.shipped = 0
         self.oversized = 0
-        self._seq = 0
+        self._seq = 0  #: sequence number of the last event taken
+        self._batch: list[ProbeEvent] = []  #: taken, not yet framed
 
     # ------------------------------------------------------------------
     # outbound frames
@@ -203,62 +218,83 @@ class TelemetryShipper:
         self.send(
             encode_frame(
                 {
-                    "t": "hello",
-                    "src": self.source,
                     "addr": addr,
                     "schema": TELEMETRY_SCHEMA,
+                    "src": self.source,
+                    "t": "hello",
                 }
             )
         )
 
-    def _restamped(self, event: ProbeEvent) -> dict[str, Any]:
-        record = event_record(event)
-        record["at"] = event.at + self.clock_offset
-        return record
+    def _rows(self, events: list[ProbeEvent]) -> list[tuple]:
+        """Wire rows ``[n, at, node, kind, args]``, restamped onto the epoch."""
+        offset = self.clock_offset
+        return [(e.n, e.at + offset, e.node, e.kind, e.args) for e in events]
 
     def on_probe(self, event: ProbeEvent) -> None:
-        """Bus listener: frame and ship one probe event.
-
-        An event whose encoded frame would exceed the cap is counted in
-        ``oversized`` and *not* shipped — its sequence number is consumed,
-        so the collector sees an honest ``telemetry.gap`` instead of a
-        silently complete stream.
-        """
+        """Bus listener: take one probe event into the current batch."""
         self._seq += 1
+        self._batch.append(event)
+        if len(self._batch) >= _PROBE_BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        """Frame and ship the events taken since the last flush."""
+        batch = self._batch
+        if batch:
+            self._batch = []
+            self._ship(self._seq - len(batch) + 1, batch)
+
+    def _ship(self, first: int, batch: list[ProbeEvent]) -> None:
+        """Ship ``batch`` (sequence numbers ``first``...) as one frame.
+
+        A batch whose frame would exceed the cap is halved and retried; a
+        single event that still does not fit is counted in ``oversized``
+        and *not* shipped — its sequence number stays consumed, so the
+        collector sees an honest ``telemetry.gap`` instead of a silently
+        complete stream.
+        """
         try:
             data = encode_frame(
                 {
-                    "t": "probe",
+                    "first": first,
+                    "rows": self._rows(batch),
                     "src": self.source,
-                    "seq": self._seq,
-                    "ev": self._restamped(event),
+                    "t": "probes",
                 }
             )
         except FrameError:
-            self.oversized += 1
+            if len(batch) == 1:
+                self.oversized += 1
+                return
+            half = len(batch) // 2
+            self._ship(first, batch[:half])
+            self._ship(first + half, batch[half:])
             return
-        self.shipped += 1
+        self.shipped += len(batch)
         self.send(data)
 
     def mark(self) -> None:
         """Heartbeat: advance the collector's watermark while idle."""
+        self.flush()
         self.send(
             encode_frame(
                 {
-                    "t": "mark",
-                    "src": self.source,
+                    "now": time.time(),
                     "seq": self._seq,
                     "shipped": self.shipped,
-                    "now": time.time(),
+                    "src": self.source,
+                    "t": "mark",
                 }
             )
         )
 
     def bye(self) -> None:
         """Close the stream cleanly (silence after this is not an alert)."""
+        self.flush()
         self.send(
             encode_frame(
-                {"t": "bye", "src": self.source, "shipped": self.shipped}
+                {"shipped": self.shipped, "src": self.source, "t": "bye"}
             )
         )
 
@@ -266,32 +302,40 @@ class TelemetryShipper:
     # inbound frames (the collector talks back)
     # ------------------------------------------------------------------
     def dump_ring(self) -> None:
-        """Ship the flight-recorder ring as chunked ``ring`` frames."""
+        """Ship the flight-recorder ring as chunked ``ring`` frames.
+
+        ``ring_end.count`` is the number of events that actually left: a
+        chunk too large to frame is counted in ``oversized`` and missing
+        from the count, so the collector can tell a partial ring from a
+        complete one.
+        """
+        self.flush()
         events = self.recorder.snapshot() if self.recorder is not None else []
-        records = [self._restamped(e) for e in events]
-        parts = 0
-        for i in range(0, len(records), _RING_CHUNK):
-            chunk = records[i : i + _RING_CHUNK]
+        parts = count = 0
+        for i in range(0, len(events), _RING_CHUNK):
+            chunk = self._rows(events[i : i + _RING_CHUNK])
             try:
                 data = encode_frame(
                     {
-                        "t": "ring",
-                        "src": self.source,
                         "part": parts,
-                        "events": chunk,
+                        "rows": chunk,
+                        "src": self.source,
+                        "t": "ring",
                     }
                 )
             except FrameError:
-                continue  # drop an unshippable chunk, keep the rest
+                self.oversized += 1  # keep the rest of the ring
+                continue
             parts += 1
+            count += len(chunk)
             self.send(data)
         self.send(
             encode_frame(
                 {
-                    "t": "ring_end",
-                    "src": self.source,
+                    "count": count,
                     "parts": parts,
-                    "count": len(records),
+                    "src": self.source,
+                    "t": "ring_end",
                 }
             )
         )

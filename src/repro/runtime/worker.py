@@ -260,9 +260,11 @@ async def run_worker(args) -> int:
             if multicast_at is not None and scheduler.now >= multicast_at:
                 multicast_at = None
                 node.multicast(args.payload.encode())
-            if shipper is not None and scheduler.now >= next_mark:
-                next_mark = scheduler.now + _MARK_INTERVAL
-                shipper.mark()
+            if shipper is not None:
+                shipper.flush()  # a partial batch waits one tick at most
+                if scheduler.now >= next_mark:
+                    next_mark = scheduler.now + _MARK_INTERVAL
+                    shipper.mark()
 
         reporter._emit(
             "done",

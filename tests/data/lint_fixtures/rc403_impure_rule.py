@@ -10,7 +10,7 @@ _LAST_SEEN = {}
 @contract_rule("wall-clock-rule")
 def check_with_wall_clock(w):
     started = time.perf_counter()  # BAD: wall-clock read inside a rule
-    if len(w.events) == 0:
+    if not w.kinds("token.accept"):
         return (w.start, 0.0, f"took {time.perf_counter() - started}")  # BAD
     return None
 
@@ -24,7 +24,7 @@ def check_with_global_state(w):
 
 @contract_rule("mutating-rule")
 def check_mutates_window(w):
-    w.params["count"] = len(w.events)  # ok: subscript, caught at runtime
+    w.params["count"] = len(w.kinds("fd.arm"))  # ok: subscript, caught at runtime
     w.cursor = w.end  # BAD: attribute write on ambient object
     return None
 

@@ -32,6 +32,8 @@ from repro.obs.monitor import (
     render_alerts,
 )
 
+from .test_monitor_equivalence import retained
+
 
 def build(nodes=4, seed=11, segments=1, detection_bound=None):
     """Probed cluster + monitor running the paper rule set."""
@@ -127,10 +129,10 @@ def test_monitor_stop_detaches_from_bus():
     cluster, monitor = build()
     cluster.run(1.0)
     monitor.stop()
-    ticks, buffered = monitor.ticks, len(monitor._events)
+    ticks, before = monitor.ticks, retained(monitor)
     cluster.run(1.0)
     assert monitor.ticks == ticks  # timer cancelled: no more passes
-    assert len(monitor._events) == buffered  # unsubscribed: no intake
+    assert before and retained(monitor) == before  # unsubscribed: no intake
 
 
 def test_rulespec_validation():

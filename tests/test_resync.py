@@ -259,6 +259,27 @@ def test_repeated_fallbacks_quarantine_with_structured_reason():
     assert c.node("A").quarantined == {"Z": "resync-failed-repeatedly"}
 
 
+def test_joiner_on_an_idle_dict_syncs_and_stops_asking():
+    """Nothing was ever written: the group answers the joiner's genesis
+    position with an empty certified delta.  That is a complete answer —
+    the joiner is current — not a reason to keep re-asking forever."""
+    c, dicts, events = ladder_cluster()
+    c.add_node("C", start=False)
+    dicts["C"] = SharedDict(c.node("C"))
+    c.node("C").start_joining(["A", "B"])
+    c.run(2.0)
+    assert c.node("C").is_member
+    assert dicts["C"].synced, "an empty certified delta must sync the joiner"
+    assert dicts["C"]._sync_timer is None
+    settled = len(events)
+    c.run(5.0)  # many join_retry periods: an unsynced replica would re-ask
+    assert [e for e in events[settled:] if e.kind == "state.sync_request"] == []
+    # ...and it is a working replica, not just a flag.
+    dicts["A"].set("k", 1)
+    c.run(1.0)
+    assert dicts["C"].get("k") == 1 and dicts["C"].applied_seq == 1
+
+
 # ----------------------------------------------------------------------
 # partition rejoin end-to-end
 # ----------------------------------------------------------------------

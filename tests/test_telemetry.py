@@ -16,6 +16,7 @@ from repro.obs import FlightRecorder, ProbeBus
 from repro.obs.recorder import load_bundle
 from repro.runtime.collector import TelemetryCollector, free_udp_ports
 from repro.runtime.telemetry import (
+    _PROBE_BATCH,
     MAX_FRAME_BYTES,
     TELEMETRY_MAGIC,
     TELEMETRY_VERSION,
@@ -47,7 +48,7 @@ class FakeClock:
 # frame codec
 # ----------------------------------------------------------------------
 def test_frame_roundtrip():
-    body = {"t": "probe", "src": "A", "seq": 7, "ev": {"kind": "net.send"}}
+    body = {"t": "probes", "src": "A", "first": 7, "rows": [[1, 0.5, "A", "core.wakeup", []]]}
     assert decode_frame(encode_frame(body)) == body
 
 
@@ -67,6 +68,8 @@ def test_frame_is_json_not_pickle():
         (b"RTA", "bad-magic"),
         (b"NOPE" + bytes(8), "bad-magic"),
         (TELEMETRY_MAGIC + struct.pack(">BI", TELEMETRY_VERSION + 1, 0), "bad-version"),
+        # A v1 source (one `probe` frame per event) is refused outright.
+        (TELEMETRY_MAGIC + struct.pack(">BI", 1, 2) + b"{}", "bad-version"),
         # Length field disagrees with the actual payload.
         (TELEMETRY_MAGIC + struct.pack(">BI", TELEMETRY_VERSION, 99) + b"{}", "garbage"),
         # Payload is not JSON at all.
@@ -74,6 +77,8 @@ def test_frame_is_json_not_pickle():
         # JSON but not a tagged object.
         (TELEMETRY_MAGIC + struct.pack(">BI", TELEMETRY_VERSION, 2) + b"[]", "garbage"),
         (TELEMETRY_MAGIC + struct.pack(">BI", TELEMETRY_VERSION, 2) + b"{}", "garbage"),
+        # Nesting deep enough to exhaust the JSON parser's stack.
+        (TELEMETRY_MAGIC + struct.pack(">BI", TELEMETRY_VERSION, 50_000) + b"[" * 50_000, "garbage"),
     ],
 )
 def test_decode_rejects_malformed_frames(data, where):
@@ -84,7 +89,7 @@ def test_decode_rejects_malformed_frames(data, where):
 
 def test_encode_rejects_oversized_body():
     with pytest.raises(FrameError) as exc:
-        encode_frame({"t": "probe", "pad": "x" * MAX_FRAME_BYTES})
+        encode_frame({"t": "probes", "pad": "x" * MAX_FRAME_BYTES})
     assert exc.value.where == "oversized"
 
 
@@ -103,22 +108,68 @@ def probed_shipper(**kwargs):
 def test_shipper_restamps_onto_the_epoch():
     bus, shipper, frames = probed_shipper(clock_offset=1000.0)
     bus.emit("A", "token.accept", "B", 1, 5, 0)
+    assert frames == []  # taken into the batch, not yet on the wire
+    shipper.flush()
     (frame,) = frames
-    assert frame["t"] == "probe" and frame["src"] == "A" and frame["seq"] == 1
+    assert frame["t"] == "probes" and frame["src"] == "A" and frame["first"] == 1
     # sim time 0.0 + offset: the shipped stamp lives on the shared epoch.
-    assert frame["ev"]["at"] == 1000.0
-    assert frame["ev"]["kind"] == "token.accept"
+    assert frame["rows"] == [[1, 1000.0, "A", "token.accept", ["B", 1, 5, 0]]]
     assert shipper.shipped == 1
+    shipper.flush()  # nothing taken since: no empty frame
+    assert len(frames) == 1
 
 
-def test_oversized_probe_consumes_its_seq():
+def test_batch_leaves_at_the_cap_and_before_mark_and_bye():
     bus, shipper, frames = probed_shipper()
+    for i in range(_PROBE_BATCH + 3):
+        bus.emit("A", "token.accept", "B", 1, i, 0)
+    (full,) = frames  # the cap flushed one full batch; 3 events wait
+    assert full["first"] == 1 and len(full["rows"]) == _PROBE_BATCH
+    shipper.mark()
+    assert [f["t"] for f in frames] == ["probes", "probes", "mark"]
+    assert frames[1]["first"] == _PROBE_BATCH + 1 and len(frames[1]["rows"]) == 3
+    assert frames[2]["seq"] == frames[2]["shipped"] == _PROBE_BATCH + 3
+    bus.emit("A", "core.wakeup")
+    shipper.bye()
+    assert [f["t"] for f in frames[3:]] == ["probes", "bye"]
+    assert frames[-1]["shipped"] == _PROBE_BATCH + 4
+
+
+def test_frames_are_key_sorted_without_a_sort_pass():
+    raw = []
+    bus = ProbeBus(EventLoop(seed=1))
+    recorder = FlightRecorder(bus, capacity=8)
+    shipper = TelemetryShipper("A", raw.append, recorder=recorder)
+    bus.subscribe(shipper.on_probe)
+    shipper.hello("127.0.0.1:1")
+    bus.emit("A", "view.change", 3, ("A", "B"))
+    shipper.mark()
+    shipper.dump_ring()
+    shipper.bye()
+    assert len(raw) == 6  # hello, probes, mark, ring, ring_end, bye
+    for data in raw:
+        payload = data[9:].decode()
+        assert payload == json.dumps(
+            json.loads(payload), sort_keys=True, separators=(",", ":")
+        )
+
+
+def test_oversized_batch_is_halved_and_the_unshippable_event_burns_its_seq():
+    bus, shipper, frames = probed_shipper()
+    bus.emit("A", "token.accept", "B", 1, 1, 0)
     bus.emit("A", "net.send", "s", "d", "x" * (MAX_FRAME_BYTES + 1), 1)
-    assert frames == [] and shipper.oversized == 1 and shipper.shipped == 0
-    bus.emit("A", "token.accept", "B", 1, 5, 0)
-    # seq 1 was burned by the unshippable event — the collector sees an
-    # honest telemetry.gap instead of a silently complete stream.
-    assert frames[0]["seq"] == 2
+    bus.emit("A", "token.accept", "B", 1, 3, 0)
+    bus.emit("A", "token.accept", "B", 1, 4, 0)
+    shipper.flush()
+    assert shipper.oversized == 1 and shipper.shipped == 3
+    # The batch split around the event that cannot be framed; its seq (2)
+    # is consumed, so the collector sees an honest telemetry.gap instead
+    # of a silently complete stream.
+    assert [(f["first"], len(f["rows"])) for f in frames] == [(1, 1), (3, 2)]
+    collector, clock, released = collected()
+    for frame in frames:
+        collector.on_datagram(encode_frame(frame), ("p", 1))
+    assert collector.events_lost == 1 and collector.sources["A"].received == 3
 
 
 def test_mark_and_bye_frames():
@@ -145,7 +196,27 @@ def test_pull_answers_with_chunked_ring():
     assert [f["part"] for f in frames[:2]] == [0, 1]
     end = frames[-1]
     assert end["parts"] == 2 and end["count"] == 30
-    assert sum(len(f["events"]) for f in frames[:2]) == 30
+    assert sum(len(f["rows"]) for f in frames[:2]) == 30
+
+
+def test_ring_end_counts_only_what_was_shipped():
+    frames = []
+    bus = ProbeBus(EventLoop(seed=1))
+    recorder = FlightRecorder(bus, capacity=512)
+    shipper = TelemetryShipper(
+        "A", lambda d: frames.append(decode_frame(d)), recorder=recorder
+    )
+    for i in range(30):
+        bus.emit("A", "token.accept", "B", 1, i, 0)
+    # One event in the second chunk is too large for any frame.
+    bus.emit("A", "net.send", "s", "d", "x" * (MAX_FRAME_BYTES + 1), 1)
+    shipper.dump_ring()
+    rings = [f for f in frames if f["t"] == "ring"]
+    end = frames[-1]
+    assert end["t"] == "ring_end"
+    assert [len(f["rows"]) for f in rings] == [24]  # chunk two never left
+    assert end["parts"] == 1 and end["count"] == 24  # ...and the end says so
+    assert shipper.oversized == 1
 
 
 def test_shipper_ignores_garbage_from_the_collector():
@@ -159,20 +230,9 @@ def test_shipper_ignores_garbage_from_the_collector():
 # collector
 # ----------------------------------------------------------------------
 def probe_frame(node: str, seq: int, at: float, kind="token.accept", args=None):
-    return encode_frame(
-        {
-            "t": "probe",
-            "src": node,
-            "seq": seq,
-            "ev": {
-                "n": 0,
-                "at": at,
-                "node": node,
-                "kind": kind,
-                "args": ["x", 1, seq, 0] if args is None else args,
-            },
-        }
-    )
+    """A one-row ``probes`` frame carrying sequence number ``seq``."""
+    row = [0, at, node, kind, ["x", 1, seq, 0] if args is None else args]
+    return encode_frame({"t": "probes", "src": node, "first": seq, "rows": [row]})
 
 
 def collected(**kwargs):
@@ -245,12 +305,13 @@ def test_duplicate_frames_are_ignored():
     [
         (b"\xffgarbage-no-magic", "bad-magic"),
         (b"\xff" * (MAX_FRAME_BYTES + 1), "oversized"),
-        (encode_frame({"t": "probe", "src": "A", "seq": "x", "ev": {}}), "garbage"),
-        (encode_frame({"t": "probe", "src": "A", "seq": 1,
-                       "ev": {"n": 0, "at": 0.0, "node": "A",
-                              "kind": "not.a.kind", "args": []}}), "garbage"),
+        (encode_frame({"t": "probes", "src": "A", "first": "x", "rows": []}), "garbage"),
+        (encode_frame({"t": "probes", "src": "A", "first": 0, "rows": []}), "garbage"),
+        (encode_frame({"t": "probes", "src": "A", "first": 1, "rows": {}}), "garbage"),
+        (encode_frame({"t": "probes", "src": "A", "first": 1,
+                       "rows": [[0, 0.0, "A", "not.a.kind", []]]}), "bad-row"),
         (encode_frame({"t": "nonsense", "src": "A"}), "garbage"),
-        (encode_frame({"t": "probe", "seq": 1, "ev": {}}), "garbage"),  # no src
+        (encode_frame({"t": "probes", "first": 1, "rows": []}), "garbage"),  # no src
     ],
 )
 def test_collector_drops_malformed_frames(data, where):
@@ -358,14 +419,12 @@ def test_postmortem_built_from_pushed_rings(tmp_path):
     collector, clock, _ = collected(postmortem_path=pm)
     collector.on_datagram(probe_frame("A", 1, at=1.0), ("p", 1))
     ring = [
-        {"n": 0, "at": 0.8, "node": "A", "kind": "token.accept",
-         "args": ["B", 1, 9, 0]},
-        {"n": 0, "at": 0.9, "node": "A", "kind": "node.state",
-         "args": ["OPERATIONAL", "RECOVERY"]},
+        [0, 0.8, "A", "token.accept", ["B", 1, 9, 0]],
+        [0, 0.9, "A", "node.state", ["OPERATIONAL", "RECOVERY"]],
         {"bogus": True},  # undecodable ring entries are skipped, not fatal
     ]
     collector.on_datagram(
-        encode_frame({"t": "ring", "src": "A", "part": 0, "events": ring}),
+        encode_frame({"t": "ring", "src": "A", "part": 0, "rows": ring}),
         ("p", 1),
     )
     collector.on_datagram(
@@ -378,7 +437,10 @@ def test_postmortem_built_from_pushed_rings(tmp_path):
     assert collector.postmortem_written == pm
     bundle = load_bundle(pm)
     assert bundle["context"]["plane"] == "raintap"
-    assert bundle["context"]["sources"]["A"]["received"] == 1
+    source = bundle["context"]["sources"]["A"]
+    assert source["received"] == 1
+    # The worker said it shipped 3 ring events; 2 usable ones arrived.
+    assert (source["ring_events"], source["ring_count"]) == (2, 3)
     assert [e["at"] for e in bundle["events"]] == [0.8, 0.9]
 
 
