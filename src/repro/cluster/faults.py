@@ -228,7 +228,7 @@ class FaultInjector:
                 node._live_token = None
                 # The holder believes it already forwarded: it waits HUNGRY
                 # like everyone else, with its local copy intact.
-                node._local_copy = token.copy()
+                node._local_copy = token.snapshot()
                 node._cancel_timer("_forward_timer")
                 if node.state is NodeState.EATING:
                     node._transition(NodeState.HUNGRY)
@@ -287,7 +287,7 @@ class FaultInjector:
         if not candidates:
             return False
         victim = min(candidates, key=lambda n: n.node_id)
-        victim._accept_token(token.copy())
+        victim._accept_token(token.snapshot())
         return True
 
     def false_alarm(self, accuser_id: str, victim_id: str) -> None:

@@ -16,7 +16,7 @@ from repro.core.events import (
 from repro.core.resources import CriticalResource, ResourceMonitor
 from repro.core.session import RaincoreNode
 from repro.core.states import NodeState
-from repro.core.token import Ordering, PiggybackedMessage, Token
+from repro.core.token import Ordering, PiggybackedMessage, Rider, Token
 from repro.core.wire import BodyOdor, NineOneOne, NineOneOneReply, ReplyVerdict
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "NodeState",
     "Ordering",
     "PiggybackedMessage",
+    "Rider",
     "Token",
     "BodyOdor",
     "NineOneOne",

@@ -11,7 +11,7 @@ throughout the tests and benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.states import NodeState
 from repro.core.token import Ordering
@@ -38,9 +38,12 @@ class ViewChange:
     at: float
 
 
-@dataclass(frozen=True)
-class Delivery:
-    """One delivered multicast message."""
+class Delivery(NamedTuple):
+    """One delivered multicast message.
+
+    A named tuple, not a frozen dataclass: one is built per message per
+    member, and the tuple constructor is the cheap immutable one.
+    """
 
     origin: str
     msg_no: int

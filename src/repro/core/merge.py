@@ -208,10 +208,7 @@ class MergeProtocol:
                 merged.seq,
             )
         alive = set(merged_ring)
-        messages = merged.messages
-        for i, msg in enumerate(messages):
-            if msg.shared:
-                msg = messages[i] = msg.cow()
-            msg.pending &= alive
+        for pack in merged.messages:
+            pack.pending &= alive
         self.merges_completed += 1
         return merged

@@ -201,7 +201,7 @@ class RecoveryProtocol:
             # Never held a token (fresh bootstrap race); form our own group.
             node._bootstrap_token()
             return
-        token = copy.copy()
+        token = copy.snapshot()
         for dead in self._dead_this_round:
             token.remove_member(dead)
         if not token.has_member(node.node_id):  # pragma: no cover - defensive

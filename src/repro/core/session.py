@@ -490,7 +490,7 @@ class RaincoreNode:
                 from_node if from_node is not None else "local",
                 token.gen,
                 token.seq,
-                len(token.messages),
+                token.message_count(),
             )
         self.recovery.cancel_timers()
         timer = self._hungry_timer
@@ -618,8 +618,7 @@ class RaincoreNode:
             self.loop.call_later(0.0, self._accept_token, self._local_copy.snapshot())
             return
         token.seq += 1
-        sent = token  # the object travels; our copy-on-write snapshot is
-        # independent: the next holder clones any message before mutating it.
+        sent = token  # the object travels; our snapshot is independent of it
         self._local_copy = token.snapshot()
         self._live_token = None
         self._transition(NodeState.HUNGRY)

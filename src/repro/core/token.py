@@ -18,22 +18,31 @@ header plus the payload size.  The ``pending`` / ``audience`` sets are
 not counted as wire bytes — the real protocol retires messages when the
 token returns to the originator and carries no such sets.
 
+Packs
+-----
+The messages one node couples to the token at one visit share one audience
+and move through receipt in lockstep, so the receipt bookkeeping is kept
+once per **pack** — the run of same-ordering messages of one visit — not
+once per message.  ``Token.messages`` is the list of packs in attach order:
+each entry is a :class:`PiggybackedMessage`, the run's first message, which
+carries the receipt state and the rest of the run as its immutable
+``riders``.  A lone message is a pack without riders.
+
 Hot-path layout
 ---------------
-Forwarding the token is the protocol's per-hop critical path, so three
-things that used to be O(group) or O(messages) per hop are cached:
+Forwarding the token is the protocol's per-hop critical path, so what used
+to be O(group) or O(messages) per hop is per pack or cached:
 
-* **Local copies are copy-on-write.**  :meth:`Token.snapshot` marks every
-  attached message *shared* and copies only the list of references — O(M)
-  pointer work instead of reconstructing every message and its pending set.
-  Whoever mutates a shared message first (the next holder's receive pass,
-  a membership removal) clones it via :meth:`PiggybackedMessage.cow` and
-  swaps the clone into its own list, so the snapshot never observes the
-  live token's further travel.  :meth:`Token.copy` remains a full deep copy
-  for the rare repair paths that will mutate the result immediately.
-* **wire_size is incremental.**  The sum of message wire sizes is
-  maintained on attach/retire instead of recomputed per hop; mutate
-  ``messages`` through :meth:`attach_message` / :meth:`set_messages`.
+* **Local copies are eager and per pack.**  A token carries at most (ring
+  size × visits in flight) packs, so :meth:`Token.snapshot` simply copies
+  each pack's receipt state; payloads and riders never change after attach
+  and are shared.  Nothing aliases a pack's ``pending`` set, so every holder
+  mutates its token in place.
+* **wire_size and the message count are incremental.**  The sum of message
+  wire sizes and the number of messages are maintained on attach and
+  retire (retiring *subtracts* what left) instead of recomputed per hop;
+  mutate ``messages`` through :meth:`attach_message` /
+  :meth:`retire_messages`.
 * **Ring lookups are indexed.**  ``has_member``/``next_after`` consult a
   member→index map cached per membership tuple (identity-checked, so plain
   tuple reassignment invalidates it naturally).
@@ -42,13 +51,13 @@ things that used to be O(group) or O(messages) per hop are cached:
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 from repro.transport.messages import session_message
 
 __all__ = [
     "Ordering",
+    "Rider",
     "PiggybackedMessage",
     "Token",
     "TOKEN_HEADER",
@@ -103,39 +112,20 @@ def derive_ancestry(*parents: "Token") -> tuple[str, ...]:
     return tuple(chain[:ANCESTRY_DEPTH])
 
 
-_msg_uid = itertools.count(1)
-
-
 @dataclass(slots=True)
-class PiggybackedMessage:
+class Rider:
     """One multicast message riding the token.
 
     Attributes
     ----------
     origin, msg_no:
-        Identity of the multicast: per-origin sequence number.
+        Identity of the multicast on the wire: per-origin sequence number.
     payload:
         Opaque application object.
     size:
         Modelled payload size in bytes.
     ordering:
         AGREED or SAFE.
-    audience:
-        Membership at attach time — the delivery view.  Atomicity (paper
-        §2.6) is "delivered at every member of the audience that survives,
-        or none".
-    pending:
-        Members of the audience that have not yet received (phase 1) or,
-        once ``confirmed``, not yet delivered (phase 2, SAFE only) the
-        message.  Pruned when members leave.
-    confirmed:
-        SAFE only: set when every audience member has received the message,
-        starting the delivery round.
-    uid:
-        Process-local unique id for tracing and tests; not on the wire.
-    shared:
-        Copy-on-write marker: True while a token snapshot may alias this
-        object.  Mutators must clone (:meth:`cow`) before writing.
     """
 
     origin: str
@@ -143,11 +133,6 @@ class PiggybackedMessage:
     payload: object
     size: int
     ordering: Ordering = Ordering.AGREED
-    audience: frozenset[str] = frozenset()
-    pending: set[str] = field(default_factory=set)
-    confirmed: bool = False
-    uid: int = field(default_factory=lambda: next(_msg_uid))
-    shared: bool = field(default=False, repr=False, compare=False)
 
     def wire_size(self) -> int:
         return MSG_HEADER + self.size
@@ -156,35 +141,46 @@ class PiggybackedMessage:
         """Stable multicast identity ``(origin, msg_no)``."""
         return (self.origin, self.msg_no)
 
-    def span(self) -> str:
-        """Human-readable span id for traces (``origin#msg_no``).
 
-        The span identity *is* the wire-carried ``(origin, msg_no)`` pair;
-        ``uid`` is process-local and never appears in exported streams.
-        """
-        return f"{self.origin}#{self.msg_no}"
+@dataclass(slots=True)
+class PiggybackedMessage(Rider):
+    """A pack: the first message of one visit's run plus its receipt state.
 
-    def cow(self) -> "PiggybackedMessage":
-        """Return a privately mutable version of this message.
+    Attributes
+    ----------
+    audience:
+        Membership at attach time — the delivery view.  Atomicity (paper
+        §2.6) is "delivered at every member of the audience that survives,
+        or none".
+    pending:
+        Members of the audience that have not yet received (phase 1) or,
+        once ``confirmed``, not yet delivered (phase 2, SAFE only) the
+        pack.  Pruned when members leave.
+    confirmed:
+        SAFE only: set when every audience member has received the pack,
+        starting the delivery round.
+    riders:
+        The rest of the run, in attach order; same origin and ordering as
+        this message.  Fixed at attach, so token copies share it.
+    """
 
-        Identity (``uid``) and immutable fields are carried over; the
-        ``pending`` set is duplicated because it is the per-hop mutable
-        state.  Returns ``self`` unchanged when no snapshot aliases it.
-        """
-        if not self.shared:
-            return self
-        clone = PiggybackedMessage.__new__(PiggybackedMessage)
-        clone.origin = self.origin
-        clone.msg_no = self.msg_no
-        clone.payload = self.payload
-        clone.size = self.size
-        clone.ordering = self.ordering
-        clone.audience = self.audience
-        clone.pending = set(self.pending)
-        clone.confirmed = self.confirmed
-        clone.uid = self.uid
-        clone.shared = False
-        return clone
+    audience: frozenset[str] = frozenset()
+    pending: set[str] = field(default_factory=set)
+    confirmed: bool = False
+    riders: tuple[Rider, ...] = ()
+
+    def unpack(self) -> tuple[Rider, ...]:
+        """Every message of the pack, in attach order."""
+        return (self, *self.riders)
+
+    def pack_wire_size(self) -> int:
+        """Modelled wire bytes of the whole pack."""
+        riders = self.riders
+        return (
+            MSG_HEADER * (1 + len(riders))
+            + self.size
+            + sum(r.size for r in riders)
+        )
 
 
 @session_message
@@ -200,12 +196,13 @@ class Token:
 
     seq: int = 0
     membership: tuple[str, ...] = ()
+    #: The packs in attach order (see "Packs" in the module docstring).
     messages: list[PiggybackedMessage] = field(default_factory=list)
     tbm: bool = False
     view_id: int = 0  #: bumped on every membership change, for listeners
     #: Lineage id ("<node>.<k>") stamped at bootstrap / 911 regeneration /
     #: merge and carried on the wire as the token's causal trace context.
-    #: Deterministic (per-node counters), unlike ``PiggybackedMessage.uid``.
+    #: Deterministic (per-node counters), so safe in exported streams.
     gen: str = ""
     #: Recent ancestor lineage ids, newest first, bounded to
     #: :data:`ANCESTRY_DEPTH`.  A 911 regeneration records the lineage it
@@ -217,11 +214,13 @@ class Token:
     #: digest of this chain; like ``gen``, we model it inside the fixed
     #: :data:`TOKEN_HEADER` allowance.
     ancestry: tuple[str, ...] = ()
-    #: Cached sum of message wire sizes (maintained incrementally).  The
-    #: cache is tagged with the list object and length it was computed for,
-    #: so direct ``token.messages`` mutation (tests, adversarial injection)
-    #: degrades to a lazy recompute instead of a stale answer.
+    #: Cached sum of message wire sizes and number of messages (maintained
+    #: incrementally).  The cache is tagged with the list object and length
+    #: it was computed for, so direct ``token.messages`` mutation (tests,
+    #: adversarial injection) degrades to a lazy recompute instead of a
+    #: stale answer.
     _msgs_wire: int = field(default=0, init=False, repr=False, compare=False)
+    _msgs_n: int = field(default=0, init=False, repr=False, compare=False)
     _wire_list: list[PiggybackedMessage] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -235,11 +234,15 @@ class Token:
     )
 
     def __post_init__(self) -> None:
-        self._refresh_wire_cache()
+        self._sync_wire_cache()
 
-    def _refresh_wire_cache(self) -> None:
+    def _sync_wire_cache(self) -> None:
+        """Recompute the cached totals if ``messages`` was edited directly."""
         messages = self.messages
-        self._msgs_wire = sum(m.wire_size() for m in messages)
+        if messages is self._wire_list and len(messages) == self._wire_n:
+            return
+        self._msgs_wire = sum(p.pack_wire_size() for p in messages)
+        self._msgs_n = sum(1 + len(p.riders) for p in messages)
         self._wire_list = messages
         self._wire_n = len(messages)
 
@@ -251,39 +254,47 @@ class Token:
         return min(self.membership)
 
     def wire_size(self) -> int:
-        messages = self.messages
-        if messages is not self._wire_list or len(messages) != self._wire_n:
-            self._refresh_wire_cache()
+        self._sync_wire_cache()
         return (
             TOKEN_HEADER
             + MEMBER_ENTRY * len(self.membership)
             + self._msgs_wire
         )
 
+    def message_count(self) -> int:
+        """Messages on the token: every pack's head plus its riders."""
+        self._sync_wire_cache()
+        return self._msgs_n
+
     def recompute_wire_size(self) -> int:
         """Ground truth for the incremental cache (tests, debugging)."""
         return (
             TOKEN_HEADER
             + MEMBER_ENTRY * len(self.membership)
-            + sum(m.wire_size() for m in self.messages)
+            + sum(m.wire_size() for p in self.messages for m in p.unpack())
         )
 
     # ------------------------------------------------------------------
     # message editing (keeps the wire-size cache honest)
     # ------------------------------------------------------------------
-    def attach_message(self, msg: PiggybackedMessage) -> None:
-        """Append one piggybacked message (the only growth path)."""
-        messages = self.messages
-        if messages is not self._wire_list or len(messages) != self._wire_n:
-            self._refresh_wire_cache()
-        messages.append(msg)
-        self._msgs_wire += msg.wire_size()
+    def attach_message(self, pack: PiggybackedMessage) -> None:
+        """Append one pack (the only growth path)."""
+        self._sync_wire_cache()
+        self.messages.append(pack)
+        self._msgs_wire += pack.pack_wire_size()
+        self._msgs_n += 1 + len(pack.riders)
         self._wire_n += 1
 
-    def set_messages(self, messages: list[PiggybackedMessage]) -> None:
-        """Replace the message list wholesale (the retire pass)."""
-        self.messages = messages
-        self._refresh_wire_cache()
+    def retire_messages(
+        self, retired: list[PiggybackedMessage], surviving: list[PiggybackedMessage]
+    ) -> None:
+        """Swap in the ``surviving`` packs, subtracting what ``retired`` weighed."""
+        self._sync_wire_cache()
+        for pack in retired:
+            self._msgs_wire -= pack.pack_wire_size()
+            self._msgs_n -= 1 + len(pack.riders)
+        self.messages = self._wire_list = surviving
+        self._wire_n = len(surviving)
 
     # ------------------------------------------------------------------
     # membership editing (ring order preserved)
@@ -311,12 +322,8 @@ class Token:
             return
         self.membership = tuple(m for m in self.membership if m != node_id)
         self.view_id += 1
-        messages = self.messages
-        for i, msg in enumerate(messages):
-            if node_id in msg.pending:
-                if msg.shared:
-                    msg = messages[i] = msg.cow()
-                msg.pending.discard(node_id)
+        for pack in self.messages:
+            pack.pending.discard(node_id)
 
     def insert_after(self, anchor: str, node_id: str) -> None:
         """Insert a joiner immediately after ``anchor`` in the ring.
@@ -341,25 +348,26 @@ class Token:
         already accounts for seq/flags/counts, and the lineage id replaces
         slack in that fixed allowance, so wire sizes are unchanged.
         """
-        return ("tok", self.gen, self.seq, len(self.messages), self.tbm)
+        return ("tok", self.gen, self.seq, self.message_count(), self.tbm)
 
     # ------------------------------------------------------------------
     # copying
     # ------------------------------------------------------------------
     def snapshot(self) -> "Token":
-        """Cheap copy-on-write local copy for the per-hop forward path.
+        """Independent local copy of the token (paper §2.3).
 
-        Shares the message objects with the live token and marks them
-        ``shared``; the next holder's receive/retire passes (and
-        :meth:`remove_member`) clone a message before mutating it, so this
-        snapshot stays exactly what was sent.  The message *list* is
-        copied, making appends/retires on the live token invisible here.
+        Every pack's receipt state is copied, so neither token observes
+        the other's further travel; payloads and riders are immutable by
+        convention and shared.
         """
-        if self.messages is not self._wire_list or len(self.messages) != self._wire_n:
-            self._refresh_wire_cache()
-        for m in self.messages:
-            m.shared = True
-        messages = list(self.messages)
+        self._sync_wire_cache()
+        messages = [
+            PiggybackedMessage(
+                p.origin, p.msg_no, p.payload, p.size, p.ordering,
+                p.audience, set(p.pending), p.confirmed, p.riders,
+            )
+            for p in self.messages
+        ]
         token = Token.__new__(Token)
         token.seq = self.seq
         token.membership = self.membership
@@ -369,46 +377,15 @@ class Token:
         token.gen = self.gen
         token.ancestry = self.ancestry
         token._msgs_wire = self._msgs_wire
+        token._msgs_n = self._msgs_n
         token._wire_list = messages
         token._wire_n = len(messages)
         token._ring_index = None
         token._ring_for = None
         return token
 
-    def copy(self) -> "Token":
-        """Deep-enough copy for a node's local TOKEN copy (paper §2.3).
-
-        Message payloads are shared (immutable by convention); pending sets
-        and the message list are copied so the local copy is unaffected by
-        the live token's further travel.  Kept for the repair paths that
-        mutate the result in place; the hot forward path uses
-        :meth:`snapshot`.
-        """
-        return Token(
-            seq=self.seq,
-            membership=self.membership,
-            messages=[
-                PiggybackedMessage(
-                    origin=m.origin,
-                    msg_no=m.msg_no,
-                    payload=m.payload,
-                    size=m.size,
-                    ordering=m.ordering,
-                    audience=m.audience,
-                    pending=set(m.pending),
-                    confirmed=m.confirmed,
-                    uid=m.uid,
-                )
-                for m in self.messages
-            ],
-            tbm=self.tbm,
-            view_id=self.view_id,
-            gen=self.gen,
-            ancestry=self.ancestry,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Token(seq={self.seq}, ring={'-'.join(self.membership)}, "
-            f"msgs={len(self.messages)}, tbm={self.tbm})"
+            f"msgs={self.message_count()}, tbm={self.tbm})"
         )

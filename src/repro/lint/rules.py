@@ -688,6 +688,12 @@ def check_hot_path_slots(ctx: FileContext) -> Iterator[FileFinding]:
             )
 
 
+_DEEPCOPY_MESSAGE = (
+    "deepcopy walks the whole object graph per call; hot paths copy only "
+    "what travels (Token.snapshot) instead"
+)
+
+
 @rule("RC302", "copy.deepcopy on the token/datagram hot path")
 def check_hot_path_deepcopy(ctx: FileContext) -> Iterator[FileFinding]:
     if not ctx.is_module(*_HOT_PATH_MODULES):
@@ -698,9 +704,7 @@ def check_hot_path_deepcopy(ctx: FileContext) -> Iterator[FileFinding]:
                 yield (
                     node.lineno,
                     node.col_offset,
-                    "deepcopy walks the whole object graph per call; hot "
-                    "paths use copy-on-write (Token.snapshot / "
-                    "PiggybackedMessage.cow) instead",
+                    _DEEPCOPY_MESSAGE,
                 )
         elif (
             isinstance(node, ast.Call)
@@ -709,9 +713,7 @@ def check_hot_path_deepcopy(ctx: FileContext) -> Iterator[FileFinding]:
             yield (
                 node.lineno,
                 node.col_offset,
-                "deepcopy walks the whole object graph per call; hot "
-                "paths use copy-on-write (Token.snapshot / "
-                "PiggybackedMessage.cow) instead",
+                _DEEPCOPY_MESSAGE,
             )
 
 

@@ -21,7 +21,7 @@ Design rules (enforced by raincheck RC401/RC402, docs/DETERMINISM.md):
   :class:`ProbeEvent` is only constructed inside :mod:`repro.obs`.
 * **Deterministic values** — arguments must be JSON-safe primitives
   (str/int/float/bool/None or tuples thereof) derived from protocol state.
-  Process-global artifacts (``id()``, ``PiggybackedMessage.uid``) are
+  Process-global artifacts (``id()``, process-local counters) are
   banned from the stream: two runs with one seed must produce
   byte-identical exports.
 

@@ -2,7 +2,7 @@
 
 The repo's determinism rule — same seed, same run — is what makes chaos
 traces replayable and failures shrinkable, so the hot-path optimizations
-(copy-on-write tokens, cached routes, tuple-keyed timers, RNG fast paths)
+(per-pack token copies, cached routes, tuple-keyed timers, RNG fast paths)
 must not move a single random draw or event.  These tests replay two
 fixed-seed scenarios recorded *before* the overhaul and require the
 results to match byte for byte:

@@ -25,7 +25,7 @@ def test_stale_token_is_ignored(abcd):
         if node.has_token:
             break
     assert node.has_token
-    stale = node._live_token.copy()
+    stale = node._live_token.snapshot()
     abcd.run(0.5)  # the ring moves on, seqs advance
     seq_before = node._last_seen_seq
     views_before = len(abcd.listener("B").views)

@@ -1,11 +1,14 @@
 """Unit tests for the TOKEN data structure."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.token import (
     MSG_HEADER,
     Ordering,
     PiggybackedMessage,
+    Rider,
     TOKEN_HEADER,
     Token,
 )
@@ -98,7 +101,7 @@ def test_copy_is_independent():
     t = make_token("ABC")
     msg = PiggybackedMessage("A", 1, "x", 1, pending={"B", "C"})
     t.messages.append(msg)
-    c = t.copy()
+    c = t.snapshot()
     c.remove_member("B")
     c.messages[0].pending.discard("C")
     assert t.membership == ("A", "B", "C")
@@ -107,47 +110,59 @@ def test_copy_is_independent():
 
 def test_copy_preserves_message_identity_fields():
     t = make_token("AB")
+    riders = (Rider("A", 8, "r", 2, Ordering.SAFE),)
     msg = PiggybackedMessage(
         "A", 7, "payload", 9, ordering=Ordering.SAFE,
-        audience=frozenset("AB"), pending={"B"}, confirmed=True,
+        audience=frozenset("AB"), pending={"B"}, confirmed=True, riders=riders,
     )
     t.messages.append(msg)
-    c = t.copy().messages[0]
+    c = t.snapshot().messages[0]
+    assert c == msg and c is not msg
     assert c.key() == ("A", 7)
-    assert c.uid == msg.uid
     assert c.ordering is Ordering.SAFE
     assert c.confirmed is True
     assert c.audience == frozenset("AB")
-
-
-def test_message_uids_unique():
-    a = PiggybackedMessage("A", 1, "x", 1)
-    b = PiggybackedMessage("A", 1, "x", 1)
-    assert a.uid != b.uid
+    assert [m.key() for m in c.unpack()] == [("A", 7), ("A", 8)]
 
 
 # ----------------------------------------------------------------------
-# incremental wire-size cache and copy-on-write snapshots
+# incremental wire-size / message-count cache and independent snapshots
 # ----------------------------------------------------------------------
-def msg(origin, no, size, **kw):
-    return PiggybackedMessage(origin, no, b"x" * size, size, **kw)
+def msg(origin, no, size, riders=0, **kw):
+    """A pack: message ``no`` followed by ``riders`` more from ``origin``."""
+    tail = tuple(
+        Rider(origin, no + i, b"x" * (size + i), size + i) for i in range(1, riders + 1)
+    )
+    return PiggybackedMessage(origin, no, b"x" * size, size, riders=tail, **kw)
+
+
+def recount(token):
+    return sum(len(p.unpack()) for p in token.messages)
+
+
+def assert_cache_honest(token):
+    assert token.wire_size() == token.recompute_wire_size()
+    assert token.message_count() == recount(token)
 
 
 def test_incremental_wire_size_tracks_recompute():
     t = make_token("ABCD")
-    assert t.wire_size() == t.recompute_wire_size()
+    assert_cache_honest(t)
     for i in range(5):
-        t.attach_message(msg("A", i + 1, 10 * (i + 1)))
-        assert t.wire_size() == t.recompute_wire_size()
-    # Retire a subset through the wholesale-swap path.
-    t.set_messages(t.messages[::2])
-    assert t.wire_size() == t.recompute_wire_size()
+        t.attach_message(msg("A", 10 * i, 10 * (i + 1), riders=i))
+        assert_cache_honest(t)
+    assert t.message_count() == 15
+    # Retire a subset: the retired packs' bytes are subtracted.
+    t.retire_messages(t.messages[1::2], t.messages[::2])
+    assert_cache_honest(t)
+    assert t.message_count() == 9
     t.remove_member("B")
-    assert t.wire_size() == t.recompute_wire_size()
+    assert_cache_honest(t)
     t.attach_message(msg("C", 9, 7))
-    assert t.wire_size() == t.recompute_wire_size()
-    t.set_messages([])
-    assert t.wire_size() == t.recompute_wire_size()
+    assert_cache_honest(t)
+    t.retire_messages(list(t.messages), [])
+    assert_cache_honest(t)
+    assert t.wire_size() == TOKEN_HEADER + 3 * 8 and t.message_count() == 0
 
 
 def test_wire_size_survives_direct_list_mutation():
@@ -155,47 +170,100 @@ def test_wire_size_survives_direct_list_mutation():
     # must degrade to a recompute, never return a stale value.
     t = make_token("AB")
     t.attach_message(msg("A", 1, 8))
-    assert t.wire_size() == t.recompute_wire_size()
-    t.messages.append(msg("B", 1, 100))
-    assert t.wire_size() == t.recompute_wire_size()
+    assert_cache_honest(t)
+    t.messages.append(msg("B", 1, 100, riders=2))
+    assert_cache_honest(t)
+    # ... also when the next edit goes through the incremental paths.
+    t.messages.append(msg("B", 4, 5))
+    t.retire_messages([t.messages[0]], t.messages[1:])
+    assert_cache_honest(t)
     t.messages = [msg("A", 2, 3)]
-    assert t.wire_size() == t.recompute_wire_size()
+    t.attach_message(msg("A", 3, 3, riders=1))
+    assert_cache_honest(t)
+    assert t.trace_context()[3] == 3
 
 
 def test_wire_size_cache_after_snapshot_chain():
     t = make_token("ABC")
-    t.attach_message(msg("A", 1, 50))
+    t.attach_message(msg("A", 1, 50, riders=2))
     s = t.snapshot()
     s.attach_message(msg("B", 1, 20))
-    assert s.wire_size() == s.recompute_wire_size()
-    assert t.wire_size() == t.recompute_wire_size()
+    assert_cache_honest(s)
+    assert_cache_honest(t)
     s2 = s.snapshot()
     s2.remove_member("B")
-    assert s2.wire_size() == s2.recompute_wire_size()
+    assert_cache_honest(s2)
+    assert (t.message_count(), s.message_count(), s2.message_count()) == (3, 4, 4)
 
 
-def test_snapshot_is_copy_on_write_independent():
+def receipt_state(token):
+    return [
+        (p.key(), sorted(p.pending), p.confirmed, [r.key() for r in p.riders])
+        for p in token.messages
+    ]
+
+
+def test_snapshot_is_independent_of_live_token():
+    """Receive, retire, removal and attach on either token never show in
+    the other: every pack's receipt state is copied, nothing is aliased."""
     t = make_token("ABC")
-    m = msg("A", 1, 4, pending={"B", "C"})
-    t.attach_message(m)
+    t.attach_message(msg("A", 1, 4, riders=2, pending={"B", "C"}))
+    t.attach_message(msg("A", 4, 4, pending={"B", "C"}, ordering=Ordering.SAFE))
     snap = t.snapshot()
-    # Mutating through the live token's COW paths must not leak into the
-    # snapshot: remove_member clones the shared message before writing.
-    t.remove_member("B")
-    assert t.messages[0].pending == {"C"}
-    assert snap.messages[0].pending == {"B", "C"}
+    before = receipt_state(snap)
+    assert before == receipt_state(t)
+    # A receipt step, a SAFE confirmation and re-arm, a member removal ...
+    t.messages[0].pending.discard("B")
+    t.messages[1].confirmed = True
+    t.messages[1].pending = {"A", "B", "C"}
+    t.remove_member("C")
+    # ... a retire and an attach on the live token:
+    t.retire_messages([t.messages[0]], t.messages[1:])
+    t.attach_message(msg("A", 5, 4))
+    assert receipt_state(snap) == before
     assert snap.membership == ("A", "B", "C")
-    # Appends to the live token are invisible to the snapshot (copied list).
-    t.attach_message(msg("A", 2, 4))
-    assert len(snap.messages) == 1
+    assert snap.message_count() == 4 and t.message_count() == 2
+    assert_cache_honest(snap)
+    assert_cache_honest(t)
+    # And the other way round: editing the snapshot leaves the live token.
+    live = receipt_state(t)
+    snap.remove_member("B")
+    snap.messages[1].pending.clear()
+    snap.retire_messages([snap.messages[1]], snap.messages[:1])
+    snap.attach_message(msg("B", 1, 9, riders=1))
+    assert receipt_state(t) == live
+    assert t.membership == ("A", "B")
 
 
-def test_cow_returns_self_when_unshared():
-    m = msg("A", 1, 4, pending={"B"})
-    assert m.cow() is m
-    m.shared = True
-    clone = m.cow()
-    assert clone is not m
-    assert clone.uid == m.uid
-    assert clone.pending == m.pending and clone.pending is not m.pending
-    assert clone.shared is False
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["attach", "retire", "append", "remove", "snapshot"]),
+        st.integers(0, 5),  # riders / member index
+        st.integers(0, 255),  # size / retire mask
+    ),
+    max_size=30,
+)
+
+
+@given(EDITS)
+def test_wire_and_count_caches_match_ground_truth_after_every_edit(edits):
+    """Incremental attach, retire-by-subtraction, direct list edits,
+    removals and snapshots in any order: ``recompute_wire_size()`` and a
+    recount are the ground truth after every one."""
+    t = make_token("ABCDEF")
+    for n, (edit, k, x) in enumerate(edits):
+        if edit == "attach":
+            t.attach_message(msg("A", 10 * n, x, riders=k))
+        elif edit == "retire":
+            keep = [bool(x >> (i % 8) & 1) for i in range(len(t.messages))]
+            t.retire_messages(
+                [p for p, kept in zip(t.messages, keep) if not kept],
+                [p for p, kept in zip(t.messages, keep) if kept],
+            )
+        elif edit == "append":
+            t.messages.append(msg("B", 10 * n, x, riders=k))
+        elif edit == "remove":
+            t.remove_member("ABCDEF"[k])
+        else:
+            t = t.snapshot()
+        assert_cache_honest(t)

@@ -6,11 +6,19 @@ mechanics of the trickiest code paths — the multicast visit passes, the
 regression points at the precise rule that broke.
 """
 
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.config import RaincoreConfig
+from repro.core.events import RecordingListener
 from repro.core.states import NodeState
-from repro.core.token import Ordering, PiggybackedMessage, Token
+from repro.core.token import Ordering, PiggybackedMessage, Rider, Token
 from repro.core.wire import NineOneOne, NineOneOneReply, ReplyVerdict
 from repro.net.datagram import DatagramNetwork
 from repro.net.eventloop import EventLoop
@@ -40,6 +48,13 @@ def make_msg(origin, msg_no, audience, **kw):
     )
 
 
+def drain(node):
+    """What one ``_drain_deliverable()`` hands the listener, as identities."""
+    node.listener = recorder = RecordingListener()
+    node.multicast_service._drain_deliverable()
+    return recorder.delivery_keys
+
+
 # ----------------------------------------------------------------------
 # multicast visit passes
 # ----------------------------------------------------------------------
@@ -51,8 +66,9 @@ class TestReceivePass:
         token.messages.append(make_msg("B", 1, ("A", "B"), pending={"A"}))
         svc._receive_pass(token)
         assert len(svc._hold) == 1
-        assert svc._hold[0].deliverable
         assert token.messages[0].pending == set()
+        assert drain(node) == [("B", 1)]
+        assert not svc._hold
 
     def test_safe_first_sight_held_blocked(self):
         loop, net, node = make_node()
@@ -63,7 +79,21 @@ class TestReceivePass:
         )
         svc._receive_pass(token)
         assert len(svc._hold) == 1
-        assert not svc._hold[0].deliverable
+        assert drain(node) == []  # SAFE is blocked until confirmed
+        assert len(svc._hold) == 1
+
+    def test_safe_blocks_agreed_behind_it(self):
+        loop, net, node = make_node()
+        svc = node.multicast_service
+        safe = make_msg("B", 1, ("A", "B"), pending={"A"}, ordering=Ordering.SAFE)
+        token = Token(membership=("A", "B"))
+        token.messages.append(safe)
+        token.messages.append(make_msg("B", 2, ("A", "B"), pending={"A"}))
+        svc._receive_pass(token)
+        assert drain(node) == []  # the AGREED message waits its turn
+        safe.confirmed = True
+        svc._receive_pass(token)
+        assert drain(node) == [("B", 1), ("B", 2)]
 
     def test_safe_confirmed_marks_existing_hold(self):
         loop, net, node = make_node()
@@ -72,12 +102,29 @@ class TestReceivePass:
         token = Token(membership=("A", "B"))
         token.messages.append(msg)
         svc._receive_pass(token)  # phase 1: held, blocked
+        assert drain(node) == []
         msg.confirmed = True
         msg.pending = {"A", "B"}
         svc._receive_pass(token)  # phase 2: unblocks the same hold entry
         assert len(svc._hold) == 1
-        assert svc._hold[0].deliverable
         assert "A" not in msg.pending
+        assert drain(node) == [("B", 1)]
+
+    def test_pack_is_received_and_held_as_one(self):
+        loop, net, node = make_node()
+        svc = node.multicast_service
+        pack = make_msg(
+            "B", 1, ("A", "B"), pending={"A"},
+            riders=(Rider("B", 2, "B#2", 10), Rider("B", 3, "B#3", 10)),
+        )
+        token = Token(membership=("A", "B"))
+        token.messages.append(pack)
+        assert token.message_count() == 3
+        svc._receive_pass(token)
+        assert pack.pending == set()
+        assert drain(node) == [("B", 1), ("B", 2), ("B", 3)]
+        svc._retire_pass(token)
+        assert token.messages == [] and token.message_count() == 0
 
     def test_duplicate_uid_not_held_twice(self):
         loop, net, node = make_node()
@@ -89,6 +136,42 @@ class TestReceivePass:
         msg.pending.add("A")  # simulate a regenerated-token replay
         svc._receive_pass(token)
         assert len(svc._hold) == 1
+
+
+FRESH_INTERPRETER_TOKEN = """
+import pickle, sys
+from repro.core.token import PiggybackedMessage, Token
+origin = sys.argv[1]
+token = Token(seq=3, membership=("A", "B", "C"), gen=origin + ".1")
+token.attach_message(PiggybackedMessage(
+    origin, 1, "first-from-" + origin, 10,
+    audience=frozenset("ABC"), pending={"A", "B", "C"} - {origin}))
+sys.stdout.buffer.write(pickle.dumps(token))
+"""
+
+
+def token_from_fresh_interpreter(origin):
+    """What ``UdpFabric`` would hand us from another worker process: its
+    first multicast, pickled where every process-local counter starts over."""
+    src = str(pathlib.Path(repro.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH_INTERPRETER_TOKEN, origin],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, check=True, timeout=60,
+    )
+    return pickle.loads(out.stdout)
+
+
+def test_first_messages_of_other_processes_are_not_duplicates():
+    """Duplicate suppression is keyed on the wire identity: B's and C's
+    first messages, each numbered from 1 by its own process, are both held
+    and delivered by a node that has already multicast its own first."""
+    loop, net, node = make_node()
+    svc = node.multicast_service
+    svc.multicast("mine", size=4)
+    svc._attach_pass(Token(membership=("A", "B", "C")))
+    svc._receive_pass(token_from_fresh_interpreter("B"))
+    svc._receive_pass(token_from_fresh_interpreter("C"))
+    assert drain(node) == [("A", 1), ("B", 1), ("C", 1)]
 
 
 class TestRetirePass:
@@ -135,7 +218,23 @@ class TestAttachPass:
         msg = token.messages[0]
         assert msg.audience == frozenset("ABC")
         assert msg.pending == {"B", "C"}  # self excluded: delivered at attach
-        assert svc._hold and svc._hold[0].deliverable
+        assert drain(node) == [("A", 1)]
+
+    def test_attach_packs_a_run_and_splits_on_ordering_switch(self):
+        loop, net, node = make_node()
+        node.state = NodeState.EATING
+        svc = node.multicast_service
+        for ordering in (Ordering.AGREED, Ordering.AGREED, Ordering.SAFE, Ordering.AGREED):
+            svc.multicast("p", size=5, ordering=ordering)
+        token = Token(membership=("A", "B", "C"))
+        svc._attach_pass(token)
+        assert [(p.msg_no, p.ordering, [r.msg_no for r in p.riders])
+                for p in token.messages] == [
+            (1, Ordering.AGREED, [2]), (3, Ordering.SAFE, []), (4, Ordering.AGREED, [])]
+        assert token.message_count() == 4
+        assert token.wire_size() == token.recompute_wire_size()
+        # The SAFE message holds back what was attached after it.
+        assert drain(node) == [("A", 1), ("A", 2)]
 
 
 # ----------------------------------------------------------------------

@@ -133,9 +133,12 @@ def test_port_must_match_peers_entry():
 @pytest.mark.integration
 @pytest.mark.slow
 def test_two_process_group_forms_and_reports():
+    # Both workers multicast their *first* message: each process numbers
+    # its own from 1, so only the wire identity (origin, msg_no) tells the
+    # two apart.
     cmds = {
         "A": ["--bootstrap", "--multicast-at", "1.0", "--payload", "px"],
-        "B": ["--contact", "A"],
+        "B": ["--contact", "A", "--multicast-at", "1.2", "--payload", "py"],
     }
     procs = {}
     for nid, extra in cmds.items():
@@ -164,8 +167,13 @@ def test_two_process_group_forms_and_reports():
         done = events[nid][-1]
         assert sorted(done["members"]) == ["A", "B"]
         assert done["shipped"] == 0  # no --telemetry on this run
-        delivered = [e for e in events[nid] if e["event"] == "deliver"]
-        assert delivered and delivered[0]["payload"] == "px"
+    delivered = {
+        nid: [(e["origin"], e["msg_no"], e["payload"])
+              for e in events[nid] if e["event"] == "deliver"]
+        for nid in PORTS
+    }
+    assert sorted(delivered["A"]) == [("A", 1, "px"), ("B", 1, "py")]
+    assert delivered["A"] == delivered["B"]  # agreed order across processes
     # Wall-clock stamps are cross-process comparable: every line of both
     # workers falls in one shared epoch window.
     all_ts = [e["ts"] for nid in PORTS for e in events[nid]]
