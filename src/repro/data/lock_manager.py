@@ -143,7 +143,7 @@ class DistributedLockManager(SessionListener):
     # ------------------------------------------------------------------
     def on_deliver(self, delivery: Delivery) -> None:
         op = delivery.payload
-        if not isinstance(op, LockOp):
+        if type(op) is not LockOp:
             return
         if op.kind == "acquire":
             self._apply_acquire(op)

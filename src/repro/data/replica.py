@@ -77,7 +77,6 @@ from repro.data.resync import (
     ResyncDelta,
     ResyncSnapshot,
     SegmentedLog,
-    state_digest,
 )
 from repro.transport.messages import stream_message
 
@@ -201,6 +200,14 @@ class ReplicaBase(SessionListener):
     # ------------------------------------------------------------------
     def on_deliver(self, delivery: Delivery) -> None:
         payload = delivery.payload
+        # Ops first: they are most of the stream, and no op type is one of
+        # the four resync messages below.
+        if self._is_op(payload):
+            if self._synced:
+                self._apply_and_log(payload)
+            else:
+                self._buffer.append(payload)
+            return
         if isinstance(payload, ResyncSnapshot):
             if payload.service == self.SERVICE:
                 self._handle_snapshot(payload)
@@ -216,23 +223,20 @@ class ReplicaBase(SessionListener):
         if isinstance(payload, SyncRequest):
             if payload.service == self.SERVICE:
                 self._handle_sync_request(payload)
-            return
-        if not self._is_op(payload):
-            return
-        if not self._synced:
-            self._buffer.append(payload)
-            return
-        self._apply_and_log(payload)
 
     def _apply_and_log(self, op: Any) -> None:
         self._apply_op(op)
         self._applied_seq += 1
-        size = getattr(op, "wire_size", lambda: 64)()
-        _entry, sealed = self._log.append(op, int(size))
+        wire_size = getattr(op, "wire_size", None)
+        log = self._log
+        _entry, sealed = log.append(op, 64 if wire_size is None else int(wire_size()))
         if sealed:
             self._multicast_ack()
-        self._enforce_budget()
-        self._emit_buffer_level()
+        node = self.node
+        if log.buffered_bytes() > node.config.resync_window_bytes:
+            self._enforce_budget()
+        if node.probe is not None:
+            self._emit_buffer_level()
 
     # ------------------------------------------------------------------
     # state transfer: snapshots and deltas
@@ -250,7 +254,7 @@ class ReplicaBase(SessionListener):
             )
         self._install_snapshot(snap.inner)
         self._applied_seq = snap.applied_seq
-        self._log.adopt(snap.applied_seq, snap.digest, state_digest(snap.inner))
+        self._log.adopt(snap.applied_seq, snap.digest)
         if not self._synced:
             self._synced = True
             # Buffered ops are ordered before this snapshot: contained
@@ -312,11 +316,20 @@ class ReplicaBase(SessionListener):
             self._apply_op(entry.payload)
             self._applied_seq += 1
             self._log.append(entry.payload, entry.size)
+        self._enforce_budget()
+        if tail and self._log.head_digest != tail[-1].digest:
+            # Base and overlap certified, but the tail we just chained does
+            # not end where the answerer's did: it was reordered, cut in
+            # the middle or built on a different op.  The chain makes this
+            # one comparison cover every entry.  We hold a fork; do not
+            # ack it — re-ask, and the ladder reconciles with a snapshot.
+            self._synced = False
+            self._arm_sync_timer()
+            return
         self._synced = True
         self._buffer.clear()
         self._cancel_sync_timer()
         self._clear_growth()
-        self._enforce_budget()
         self._emit_buffer_level()
         self._multicast_ack()
 
@@ -422,16 +435,18 @@ class ReplicaBase(SessionListener):
         )
 
     def _handle_ack(self, ack: ResyncAck) -> None:
-        previous = self._acked.get(ack.sender)
+        sender = ack.sender
+        previous = self._acked.get(sender)
         if previous is None or ack.seq >= previous[0]:
-            self._acked[ack.sender] = (ack.seq, ack.digest)
-        if ack.sender != self.node.node_id and self._synced:
-            if ack.sender in self._pending_growth:
+            self._acked[sender] = (ack.seq, ack.digest)
+        if sender != self.node.node_id and self._synced:
+            if sender in self._pending_growth:
                 self._reconcile_growth_ack(ack)
-            certified = self._log.digest_at(ack.seq)
-            if certified is not None and certified == ack.digest:
-                # A certified position is proof of successful resync.
-                self._strikes.pop(ack.sender, None)
+            if sender in self._strikes:
+                certified = self._log.digest_at(ack.seq)
+                if certified is not None and certified == ack.digest:
+                    # A certified position is proof of successful resync.
+                    del self._strikes[sender]
         self._maybe_prune()
 
     def _reconcile_growth_ack(self, ack: ResyncAck) -> None:
@@ -458,28 +473,30 @@ class ReplicaBase(SessionListener):
         """Cooperative prune: drop segments every live member acked past.
 
         Runs at ack delivery — the same stream position on every replica —
-        so same-seed runs prune byte-identically.
+        so same-seed runs prune byte-identically.  The floor is the lowest
+        ack among the members; one member at or below the horizon already
+        settles that nothing burns (the usual case: all but the last ack
+        of a round), so the scan stops there.
         """
         members = self.node.members
         if not members or not self._synced:
             return
-        floor = min(self._acked.get(m, (0, ""))[0] for m in members)
-        if floor <= self._log.cont.upto_seq:
-            return
-        dropped, freed = self._log.prune_to(
-            floor, state_digest(self._snapshot_payload())
-        )
+        acked = self._acked
+        horizon = self._log.cont.upto_seq
+        floor = 0
+        for member in members:
+            ack = acked.get(member)
+            if ack is None or ack[0] <= horizon:
+                return
+            if not floor or ack[0] < floor:
+                floor = ack[0]
+        dropped, freed = self._log.prune_to(floor)
         if dropped:
             self._emit_prune(dropped, freed, forced=False)
             self._emit_buffer_level()
 
     def _enforce_budget(self) -> None:
-        budget = self.node.config.resync_window_bytes
-        if self._log.buffered_bytes() <= budget:
-            return
-        dropped, freed = self._log.force_prune(
-            budget, state_digest(self._snapshot_payload())
-        )
+        dropped, freed = self._log.force_prune(self.node.config.resync_window_bytes)
         if dropped:
             self._emit_prune(dropped, freed, forced=True)
 

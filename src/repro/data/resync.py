@@ -8,8 +8,8 @@ rejoiner grows unbounded catch-up state.  This module adapts tinySSB's
 Service: each replica keeps its applied-op history in fixed-size,
 hash-chained **segments**, and everything before the retained window is
 compacted into a **continuation point** — the last pruned sequence number
-plus the chain digest at that point and a digest of the compacted prefix
-state.  The chain digest plays the role of tinySSB's signed continuation:
+plus the chain digest at that point.  The chain digest plays the role of
+tinySSB's signed continuation:
 a peer whose ``(seq, digest)`` pair matches ours *provably* shares our
 history prefix, so catch-up needs only the retained tail (O(window)), not
 the full history.
@@ -33,16 +33,15 @@ The protocol driving it lives in :mod:`repro.data.replica`.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from typing import Any
+from hashlib import sha256
+from typing import Any, NamedTuple
 
 from repro.transport.messages import stream_message
 
 __all__ = [
     "GENESIS_DIGEST",
     "chain_digest",
-    "state_digest",
     "LogEntry",
     "Segment",
     "ContinuationPoint",
@@ -65,29 +64,14 @@ def chain_digest(prev: str, seq: int, payload: Any, size: int) -> str:
 
     Hashes the *modelled identity* of the op — its type, repr and wire
     size — which is deterministic across same-seed runs (ops are plain
-    frozen dataclasses of JSON-safe values).
+    frozen dataclasses of JSON-safe values).  One link is one SHA-256
+    over one concatenated buffer.
     """
-    h = hashlib.sha256()
-    h.update(prev.encode())
-    h.update(str(seq).encode())
-    h.update(type(payload).__name__.encode())
-    h.update(repr(payload).encode())
-    h.update(str(size).encode())
-    return h.hexdigest()[:_DIGEST_HEX]
+    link = f"{prev}{seq}{type(payload).__name__}{payload!r}{size}"
+    return sha256(link.encode()).hexdigest()[:_DIGEST_HEX]
 
 
-def state_digest(snapshot_payload: Any) -> str:
-    """Digest of a compacted prefix state (the certified part of a
-    continuation point).  Uses the snapshot payload's repr — frozen
-    dataclasses of deterministic values, like ops."""
-    h = hashlib.sha256()
-    h.update(type(snapshot_payload).__name__.encode())
-    h.update(repr(snapshot_payload).encode())
-    return h.hexdigest()[:_DIGEST_HEX]
-
-
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     """One applied op retained in the prunable window.
 
     ``digest`` is the chain digest *after* applying this entry, so an ack
@@ -120,47 +104,39 @@ class Segment:
 class ContinuationPoint:
     """The certified compaction horizon of a segmented log.
 
-    ``upto_seq`` is the last pruned sequence number, ``digest`` the chain
-    digest at that seq, and ``state_digest`` the digest of the compacted
-    prefix state at the most recent compaction.  Monotone by construction:
-    pruning and snapshot adoption only ever move ``upto_seq`` forward
-    (asserted by the chaos invariants).
+    ``upto_seq`` is the last pruned sequence number and ``digest`` the
+    chain digest at that seq.  Monotone by construction: pruning and
+    snapshot adoption only ever move ``upto_seq`` forward (asserted by
+    the chaos invariants).
     """
 
     upto_seq: int
     digest: str
-    state_digest: str
 
 
 class SegmentedLog:
-    """Hash-chained, segment-granular, budget-bounded op log."""
+    """Hash-chained, segment-granular, budget-bounded op log.
 
-    __slots__ = ("segment_ops", "cont", "_segments", "_bytes")
+    ``head_seq`` / ``head_digest`` are the certified position of the last
+    applied op — the continuation point itself when nothing is retained.
+    :meth:`append` and :meth:`adopt` maintain them; pruning never moves
+    them.
+    """
+
+    __slots__ = (
+        "segment_ops", "cont", "head_seq", "head_digest",
+        "_segments", "_open", "_bytes",
+    )
 
     def __init__(self, segment_ops: int) -> None:
         if segment_ops < 1:
             raise ValueError("segment_ops must be at least 1")
         self.segment_ops = segment_ops
-        self.cont = ContinuationPoint(0, GENESIS_DIGEST, "")
-        self._segments: list[Segment] = []
-        self._bytes = 0
+        self.adopt(0, GENESIS_DIGEST)
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def head_seq(self) -> int:
-        if self._segments:
-            return self._segments[-1].last_seq
-        return self.cont.upto_seq
-
-    @property
-    def head_digest(self) -> str:
-        for segment in reversed(self._segments):
-            if segment.entries:
-                return segment.entries[-1].digest
-        return self.cont.digest
-
     def buffered_bytes(self) -> int:
         """Retained window size in modelled bytes (incremental)."""
         return self._bytes
@@ -209,35 +185,45 @@ class SegmentedLog:
         seq = self.head_seq + 1
         digest = chain_digest(self.head_digest, seq, payload, size)
         entry = LogEntry(seq, payload, size, digest)
-        if not self._segments or self._segments[-1].sealed:
-            self._segments.append(Segment(base_seq=seq - 1))
-        segment = self._segments[-1]
-        segment.entries.append(entry)
+        self.head_seq = seq
+        self.head_digest = digest
+        entries = self._open
+        if entries is None:
+            segment = Segment(base_seq=seq - 1)
+            self._segments.append(segment)
+            entries = self._open = segment.entries
+        entries.append(entry)
         self._bytes += size
-        sealed = len(segment.entries) >= self.segment_ops
-        if sealed:
-            segment.sealed = True
-        return entry, sealed
+        if len(entries) < self.segment_ops:
+            return entry, False
+        self._segments[-1].sealed = True
+        self._open = None
+        return entry, True
 
-    def adopt(self, upto_seq: int, digest: str, state_dig: str) -> None:
+    def adopt(self, upto_seq: int, digest: str) -> None:
         """Reset onto a continuation point received with a snapshot.
 
         The snapshot *is* the compacted prefix: everything before it is
         outside our window now, and subsequent appends grow a fresh
         segment aligned on the adopted seq.
         """
-        self.cont = ContinuationPoint(upto_seq, digest, state_dig)
-        self._segments = []
+        self.cont = ContinuationPoint(upto_seq, digest)
+        self.head_seq = upto_seq
+        self.head_digest = digest
+        self._segments: list[Segment] = []
+        self._open: list[LogEntry] | None = None  # the unsealed segment's entries
         self._bytes = 0
 
     # ------------------------------------------------------------------
     # shrink (the "log burning")
     # ------------------------------------------------------------------
-    def prune_to(self, floor_seq: int, state_dig: str) -> tuple[int, int]:
+    def prune_to(self, floor_seq: int, state_dig: str = "") -> tuple[int, int]:
         """Drop sealed segments fully acknowledged below ``floor_seq``.
 
         Returns ``(segments_dropped, bytes_freed)``; advances the
-        continuation point to the last dropped entry.
+        continuation point to the last dropped entry.  ``state_dig`` is
+        vestigial — accepted and ignored for the ledger's microdriver,
+        which still passes one.
         """
         dropped = 0
         freed = 0
@@ -245,33 +231,35 @@ class SegmentedLog:
             segment = self._segments[0]
             if not segment.sealed or segment.last_seq > floor_seq:
                 break
-            freed += segment.bytes()
-            last = segment.entries[-1]
-            self.cont = ContinuationPoint(last.seq, last.digest, state_dig)
-            self._segments.pop(0)
+            freed += self._drop_oldest()
             dropped += 1
-        self._bytes -= freed
         return dropped, freed
 
-    def force_prune(self, budget: int, state_dig: str) -> tuple[int, int]:
+    def force_prune(self, budget: int, state_dig: str = "") -> tuple[int, int]:
         """Shed oldest segments until retained bytes fit ``budget``.
 
         Seals the open segment if that is what it takes: the budget is a
         hard bound, and a shrunken delta window (degrading some peers to
-        snapshot resync) beats unbounded memory.
+        snapshot resync) beats unbounded memory.  ``state_dig`` is
+        vestigial, as in :meth:`prune_to`.
         """
         dropped = 0
         freed = 0
-        while self._bytes - freed > budget and self._segments:
-            segment = self._segments[0]
-            segment.sealed = True
-            freed += segment.bytes()
-            last = segment.entries[-1]
-            self.cont = ContinuationPoint(last.seq, last.digest, state_dig)
-            self._segments.pop(0)
+        while self._bytes > budget and self._segments:
+            freed += self._drop_oldest()
             dropped += 1
-        self._bytes -= freed
         return dropped, freed
+
+    def _drop_oldest(self) -> int:
+        """Burn the oldest segment into the continuation point."""
+        segment = self._segments.pop(0)
+        if segment.entries is self._open:
+            self._open = None
+        last = segment.entries[-1]
+        self.cont = ContinuationPoint(last.seq, last.digest)
+        freed = segment.bytes()
+        self._bytes -= freed
+        return freed
 
 
 # ----------------------------------------------------------------------

@@ -54,6 +54,11 @@ class DictOp:
     key: str
     value: object  # None for del
 
+    def __repr__(self) -> str:
+        # The generated repr's exact string (it feeds the chain digest of
+        # every logged write), without its recursion guard.
+        return f"DictOp(kind={self.kind!r}, key={self.key!r}, value={self.value!r})"
+
     def wire_size(self) -> int:
         return 16 + len(self.key) + _estimate_size(self.value)
 

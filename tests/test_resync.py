@@ -20,13 +20,18 @@ Four layers, mirroring docs/RESYNC.md:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cluster.harness import RaincoreCluster
 from repro.core.config import RaincoreConfig
-from repro.data import SharedDict
+from repro.data import SharedDict, resync
 from repro.data.resync import (
     GENESIS_DIGEST,
+    ContinuationPoint,
+    ResyncAck,
+    ResyncDelta,
     SegmentedLog,
     chain_digest,
 )
@@ -89,7 +94,6 @@ def test_prune_to_is_segment_granular_and_advances_continuation():
     dropped, freed = log.prune_to(6, "stateA")
     assert (dropped, freed) == (1, 20)
     assert log.cont.upto_seq == 4
-    assert log.cont.state_digest == "stateA"
     assert log.buffered_bytes() == 30
     # The open segment never prunes cooperatively, whatever the floor.
     dropped, _ = log.prune_to(10, "stateB")
@@ -115,7 +119,7 @@ def test_force_prune_seals_open_segment_to_meet_budget():
 def test_adopt_resets_onto_continuation_point():
     log = SegmentedLog(4)
     fill(log, 6)
-    log.adopt(40, "feedfeedfeedfeed", "stateE")
+    log.adopt(40, "feedfeedfeedfeed")
     assert log.buffered_bytes() == 0
     assert log.segment_count() == 0
     assert log.head_seq == 40
@@ -142,6 +146,13 @@ def test_chain_digest_is_history_sensitive():
     assert a != chain_digest(GENESIS_DIGEST, 1, "op!", 10)
     assert a != chain_digest(GENESIS_DIGEST, 2, "op", 10)
     assert a != chain_digest(a, 1, "op", 10)
+
+
+def test_continuation_point_is_a_position_and_nothing_else():
+    """``(upto_seq, chain digest)``: there is no state digest to reach, so
+    nothing can make a prune cost O(state) again by filling one in."""
+    assert [f.name for f in dataclasses.fields(ContinuationPoint)] == ["upto_seq", "digest"]
+    assert not hasattr(resync, "state_digest")
 
 
 def test_segmented_log_rejects_degenerate_segment_size():
@@ -280,6 +291,84 @@ def test_joiner_on_an_idle_dict_syncs_and_stops_asking():
     assert dicts["C"].get("k") == 1 and dicts["C"].applied_seq == 1
 
 
+def forgetful_pair():
+    """A and B agree on three order-sensitive writes; nothing is pruned
+    (one open segment), then B loses its log and chain and is back at
+    genesis, unsynced, with nobody answering it yet."""
+    c, dicts, events = ladder_cluster()
+    dicts["A"].set("k", 1)
+    dicts["A"].set("k", 2)
+    dicts["A"].set("j", 3)
+    c.run(1.0)
+    assert dicts["B"].snapshot() == {"k": 2, "j": 3}
+    assert dicts["A"].continuation.upto_seq == 0
+    dicts["B"].forget()
+    tail = dicts["A"]._log.entries_after(0)
+    assert [e.seq for e in tail] == [1, 2, 3]
+    del events[:]
+    return c, dicts, events, tail
+
+
+def test_honest_delta_syncs_in_one_step():
+    c, dicts, events, tail = forgetful_pair()
+    c.node("A").multicast(
+        ResyncDelta(SharedDict.SERVICE, "B", 0, GENESIS_DIGEST, tuple(tail))
+    )
+    c.run(1.0)
+    assert dicts["B"].synced and dicts["B"].applied_seq == 3
+    assert dicts["B"]._log.head_digest == dicts["A"]._log.head_digest
+    assert dicts["B"].snapshot() == {"k": 2, "j": 3}
+    assert not [e for e in events if e.kind in ("state.sync_request", "state.snapshot")]
+
+
+def test_forged_delta_tail_is_refused_and_reconciled_by_snapshot():
+    """The base certifies and there is no overlap to check, but the tail
+    has two entries swapped.  Chaining it locally cannot end on the digest
+    the answerer shipped, so the receiver must not call itself synced or
+    ack the fork: it re-asks, and the ladder hands it a snapshot."""
+    c, dicts, events, tail = forgetful_pair()
+    forged = (tail[1], tail[0], tail[2])
+    c.node("A").multicast(
+        ResyncDelta(SharedDict.SERVICE, "B", 0, GENESIS_DIGEST, forged)
+    )
+    for _ in range(200):
+        c.run(0.005)
+        if dicts["B"].applied_seq:
+            break
+    # The moment after delivery: the fork is held, and known to be one.
+    assert dicts["B"].applied_seq == 3
+    fork = dicts["B"]._log.head_digest
+    assert fork != dicts["A"]._log.head_digest
+    assert not dicts["B"].synced, "a forged tail must not sync the receiver"
+    assert dicts["B"]._sync_timer is not None
+    c.run(3.0)
+    asked = [e for e in events if e.kind == "state.sync_request" and e.node == "B"]
+    assert asked, "the refusal must be followed by a SyncRequest"
+    assert [e for e in events if e.kind == "resync.snapshot_fallback" and e.args[1] == "B"]
+    assert dicts["B"].synced
+    assert dicts["B"].snapshot() == dicts["A"].snapshot() == {"k": 2, "j": 3}
+    assert dicts["B"]._log.head_digest == dicts["A"]._log.head_digest
+    assert not [
+        d for d in c.listener("A").deliveries
+        if isinstance(d.payload, ResyncAck) and d.payload.digest == fork
+    ], "the fork was acked"
+
+
+def test_uncertified_ack_does_not_clear_strikes_but_a_certified_one_does():
+    c, dicts, _events = ladder_cluster()
+    pruned_window(c, dicts)
+    a = dicts["A"]
+    a._serve_peer("Z", 3, "beefbeefbeefbeef")
+    assert a._strikes == {"Z": 1}
+    # Still standing somewhere we cannot vouch for: the strike stays.
+    a._handle_ack(ResyncAck(SharedDict.SERVICE, "Z", 3, "beefbeefbeefbeef"))
+    a._handle_ack(ResyncAck(SharedDict.SERVICE, "Z", 10, "beefbeefbeefbeef"))
+    assert a._strikes == {"Z": 1}
+    # A certified position is proof the resync worked: forgiven.
+    a._handle_ack(ResyncAck(SharedDict.SERVICE, "Z", 10, a._log.digest_at(10)))
+    assert a._strikes == {}
+
+
 # ----------------------------------------------------------------------
 # partition rejoin end-to-end
 # ----------------------------------------------------------------------
@@ -408,6 +497,40 @@ def test_budget_overflow_force_prunes_before_acks_catch_up():
             assert e.args[1] <= 256
     # The replicas still agree afterwards.
     assert dicts["A"].snapshot() == dicts["B"].snapshot()
+
+
+@pytest.mark.parametrize("keys", [16, 4096])
+def test_steady_state_writes_never_touch_the_whole_state(keys):
+    """A prune is list surgery on the log.  Counted, not timed: however
+    large the replica is, sealing, acking and burning ten segments after
+    the key space is populated never materializes a snapshot of it."""
+    snapshots: list[str] = []
+
+    class CountingDict(SharedDict):
+        def _snapshot_payload(self):
+            snapshots.append(self.node.node_id)
+            return super()._snapshot_payload()
+
+    segment_ops = 32
+    config = RaincoreConfig.tuned(ring_size=3, resync_segment_ops=segment_ops)
+    c = RaincoreCluster(list("ABC"), seed=3, config=config)
+    events: list = []
+    c.enable_probes().subscribe(events.append)
+    dicts = {n: CountingDict(c.node(n)) for n in "ABC"}
+    c.start_all()
+    c.run(1.0)
+    assert all(d.synced for d in dicts.values())
+    del snapshots[:]  # formation may transfer state; steady state may not
+    for i in range(keys + 10 * segment_ops):
+        dicts["ABC"[i % 3]].set(f"key{i % keys}", i)
+        if i % 64 == 63:
+            c.run(0.1)
+    c.run(2.0)
+    assert all(len(d) == keys for d in dicts.values())
+    prunes = [e for e in events if e.kind == "resync.prune"]
+    assert len(prunes) >= 3 * 10 and not any(e.args[4] for e in prunes)
+    assert dicts["A"].continuation.upto_seq >= 10 * segment_ops
+    assert snapshots == []
 
 
 # ----------------------------------------------------------------------
