@@ -86,6 +86,14 @@ class RaincoreNode:
         node.run_exclusive(lambda: ...)            # master-lock section
     """
 
+    #: How late this node's own clock and work made its last forward, repaid
+    #: out of its next hold so a real ring keeps its configured rate.  A
+    #: class-level default stored on the instance only when non-zero, which
+    #: in the simulator is never: a 30th instance attribute would cost every
+    #: node its key-sharing ``__dict__`` (CPython's limit is 30 keys) and
+    #: with it a tenth of the simulated hop rate (docs/FINDINGS.md §10).
+    _hold_debt = 0.0
+
     def __init__(
         self,
         node_id: str,
@@ -271,6 +279,8 @@ class RaincoreNode:
 
     def _teardown(self) -> None:
         self._epoch += 1
+        if self._hold_debt:
+            self._hold_debt = 0.0
         self.transport.stop()
         self.merge.stop()
         self.monitor.stop()
@@ -561,6 +571,8 @@ class RaincoreNode:
 
     def _process_visit(self) -> None:
         """The full EATING pipeline for one token visit."""
+        loop = self.loop
+        arrived = loop.now  # before any visit work: the hold is a deadline
         token = self._live_token
         assert token is not None
         self._sync_membership(token)
@@ -568,14 +580,19 @@ class RaincoreNode:
         self.multicast_service.on_token(token)
         self.mutex.on_token()
         self._sync_membership(token)  # joins may have changed the view
-        # Hold the token for the hop interval, then forward (paper §2.2:
-        # "passed at a regular time interval").  The hold belongs to the
-        # arrival wakeup — no extra task switch is charged.
+        # Hold the token until one hop interval after its arrival, less
+        # what the last forward ran late, then forward (paper §2.2: "passed
+        # at a regular time interval").  The visit's own work comes out of
+        # the hold, and a deadline already past fires on the loop's next
+        # turn.  In the simulator the debt is always 0.0 and ``due`` is the
+        # very float ``call_later(hop_interval)`` would compute.  The hold
+        # belongs to the arrival wakeup — no extra task switch is charged.
         timer = self._forward_timer
         if timer is not None:
             timer.cancel()
-        self._forward_timer = self.loop.call_later(
-            self.config.hop_interval, self._forward_token, self._epoch
+        due = arrived + self.config.hop_interval - self._hold_debt
+        self._forward_timer = loop.call_at(
+            due, self._forward_token, self._epoch, due
         )
 
     def _sync_membership(self, token: Token) -> None:
@@ -591,7 +608,7 @@ class RaincoreNode:
                 ViewChange(token.view_id, token.membership, self.loop.now)
             )
 
-    def _forward_token(self, epoch: int) -> None:
+    def _forward_token(self, epoch: int, due: float) -> None:
         if epoch != self._epoch or self.state is not NodeState.EATING:
             return
         token = self._live_token
@@ -604,6 +621,16 @@ class RaincoreNode:
         else:
             target = token.next_after(self.node_id)
         self._send_token_to(target)
+        # Timer lateness plus the cost of the send just made, by our own
+        # clock alone; never more than one hop, so a stall is forgiven
+        # rather than chased with a burst of short holds.  (Compared, not
+        # min/max-ed: the simulator runs this 40k times a second.)
+        late = self.loop.now - due
+        if late > 0.0:
+            hop = self.config.hop_interval
+            self._hold_debt = late if late < hop else hop
+        elif self._hold_debt:
+            self._hold_debt = 0.0
 
     def _send_token_to(self, target: str) -> None:
         token = self._live_token

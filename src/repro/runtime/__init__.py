@@ -1,7 +1,7 @@
 """Real-time runtime: the protocol stack over asyncio + real UDP sockets.
 
 The session service is driver-agnostic: it consumes a scheduler (``now`` /
-``call_later`` / ``rng``) and a datagram fabric (``bind`` / ``send`` /
+``call_later`` / ``call_at`` / ``rng``) and a datagram fabric (``bind`` / ``send`` /
 ``topology`` / ``stats``).  :class:`AsyncioScheduler` and
 :class:`UdpFabric` provide real-time implementations so the identical
 protocol code that runs deterministically in the simulator also runs on

@@ -1,9 +1,9 @@
 """Asyncio-backed scheduler: the real-time twin of the simulation loop.
 
 The protocol core (:class:`~repro.core.session.RaincoreNode` and everything
-under it) consumes only three things from its "loop": ``now``,
-``call_later(delay, cb, *args)`` returning a cancellable handle, and a
-seeded ``rng``.  The simulator's :class:`~repro.net.eventloop.EventLoop`
+under it) consumes only four things from its "loop": ``now``,
+``call_later(delay, cb, *args)`` and ``call_at(when, cb, *args)`` returning
+a cancellable handle, and a seeded ``rng``.  The simulator's :class:`~repro.net.eventloop.EventLoop`
 provides them over virtual time; this adapter provides them over a running
 :mod:`asyncio` loop, which is how the same untouched protocol code runs on
 real UDP sockets (paper deployments ran on real networks — this driver is
@@ -43,4 +43,6 @@ class AsyncioScheduler:
         return self._loop.call_later(delay, callback, *args)
 
     def call_at(self, when: float, callback: Callable[..., None], *args: Any, priority: int = 0):
+        """Schedule at absolute loop time ``when``; a deadline already past
+        runs on the loop's next turn (the token hold relies on that)."""
         return self._loop.call_at(when, callback, *args)

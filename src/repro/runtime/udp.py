@@ -7,11 +7,17 @@ actual UDP sockets on localhost.  The paper's deployments used UDP on a
 switched LAN (paper §2.1: "In typical implementations, it uses UDP"); this
 fabric lets the unmodified protocol stack run on the real thing.
 
-Wire format: a 5-byte prefix — the magic ``b"RCF"`` plus one version byte
-(``0x01``) — followed by ``pickle.dumps((src_addr, dst_addr, size,
-payload))``.  The declared modelled size travels with the packet, exactly
+Wire format: a 4-byte prefix — the magic ``b"RCF"`` plus one version byte
+(``0x01``) — followed by a pickle of ``(src_addr, dst_addr, size,
+payload)``.  The declared modelled size travels with the packet, exactly
 as the simulator's ``Datagram`` carries it, so receive-side accounting and
-probes report the same size the sender declared.  The prefix is the
+probes report the same size the sender declared.  A protocol dataclass —
+one defined under ``repro.``: the transport frames, every registered
+message, the token's packs and riders — travels as its class plus the
+values of its ``init=True`` fields and is rebuilt by calling the class, so
+what the declaration does not name (the token's cache slots) stays home
+and ``__post_init__`` rebuilds it on arrival; every other object pickles
+by default.  The prefix is the
 defensive layer: a datagram is only handed to ``pickle.loads`` after its
 magic and version check out, so arbitrary bytes sprayed at the port are
 counted and dropped (``bad-magic``) without ever reaching the
@@ -30,16 +36,26 @@ Like the simulated network, the fabric carries an optional ``probe`` bus
 shapes, so :mod:`repro.obs` consumers (aggregators, monitors, diff) work
 unchanged over real sockets.  Real-fabric drop sites get their own
 ``where`` labels: ``no-endpoint`` (sender socket closed), ``unpicklable``,
-``oversized`` (frame above the cap, either direction), ``bad-magic``
-(wrong or missing prefix), ``garbage`` (valid prefix, undecodable body),
-``misaddressed``, and ``unbound``.
+``oversized`` (frame above the cap, either direction), ``send-failed``
+(the socket refused the datagram: full send buffer or any other
+``OSError``), ``bad-magic`` (wrong or missing prefix), ``garbage`` (valid
+prefix, undecodable body), ``misaddressed``, and ``unbound``.
+
+Each node's socket is a plain non-blocking ``socket.socket`` read through
+``loop.add_reader`` — which needs a selector event loop, asyncio's default
+on Linux and macOS.
 """
 
 from __future__ import annotations
 
 import asyncio
+import copyreg
+import dataclasses
+import io
+import operator
 import pickle
-from typing import Any
+import socket
+from typing import Any, Callable
 
 from repro.net.datagram import Datagram, PacketHandler
 from repro.net.stats import StatsRegistry
@@ -54,17 +70,75 @@ FABRIC_VERSION = 1
 _PREFIX = FABRIC_MAGIC + bytes([FABRIC_VERSION])
 
 
-class _Endpoint(asyncio.DatagramProtocol):
-    def __init__(self, fabric: "UdpFabric", address: str) -> None:
-        self.fabric = fabric
-        self.address = address
-        self.transport: asyncio.DatagramTransport | None = None
+#: Datagrams one reader wakeup may drain before the loop gets to run its
+#: timers again: a flood at one socket must not starve the token's hold.
+_DRAIN_LIMIT = 16
 
-    def connection_made(self, transport) -> None:  # pragma: no cover - trivial
-        self.transport = transport
 
-    def datagram_received(self, data: bytes, addr) -> None:
-        self.fabric._on_datagram(self.address, data)
+class _DeclaredFields(dict):
+    """``Pickler.dispatch_table`` reducing a protocol dataclass to ``(cls,
+    its init=True field values)``, derived from the declaration on first
+    sight of the class.  Any other type gets the default table's answer,
+    so application payloads, enums and builtins pickle as they always did.
+    """
+
+    def __missing__(self, cls: type) -> Callable[[Any], tuple]:
+        declared = "__dataclass_fields__" in vars(cls)
+        if not (declared and cls.__module__.startswith("repro.")):
+            return copyreg.dispatch_table[cls]
+        names = [f.name for f in dataclasses.fields(cls) if f.init]
+        values = (
+            operator.attrgetter(*names)
+            if len(names) > 1
+            else lambda obj: tuple(getattr(obj, name) for name in names)
+        )
+        reduce = self[cls] = lambda obj: (cls, values(obj))
+        return reduce
+
+
+class _Endpoint:
+    """One node's non-blocking UDP socket, read by the loop's selector."""
+
+    def __init__(
+        self, fabric: "UdpFabric", address: str, port: int,
+        loop: asyncio.AbstractEventLoop,
+    ) -> None:
+        self._fabric = fabric
+        self._address = address
+        self._loop = loop
+        sock = self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            sock.setblocking(False)
+            sock.bind(("127.0.0.1", port))
+            loop.add_reader(sock.fileno(), self._drain)
+        except BaseException:
+            sock.close()
+            raise
+
+    def sendto(self, data: bytes, peer: tuple[str, int]) -> None:
+        self._sock.sendto(data, peer)
+
+    def _drain(self) -> None:
+        recv = self._sock.recv
+        # One byte past the cap is enough to know a datagram is oversized
+        # (a longer one arrives cut to that length and is dropped as such).
+        limit = self._fabric.max_frame_bytes + 1
+        deliver = self._fabric._on_datagram
+        address = self._address
+        for _ in range(_DRAIN_LIMIT):
+            try:
+                data = recv(limit)
+            except OSError:
+                # Nothing left to read (BlockingIOError), or a handler
+                # closed this socket mid-drain: either way the run ends.
+                return
+            deliver(address, data)
+
+    def close(self) -> None:
+        """Stop reading, then release the descriptor (idempotent)."""
+        if self._sock.fileno() >= 0:
+            self._loop.remove_reader(self._sock.fileno())
+            self._sock.close()
 
 
 class UdpFabric:
@@ -98,10 +172,14 @@ class UdpFabric:
         # and the hot path pays a single attribute load per packet.
         self.probe = None
         self._handlers: dict[str, PacketHandler] = {}
-        self._endpoints: dict[str, asyncio.DatagramTransport] = {}
+        #: address -> anything with ``sendto(data, (host, port))``/``close()``.
+        self._endpoints: dict[str, Any] = {}
+        self._peers: dict[str, tuple[str, int]] = {}
+        self._declared = _DeclaredFields()
         for node_id, port in self.ports.items():
             self.topology.add_node(node_id)
             self.topology.attach(node_id, self._addr(port), self.SEGMENT)
+            self._peers[self._addr(port)] = ("127.0.0.1", port)
         self.packets_delivered = 0
         self.packets_dropped = 0
 
@@ -116,16 +194,12 @@ class UdpFabric:
     # socket lifecycle
     # ------------------------------------------------------------------
     async def open(self, node_id: str) -> None:
-        """Create the node's UDP endpoint (idempotent)."""
+        """Bind the node's UDP socket on the running loop (idempotent)."""
         addr = self.address_of(node_id)
-        if addr in self._endpoints:
-            return
-        loop = asyncio.get_running_loop()
-        transport, _ = await loop.create_datagram_endpoint(
-            lambda: _Endpoint(self, addr),
-            local_addr=("127.0.0.1", self.ports[node_id]),
-        )
-        self._endpoints[addr] = transport
+        if addr not in self._endpoints:
+            self._endpoints[addr] = _Endpoint(
+                self, addr, self.ports[node_id], asyncio.get_running_loop()
+            )
 
     async def open_all(self) -> None:
         for node_id in self.ports:
@@ -133,9 +207,9 @@ class UdpFabric:
 
     def close(self, node_id: str) -> None:
         """Close the node's socket — the real-world 'crash'."""
-        transport = self._endpoints.pop(self.address_of(node_id), None)
-        if transport is not None:
-            transport.close()
+        endpoint = self._endpoints.pop(self.address_of(node_id), None)
+        if endpoint is not None:
+            endpoint.close()
 
     def close_all(self) -> None:
         for node_id in list(self.ports):
@@ -153,6 +227,7 @@ class UdpFabric:
 
     def send(self, src: str, dst: str, payload: Any, size: int) -> None:
         sender = self.topology.owner_of(src)
+        peer = self._peers[dst]  # KeyError on unknown address, like src
         self.stats.for_node(sender).packet_sent(size)
         probe = self.probe
         frame = type(payload).__name__
@@ -166,9 +241,12 @@ class UdpFabric:
                     sender, "net.drop", src, dst, frame, size, "no-endpoint"
                 )
             return
-        host, port = dst.rsplit(":", 1)
+        frame_bytes = io.BytesIO()
+        frame_bytes.write(_PREFIX)
+        pickler = pickle.Pickler(frame_bytes)
+        pickler.dispatch_table = self._declared
         try:
-            data = _PREFIX + pickle.dumps((src, dst, size, payload))
+            pickler.dump((src, dst, size, payload))
         except Exception:  # unpicklable payload: drop like a too-big datagram
             self.packets_dropped += 1
             if probe is not None:
@@ -176,6 +254,7 @@ class UdpFabric:
                     sender, "net.drop", src, dst, frame, size, "unpicklable"
                 )
             return
+        data = frame_bytes.getvalue()
         if len(data) > self.max_frame_bytes:
             self.packets_dropped += 1
             if probe is not None:
@@ -183,7 +262,17 @@ class UdpFabric:
                     sender, "net.drop", src, dst, frame, size, "oversized"
                 )
             return
-        endpoint.sendto(data, (host, int(port)))
+        try:
+            endpoint.sendto(data, peer)
+        except OSError:
+            # A full send buffer (BlockingIOError), EINTR or any other
+            # refusal: UDP's answer is to lose the datagram — counted and
+            # probed here, retransmitted by the transport above.
+            self.packets_dropped += 1
+            if probe is not None:
+                probe.emit(
+                    sender, "net.drop", src, dst, frame, size, "send-failed"
+                )
 
     # ------------------------------------------------------------------
     def _on_datagram(self, local_addr: str, data: bytes) -> None:
