@@ -452,16 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--repeats", type=int, default=None,
-        help="runs per benchmark: best-of for rates, median for overhead "
-        "ratios (default: 5, or 3 with --quick)",
+        help="runs per benchmark, best run reported "
+        "(default: 5, or 3 with --quick)",
     )
     p.add_argument(
         "--check", metavar="BASELINE.json",
-        help="compare against a baseline report; exit 1 on regression",
-    )
-    p.add_argument(
-        "--tolerance", type=float, default=0.30,
-        help="allowed fractional slowdown vs the baseline (default 0.30)",
+        help="compare against a baseline report; exit 1 when a metric is "
+        "more than 30%% worse or a baseline metric is not reported",
     )
     p.add_argument(
         "--shards", type=int, default=None, metavar="K",
@@ -1383,9 +1380,6 @@ def cmd_bench(args) -> int:
                 f"  shards={shards:>2}: wall={row['wall_seconds']:.3f}s "
                 f"speedup={row['speedup']:.2f}x"
             )
-        eff = scaling["shard_scaling_efficiency_4x"]
-        if eff is not None:
-            print(f"  efficiency_4x (speedup / min(4, cpus)): {eff:.2f}")
         if args.out:
             perf.write_report(args.out, {"schema": 1, "shard_scaling": scaling})
             print(f"report written to {args.out}")
@@ -1415,13 +1409,13 @@ def cmd_bench(args) -> int:
     if args.check:
         with open(args.check, encoding="utf-8") as fh:
             baseline = json.load(fh)
-        problems = perf.compare(report, baseline, args.tolerance)
+        problems = perf.compare(report, baseline)
         if problems:
             print(f"PERF REGRESSION vs {args.check}:")
             for problem in problems:
                 print(f"  {problem}")
             return 1
-        print(f"within {args.tolerance:.0%} of baseline {args.check}")
+        print(f"within {perf.TOLERANCE:.0%} of baseline {args.check}")
     return 0
 
 

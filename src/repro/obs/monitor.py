@@ -39,8 +39,9 @@ Design rules:
   ``mcast.deliver`` — costs one set lookup.  RC403 holds every literal
   ``w.kinds(...)`` in a rule to its declaration.
 * **Read-only.**  The monitor never emits probes and never touches
-  protocol state; attaching it cannot change a run (the
-  ``monitor_overhead_ratio`` benchmark gates its cost).
+  protocol state; attaching it cannot change a run (its cost is
+  ``obs.monitor_us_per_event`` on the benchmark ledger's
+  ``sim_ring_observed``).
 
 ``repro watch`` renders the monitor's rolling status as a plain-text,
 redraw-free feed (CI-safe); chaos bundles carry fired alerts in their

@@ -8,8 +8,10 @@ Every layer of the stack carries an optional ``probe`` attribute (a
         probe.emit(self.node_id, "token.accept", src, gen, seq, n_msgs)
 
 so a disabled probe costs exactly one attribute load and one ``None`` test
-on the hot path — unmeasurable next to the work being observed (the
-``probe_overhead_ratio`` benchmark in :mod:`repro.perf` gates this).
+on the hot path — unmeasurable next to the work being observed (the ring
+rates of :mod:`repro.perf` would show it; the enabled cost is priced by
+``obs.stacked_overhead_ratio`` on the benchmark ledger's
+``sim_ring_observed``).
 
 Design rules (enforced by raincheck RC401/RC402, docs/DETERMINISM.md):
 

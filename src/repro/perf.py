@@ -1,4 +1,4 @@
-"""Performance-regression harness for the simulation substrate.
+"""Rate floor for the simulation substrate.
 
 The protocol stack is exercised entirely in virtual time, but the repo also
 cares about how fast the *simulator itself* runs: slow hot paths cap how
@@ -21,61 +21,33 @@ Metrics (all higher-is-better except ``wall_clock_per_sim_second``):
 * ``token_hops_per_sec`` — token forwards per wall second in that ring.
 * ``wall_clock_per_sim_second`` — wall seconds needed to simulate one
   virtual second of the loaded ring (lower is better).
-* ``probe_overhead_ratio`` — wall-clock cost of running the same ring with
-  the probe bus and flight recorder attached, relative to running it with
-  probes disabled (lower is better; 1.0 means observability is free).  The
-  probes-disabled cost itself is covered by ``loaded_ring_events_per_sec``:
-  a disabled probe is one attribute load and a None test, so any
-  measurable regression there would trip the existing rate gate.
-* ``monitor_overhead_ratio`` — wall-clock cost of the same probed ring
-  with the contract monitor evaluating the full paper rule set on top,
-  relative to probes + recorder alone (lower is better; isolates what the
-  *rules engine* adds over the instrumentation it rides on).
-* ``resync_overhead_ratio`` — wall-clock cost of driving the reference
-  ring through replicated SharedDict writes (segmented op log, hash
-  chaining, acks and pruning — the whole docs/RESYNC.md bookkeeping)
-  relative to plain multicasts of the same count (lower is better).
-* ``prof_overhead_ratio`` — wall-clock cost of the reference ring with the
-  hot-path profiler (:mod:`repro.obs.prof`) attached to the event loop,
-  relative to running unprofiled (lower is better).  The profiler reads
-  the wall clock twice per dispatched event, so this prices the whole
-  ``repro prof`` attribution channel (docs/PROFILING.md).
-* ``agg_overhead_ratio`` — wall-clock cost of the probed reference ring
-  with a :class:`~repro.obs.agg.StreamAggregator` folding every probe
-  into bounded per-node state, relative to probes + recorder alone
-  (lower is better; isolates what *streaming aggregation* adds on top of
-  the instrumentation it rides on).
-* ``telemetry_overhead_ratio`` — wall-clock cost of the probed reference
-  ring with a :class:`~repro.runtime.telemetry.TelemetryShipper`
-  subscribed (take every probe event, restamp + frame them as RTAP v3 rows
-  a batch at a time, sink discarded), relative to probes + recorder alone (lower
-  is better; prices what the raintap shipping plane adds per event
-  before the socket, docs/TELEMETRY.md).
+* ``shard_speedup_2x`` — serial wall ÷ 2-shard wall of the sharded engine
+  on the ``multi_ring`` workload (docs/PARALLEL.md).
+
+Disabled probes and a detached profiler are one attribute load and a
+``None`` test per hot-path site, so their cost is covered by the ring
+rates.  What observability, the data service and tracing cost when they
+*are* attached is priced per layer by the benchmark ledger
+(``benchmarks/ledger``), not here.
 
 ``repro bench`` (see :mod:`repro.cli`) runs the suite, writes a JSON
-report, and can gate on a committed baseline with a relative tolerance.
+report, appends a row to ``benchmarks/BENCH_history.json`` (``--record``)
+and gates on the floor in ``benchmarks/BENCH_baseline.json`` (``--check``).
 """
 
 from __future__ import annotations
 
-import gc
 import json
-import statistics
 import time
-from typing import Any, Callable
+from typing import Any
 
 __all__ = [
     "QUICK",
     "FULL",
     "SCALING_WORKLOAD",
+    "TOLERANCE",
     "bench_event_loop",
     "bench_loaded_ring",
-    "bench_probe_overhead",
-    "bench_monitor_overhead",
-    "bench_resync_overhead",
-    "bench_prof_overhead",
-    "bench_agg_overhead",
-    "bench_telemetry_overhead",
     "bench_shard_scaling",
     "run_suite",
     "write_report",
@@ -101,25 +73,12 @@ SCALING_WORKLOAD = {
     "trunk_latency": 0.02,
 }
 
+#: How much worse than the baseline a metric may read before
+#: :func:`compare` calls it a regression (0.30 = 30%).
+TOLERANCE = 0.30
+
 #: Metrics where smaller values are improvements.
-_LOWER_IS_BETTER = {
-    "wall_clock_per_sim_second",
-    "probe_overhead_ratio",
-    "monitor_overhead_ratio",
-    "resync_overhead_ratio",
-    "prof_overhead_ratio",
-    "agg_overhead_ratio",
-    "telemetry_overhead_ratio",
-}
-
-
-def _paired_ratio(one_run: Callable[[bool], float]) -> float:
-    """``one_run(True) / one_run(False)``, each side timed from a freshly
-    collected heap so neither pays for the other's garbage."""
-    gc.collect()
-    base = one_run(False)
-    gc.collect()
-    return one_run(True) / base
+_LOWER_IS_BETTER = {"wall_clock_per_sim_second"}
 
 
 def bench_event_loop(n_events: int) -> float:
@@ -139,9 +98,9 @@ def bench_event_loop(n_events: int) -> float:
 def bench_loaded_ring(sim_seconds: float) -> tuple[float, float, float]:
     """Run the reference loaded ring; return (events/s, hops/s, wall per sim s).
 
-    The workload mirrors ``benchmarks/bench_simulator.py``: 8 nodes, seed 2,
-    a 5 ms hop interval, and 50 multicasts of 200 bytes queued up front, so
-    numbers stay comparable across harnesses.
+    The workload is fixed — 8 nodes, seed 2, a 5 ms hop interval, and 50
+    multicasts of 200 bytes queued up front — so every row of
+    ``benchmarks/BENCH_history.json`` stays comparable.
     """
     from repro.cluster.harness import RaincoreCluster
     from repro.core.config import RaincoreConfig
@@ -163,243 +122,23 @@ def bench_loaded_ring(sim_seconds: float) -> tuple[float, float, float]:
     return events / wall, hops / wall, wall / sim_seconds
 
 
-def bench_probe_overhead(sim_seconds: float) -> float:
-    """Instrumentation-overhead ratio of the loaded reference ring.
-
-    Runs the :func:`bench_loaded_ring` workload twice — once as shipped
-    (every probe point is a disabled ``if probe is not None`` check) and
-    once with the probe bus enabled and a flight recorder subscribed —
-    and returns ``enabled_wall / disabled_wall``.
-    """
-    from repro.cluster.harness import RaincoreCluster
-    from repro.core.config import RaincoreConfig
-
-    def one_run(probed: bool) -> float:
-        cluster = RaincoreCluster(
-            [f"n{i}" for i in range(8)],
-            seed=2,
-            config=RaincoreConfig.tuned(ring_size=8, hop_interval=0.005),
-        )
-        if probed:
-            from repro.obs import FlightRecorder
-
-            FlightRecorder(cluster.enable_probes())
-        cluster.start_all()
-        for i in range(50):
-            cluster.node(f"n{i % 8}").multicast(f"m{i}", size=200)
-        t0 = time.perf_counter()
-        cluster.run(sim_seconds)
-        t1 = time.perf_counter()
-        return t1 - t0
-
-    return _paired_ratio(one_run)
-
-
-def bench_monitor_overhead(sim_seconds: float) -> float:
-    """Contract-monitor overhead ratio over the probed reference ring.
-
-    Runs the probed :func:`bench_loaded_ring` workload (bus + flight
-    recorder, the ``probe_overhead_ratio`` numerator) twice — with and
-    without a :class:`~repro.obs.monitor.ContractMonitor` evaluating the
-    full paper rule set — and returns ``monitored_wall / probed_wall``:
-    what *watching* the contracts costs on top of emitting the probes.
-    """
-    from repro.cluster.harness import RaincoreCluster
-    from repro.core.config import RaincoreConfig
-
-    def one_run(monitored: bool) -> float:
-        config = RaincoreConfig.tuned(ring_size=8, hop_interval=0.005)
-        cluster = RaincoreCluster(
-            [f"n{i}" for i in range(8)], seed=2, config=config
-        )
-        from repro.obs import ContractMonitor, FlightRecorder, paper_contract_rules
-
-        bus = cluster.enable_probes()
-        FlightRecorder(bus)
-        monitor = None
-        if monitored:
-            monitor = ContractMonitor(bus, paper_contract_rules(config, 8))
-        cluster.start_all()
-        if monitor is not None:
-            monitor.start()
-        for i in range(50):
-            cluster.node(f"n{i % 8}").multicast(f"m{i}", size=200)
-        t0 = time.perf_counter()
-        cluster.run(sim_seconds)
-        t1 = time.perf_counter()
-        return t1 - t0
-
-    return _paired_ratio(one_run)
-
-
-def bench_resync_overhead(sim_seconds: float) -> float:
-    """Bounded-resync bookkeeping overhead on the reference ring.
-
-    Runs the :func:`bench_loaded_ring` workload twice — once with the 50
-    messages as plain multicasts, once as replicated SharedDict writes
-    (which ride the identical agreed-order path but additionally append
-    to the hash-chained segmented log, multicast seal acks and prune on
-    full acknowledgement) — and returns ``replicated_wall / plain_wall``.
-    This prices the *entire* Data Service write path, so it is a coarse
-    upper bound on what the resync layer alone costs.
-    """
-    from repro.cluster.harness import RaincoreCluster
-    from repro.core.config import RaincoreConfig
-    from repro.data import SharedDict
-
-    def one_run(replicated: bool) -> float:
-        cluster = RaincoreCluster(
-            [f"n{i}" for i in range(8)],
-            seed=2,
-            config=RaincoreConfig.tuned(ring_size=8, hop_interval=0.005),
-        )
-        dicts = (
-            {nid: SharedDict(cluster.node(nid)) for nid in cluster.node_ids}
-            if replicated
-            else None
-        )
-        cluster.start_all()
-        for i in range(50):
-            if dicts is not None:
-                dicts[f"n{i % 8}"].set(f"k{i % 16}", i)
-            else:
-                cluster.node(f"n{i % 8}").multicast(f"m{i}", size=200)
-        t0 = time.perf_counter()
-        cluster.run(sim_seconds)
-        t1 = time.perf_counter()
-        return t1 - t0
-
-    return _paired_ratio(one_run)
-
-
-def bench_prof_overhead(sim_seconds: float) -> float:
-    """Profiler-overhead ratio of the loaded reference ring.
-
-    Runs the :func:`bench_loaded_ring` workload twice — once as shipped
-    (``loop.profile is None``, one attribute load per dispatch) and once
-    with a :class:`~repro.obs.prof.Profiler` attached to the event loop —
-    and returns ``profiled_wall / plain_wall``.
-    """
-    from repro.cluster.harness import RaincoreCluster
-    from repro.core.config import RaincoreConfig
-
-    def one_run(profiled: bool) -> float:
-        cluster = RaincoreCluster(
-            [f"n{i}" for i in range(8)],
-            seed=2,
-            config=RaincoreConfig.tuned(ring_size=8, hop_interval=0.005),
-        )
-        if profiled:
-            from repro.obs.prof import Profiler
-
-            Profiler().attach(cluster.loop)
-        cluster.start_all()
-        for i in range(50):
-            cluster.node(f"n{i % 8}").multicast(f"m{i}", size=200)
-        t0 = time.perf_counter()
-        cluster.run(sim_seconds)
-        t1 = time.perf_counter()
-        return t1 - t0
-
-    return _paired_ratio(one_run)
-
-
-def bench_agg_overhead(sim_seconds: float) -> float:
-    """Streaming-aggregation overhead ratio over the probed reference ring.
-
-    Runs the probed :func:`bench_loaded_ring` workload (bus + flight
-    recorder, the ``probe_overhead_ratio`` numerator) twice — with and
-    without a :class:`~repro.obs.agg.StreamAggregator` subscribed — and
-    returns ``aggregated_wall / probed_wall``: what folding every probe
-    into bounded per-node reducers costs on top of emitting the probes.
-    """
-    from repro.cluster.harness import RaincoreCluster
-    from repro.core.config import RaincoreConfig
-
-    def one_run(aggregated: bool) -> float:
-        cluster = RaincoreCluster(
-            [f"n{i}" for i in range(8)],
-            seed=2,
-            config=RaincoreConfig.tuned(ring_size=8, hop_interval=0.005),
-        )
-        from repro.obs import FlightRecorder
-
-        bus = cluster.enable_probes()
-        FlightRecorder(bus)
-        if aggregated:
-            from repro.obs.agg import StreamAggregator
-
-            StreamAggregator().attach(bus)
-        cluster.start_all()
-        for i in range(50):
-            cluster.node(f"n{i % 8}").multicast(f"m{i}", size=200)
-        t0 = time.perf_counter()
-        cluster.run(sim_seconds)
-        t1 = time.perf_counter()
-        return t1 - t0
-
-    return _paired_ratio(one_run)
-
-
-def bench_telemetry_overhead(sim_seconds: float) -> float:
-    """Probe-shipping overhead ratio over the probed reference ring.
-
-    Runs the probed :func:`bench_loaded_ring` workload (bus + flight
-    recorder, the ``probe_overhead_ratio`` numerator) twice — with and
-    without a :class:`~repro.runtime.telemetry.TelemetryShipper`
-    subscribed, its sink a no-op — and returns ``shipped_wall /
-    probed_wall``: the intake plus batched restamp + binary framing cost
-    of the raintap plane, measured without socket noise.
-    """
-    from repro.cluster.harness import RaincoreCluster
-    from repro.core.config import RaincoreConfig
-
-    def one_run(shipped: bool) -> float:
-        cluster = RaincoreCluster(
-            [f"n{i}" for i in range(8)],
-            seed=2,
-            config=RaincoreConfig.tuned(ring_size=8, hop_interval=0.005),
-        )
-        from repro.obs import FlightRecorder
-
-        bus = cluster.enable_probes()
-        recorder = FlightRecorder(bus)
-        if shipped:
-            from repro.runtime.telemetry import TelemetryShipper
-
-            shipper = TelemetryShipper(
-                "bench", lambda data: None, recorder=recorder
-            )
-            bus.subscribe(shipper.on_probe)
-        cluster.start_all()
-        for i in range(50):
-            cluster.node(f"n{i % 8}").multicast(f"m{i}", size=200)
-        t0 = time.perf_counter()
-        cluster.run(sim_seconds)
-        t1 = time.perf_counter()
-        return t1 - t0
-
-    return _paired_ratio(one_run)
-
-
 def bench_shard_scaling(
     sim_seconds: float,
-    shard_counts: tuple[int, ...] = (1, 2, 4, 8),
+    shard_counts: tuple[int, ...] = (1, 2),
     repeats: int = 3,
 ) -> dict[str, Any]:
     """Measure the sharded engine's scaling curve on the multi-ring workload.
 
-    Runs :data:`SCALING_WORKLOAD` once per shard count — ``shards=1``
-    through the serial engine (the reference), higher counts through the
-    process engine — and reports wall seconds, raw speedup vs serial, and
-    **core-normalized efficiency**: ``speedup / min(shards, cpu_count)``.
+    Runs :data:`SCALING_WORKLOAD` ``repeats`` times per shard count —
+    ``shards=1`` through the serial engine (the reference), higher counts
+    through the process engine — and reports the best wall seconds and the
+    raw speedup vs serial of each.  ``shard_speedup_2x`` is the 2-shard
+    speedup (``None`` when 2 is not among ``shard_counts``).
 
-    Raw speedup is an honest machine-dependent number: on a single-core
-    container 4 workers timeslice one CPU and raw speedup *cannot* exceed
-    1.0, while the identical run on a 4-core machine approaches the
-    efficiency bound × 4.  Efficiency is the machine-portable figure the
-    baseline floors (see benchmarks/BENCH_baseline.json): on a >=4-core
-    machine an efficiency of 0.5 *is* a 2x raw speedup at 4 shards.
+    Raw speedup is machine-dependent: two workers timeslicing one core
+    cannot beat serial.  Two shards is what a 2-core box can measure; the
+    floor in benchmarks/BENCH_baseline.json only guards against a collapse
+    (per-event exchange chatter, a broken epoch batcher).
     """
     from repro.parallel import ParallelSimulator, available_cpus
 
@@ -417,7 +156,6 @@ def bench_shard_scaling(
             best = min(best, time.perf_counter() - t0)
             events[shards] = result.events
         walls[shards] = best
-    cpus = available_cpus()
     curve = {
         str(shards): {
             "wall_seconds": round(walls[shards], 6),
@@ -425,26 +163,21 @@ def bench_shard_scaling(
         }
         for shards in shard_counts
     }
-    efficiency_4x = None
-    if 4 in walls:
-        efficiency_4x = round((walls[shard_counts[0]] / walls[4]) / min(4, cpus), 4)
     return {
         "workload": dict(SCALING_WORKLOAD, sim_seconds=sim_seconds),
-        "cpu_count": cpus,
+        "cpu_count": available_cpus(),
         "events": events[shard_counts[0]],
         "curve": curve,
-        "shard_scaling_efficiency_4x": efficiency_4x,
+        "shard_speedup_2x": curve["2"]["speedup"] if "2" in curve else None,
     }
 
 
 def run_suite(quick: bool = False, repeats: int | None = None) -> dict[str, Any]:
     """Run all benchmarks and return a report dict (see ``write_report``).
 
-    Each benchmark runs ``repeats`` times.  A rate reports its best run,
-    the standard way to suppress scheduler noise when measuring a
-    deterministic workload; an overhead ratio reports the median of its
-    per-repeat ratios — a minimum over ratios would pick the pair whose
-    denominator happened to be slowest (a GC pause, a slow minute).
+    Each benchmark runs ``repeats`` times and reports its best run, the
+    standard way to suppress scheduler noise when measuring a
+    deterministic workload.
     """
     knobs = QUICK if quick else FULL
     if repeats is None:
@@ -455,19 +188,6 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict[str, Any]
         key=lambda r: r[0],
     )
     events_per_s, hops_per_s, wall_per_sim = best_ring
-    ratios = {
-        bench.__name__: statistics.median(
-            bench(knobs["ring_sim_seconds"]) for _ in range(repeats)
-        )
-        for bench in (
-            bench_probe_overhead,
-            bench_monitor_overhead,
-            bench_resync_overhead,
-            bench_prof_overhead,
-            bench_agg_overhead,
-            bench_telemetry_overhead,
-        )
-    }
     # The scaling curve spawns process fleets; cap its repeats at 2 to
     # keep suite time sane (the floor on its metric is a coarse guard, not
     # a tight gate — see benchmarks/BENCH_baseline.json).
@@ -489,13 +209,7 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict[str, Any]
             "loaded_ring_events_per_sec": round(events_per_s),
             "token_hops_per_sec": round(hops_per_s),
             "wall_clock_per_sim_second": round(wall_per_sim, 6),
-            "probe_overhead_ratio": round(ratios["bench_probe_overhead"], 4),
-            "monitor_overhead_ratio": round(ratios["bench_monitor_overhead"], 4),
-            "resync_overhead_ratio": round(ratios["bench_resync_overhead"], 4),
-            "prof_overhead_ratio": round(ratios["bench_prof_overhead"], 4),
-            "agg_overhead_ratio": round(ratios["bench_agg_overhead"], 4),
-            "telemetry_overhead_ratio": round(ratios["bench_telemetry_overhead"], 4),
-            "shard_scaling_efficiency_4x": scaling["shard_scaling_efficiency_4x"],
+            "shard_speedup_2x": scaling["shard_speedup_2x"],
         },
         "shard_scaling": scaling,
     }
@@ -547,39 +261,37 @@ def append_history(
     return row
 
 
-def compare(
-    current: dict[str, Any], baseline: dict[str, Any], tolerance: float
-) -> list[str]:
-    """Check ``current`` metrics against ``baseline`` metrics.
+def compare(current: dict[str, Any], baseline: dict[str, Any]) -> list[str]:
+    """Check ``current`` metrics against the ``baseline`` floor.
 
     Both arguments are report dicts (only their ``"metrics"`` maps are
     consulted; a bare metrics map is also accepted).  Returns a list of
-    human-readable regression descriptions — empty when every shared metric
-    is within ``tolerance`` (e.g. ``0.30`` = may be up to 30% worse).
-    Metrics present on only one side are ignored, so the baseline file can
-    gain metrics without breaking old checkouts.
+    human-readable problems — empty when every baseline metric is reported
+    and at most :data:`TOLERANCE` worse than its floor.  A baseline metric
+    the report lacks is a problem, so the floor of a renamed or retired
+    metric cannot silently stop gating; a metric only the report has is
+    ignored, so a new metric can land before its floor.
     """
     cur = current.get("metrics", current)
     base = baseline.get("metrics", baseline)
     problems: list[str] = []
     for name, base_value in base.items():
-        if name not in cur or not isinstance(base_value, (int, float)):
+        value = cur.get(name)
+        if value is None:
+            problems.append(f"{name}: in baseline, not reported")
             continue
-        if base_value <= 0:
+        if not isinstance(base_value, (int, float)) or base_value <= 0:
             continue
-        value = cur[name]
+        ratio = value / base_value
         if name in _LOWER_IS_BETTER:
-            ratio = value / base_value  # >1 means slower
-            if ratio > 1.0 + tolerance:
-                problems.append(
-                    f"{name}: {value} vs baseline {base_value} "
-                    f"({ratio:.2f}x slower, tolerance {tolerance:.0%})"
-                )
+            slower = ratio
+            regressed = ratio > 1.0 + TOLERANCE
         else:
-            ratio = value / base_value  # <1 means slower
-            if ratio < 1.0 - tolerance:
-                problems.append(
-                    f"{name}: {value} vs baseline {base_value} "
-                    f"({1 / ratio:.2f}x slower, tolerance {tolerance:.0%})"
-                )
+            slower = 1 / ratio if ratio > 0 else float("inf")
+            regressed = ratio < 1.0 - TOLERANCE
+        if regressed:
+            problems.append(
+                f"{name}: {value} vs baseline {base_value} "
+                f"({slower:.2f}x slower, tolerance {TOLERANCE:.0%})"
+            )
     return problems

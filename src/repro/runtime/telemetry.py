@@ -496,7 +496,8 @@ class TelemetryShipper(ProbeConsumer):
     send:
         ``send(data: bytes) -> None`` over the sidecar channel.  Injected
         so the same shipper runs over a connected UDP socket (the worker),
-        or a no-op sink (the ``telemetry_overhead_ratio`` benchmark).
+        or a no-op sink (the benchmark ledger's ``sim_ring_observed``,
+        which prices it as ``obs.shipper_us_per_event``).
     clock_offset:
         ``epoch_now - scheduler_now`` measured at worker start-up; added
         to every event's ``at`` so all shipped timestamps live on the

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import perf
 from repro.cli import main
+
+BASELINE = Path(__file__).resolve().parent.parent / "benchmarks" / "BENCH_baseline.json"
 
 
 def test_run_suite_quick_reports_all_metrics():
@@ -18,20 +21,17 @@ def test_run_suite_quick_reports_all_metrics():
         "loaded_ring_events_per_sec",
         "token_hops_per_sec",
         "wall_clock_per_sim_second",
-        "probe_overhead_ratio",
-        "monitor_overhead_ratio",
-        "resync_overhead_ratio",
-        "prof_overhead_ratio",
-        "agg_overhead_ratio",
-        "telemetry_overhead_ratio",
-        "shard_scaling_efficiency_4x",
+        "shard_speedup_2x",
     }
     assert all(v > 0 for v in metrics.values())
+    # Every floor CI gates on is one this suite reports.
+    assert set(json.loads(BASELINE.read_text())["metrics"]) <= set(metrics)
     assert report["quick"] is True
     assert report["workload"]["ring_nodes"] == 8
     scaling = report["shard_scaling"]
-    assert set(scaling["curve"]) == {"1", "2", "4", "8"}
+    assert set(scaling["curve"]) == {"1", "2"}
     assert scaling["curve"]["1"]["speedup"] == 1.0
+    assert scaling["shard_speedup_2x"] == scaling["curve"]["2"]["speedup"]
 
 
 def test_compare_passes_identical_reports():
@@ -40,7 +40,7 @@ def test_compare_passes_identical_reports():
         "loaded_ring_events_per_sec": 100,
         "wall_clock_per_sim_second": 0.01,
     }
-    assert perf.compare({"metrics": metrics}, {"metrics": dict(metrics)}, 0.30) == []
+    assert perf.compare({"metrics": metrics}, {"metrics": dict(metrics)}) == []
 
 
 def test_compare_flags_rate_and_latency_regressions():
@@ -52,37 +52,46 @@ def test_compare_flags_rate_and_latency_regressions():
         "event_loop_events_per_sec": 500,  # 2x slower
         "wall_clock_per_sim_second": 0.02,  # 2x slower (higher is worse)
     }
-    problems = perf.compare({"metrics": bad}, {"metrics": base}, 0.30)
+    problems = perf.compare({"metrics": bad}, {"metrics": base})
     assert len(problems) == 2
     # Within tolerance: 25% down on a 30% gate is fine.
     ok = {"event_loop_events_per_sec": 750, "wall_clock_per_sim_second": 0.012}
-    assert perf.compare({"metrics": ok}, {"metrics": base}, 0.30) == []
+    assert perf.compare({"metrics": ok}, {"metrics": base}) == []
 
 
-def test_compare_ignores_unshared_metrics():
-    base = {"event_loop_events_per_sec": 1000, "brand_new_metric": 5}
+def test_compare_flags_baseline_only_and_ignores_report_only_metrics():
+    # A floor the suite no longer reports must not silently stop gating.
+    base = {"event_loop_events_per_sec": 1000, "retired_metric": 5}
     cur = {"event_loop_events_per_sec": 1000}
-    assert perf.compare({"metrics": cur}, {"metrics": base}, 0.30) == []
+    assert perf.compare({"metrics": cur}, {"metrics": base}) == [
+        "retired_metric: in baseline, not reported"
+    ]
+    # A metric that has no floor yet is fine.
+    cur = {"event_loop_events_per_sec": 1000, "brand_new_metric": 5}
+    base = {"event_loop_events_per_sec": 1000}
+    assert perf.compare({"metrics": cur}, {"metrics": base}) == []
 
 
 def test_cli_bench_writes_report_and_gates(tmp_path, capsys):
+    # A tiny baseline must pass, with the report written alongside.
     out = tmp_path / "bench.json"
-    assert main(["bench", "--quick", "--repeats", "1", "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["metrics"]["loaded_ring_events_per_sec"] > 0
-
-    # A sky-high baseline must trip the gate; a tiny one must pass.
-    impossible = tmp_path / "impossible.json"
-    impossible.write_text(
-        json.dumps({"metrics": {"loaded_ring_events_per_sec": 10**12}})
-    )
-    assert (
-        main(["bench", "--quick", "--repeats", "1", "--check", str(impossible)]) == 1
-    )
     trivial = tmp_path / "trivial.json"
     trivial.write_text(json.dumps({"metrics": {"loaded_ring_events_per_sec": 1}}))
-    assert main(["bench", "--quick", "--repeats", "1", "--check", str(trivial)]) == 0
+    argv = ["bench", "--quick", "--repeats", "1"]
+    assert main([*argv, "--out", str(out), "--check", str(trivial)]) == 0
+    report = json.loads(out.read_text())
+    assert report["metrics"]["loaded_ring_events_per_sec"] > 0
     capsys.readouterr()
+
+    # A sky-high floor and a floor for an unreported metric both trip it.
+    impossible = tmp_path / "impossible.json"
+    impossible.write_text(json.dumps({"metrics": {
+        "loaded_ring_events_per_sec": 10**12, "retired_metric": 1,
+    }}))
+    assert main([*argv, "--check", str(impossible)]) == 1
+    printed = capsys.readouterr().out
+    assert "loaded_ring_events_per_sec: " in printed
+    assert "retired_metric: in baseline, not reported" in printed
 
 
 def test_append_history_creates_and_appends(tmp_path):
