@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass, field
 
 __all__ = ["FaultOp", "ChaosParams", "Schedule", "node_names", "segment_names"]
@@ -48,31 +49,63 @@ __all__ = ["FaultOp", "ChaosParams", "Schedule", "node_names", "segment_names"]
 TRACE_FORMAT = "raincore-chaos-trace"
 TRACE_VERSION = 1
 
+#: The argument types of each op kind, in order: ``name`` a string,
+#: ``names`` a list of strings, ``int`` an integer, ``number`` an int or
+#: float that is finite as a float.  ``partition`` takes one or more
+#: ``names`` groups.  Replay refuses an op that does not match, so a
+#: hand-edited trace fails to load instead of failing inside the engine.
+OP_ARGS: dict[str, tuple[str, ...]] = {
+    "crash": ("name",),
+    "recover": ("name",),
+    "cut_link": ("name", "name"),
+    "restore_link": ("name", "name"),
+    "partition": ("names", "names"),
+    "heal_partition": (),
+    "long_partition": ("names", "number"),
+    "unplug": ("name", "int"),
+    "replug": ("name", "int"),
+    "flap_nic": ("name", "int", "number", "number"),
+    "lose_token": (),
+    "lose_token_in_flight": ("number",),
+    "false_alarm": ("name", "name"),
+    "ack_blackout": ("name", "name", "number"),
+    "forge_duplicate_token": (),
+    "duplicate": ("name", "number"),
+    "burst": ("name", "number", "number", "number"),
+    "burst_off": ("name",),
+    "spike": ("name", "number", "number"),
+    "spike_off": ("name",),
+}
+
 #: Op kinds a generator may emit; replay validates against this set.
-OP_KINDS = frozenset(
-    {
-        "crash",
-        "recover",
-        "cut_link",
-        "restore_link",
-        "partition",
-        "heal_partition",
-        "long_partition",
-        "unplug",
-        "replug",
-        "flap_nic",
-        "lose_token",
-        "lose_token_in_flight",
-        "false_alarm",
-        "ack_blackout",
-        "forge_duplicate_token",
-        "duplicate",
-        "burst",
-        "burst_off",
-        "spike",
-        "spike_off",
-    }
+OP_KINDS = frozenset(OP_ARGS)
+
+#: Trace params: (field, type as in :data:`OP_ARGS` or ``bool``, required).
+_PARAM_TYPES = (
+    ("nodes", "int", True),
+    ("seconds", "number", True),
+    ("seed", "int", True),
+    ("segments", "int", False),
+    ("intensity", "number", False),
+    ("strict", "bool", False),
 )
+
+
+def _conforms(value: object, kind: str) -> bool:
+    """Whether a loaded JSON value has the trace type ``kind``."""
+    if kind == "name":
+        return isinstance(value, str)
+    if kind == "names":
+        return isinstance(value, (list, tuple)) and all(
+            isinstance(v, str) for v in value
+        )
+    if kind == "bool":
+        return isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if kind == "int":
+        return isinstance(value, int)
+    return abs(value) <= sys.float_info.max  # "number"
 
 
 def node_names(n: int) -> list[str]:
@@ -101,11 +134,23 @@ class FaultOp:
         return {"at": self.at, "kind": self.kind, "args": _args_to_obj(self.args)}
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "FaultOp":
-        kind = obj["kind"]
-        if kind not in OP_KINDS:
+    def from_obj(cls, obj: object) -> "FaultOp":
+        """Validate one trace op; raises ``ValueError`` on any mismatch."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"fault op must be an object, got {type(obj).__name__}")
+        kind, at, args = obj.get("kind"), obj.get("at"), obj.get("args")
+        if not isinstance(kind, str) or kind not in OP_ARGS:
             raise ValueError(f"unknown fault op kind {kind!r}")
-        return cls(at=float(obj["at"]), kind=kind, args=_args_from_obj(obj["args"]))
+        if not _conforms(at, "number"):
+            raise ValueError(f"{kind} op: 'at' must be a finite number")
+        if not isinstance(args, (list, tuple)):
+            raise ValueError(f"{kind} op: 'args' must be a list")
+        expected = OP_ARGS[kind]
+        if kind == "partition":
+            expected = ("names",) * max(1, len(args))
+        if len(args) != len(expected) or not all(map(_conforms, args, expected)):
+            raise ValueError(f"{kind} op takes args ({', '.join(expected)})")
+        return cls(at=float(at), kind=kind, args=_args_from_obj(args))
 
 
 def _args_to_obj(args):
@@ -149,14 +194,23 @@ class ChaosParams:
         }
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "ChaosParams":
+    def from_obj(cls, obj: object) -> "ChaosParams":
+        """Validate trace params; raises ``ValueError`` on any mismatch."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"trace params must be an object, got {type(obj).__name__}")
+        for key, kind, required in _PARAM_TYPES:
+            if key in obj:
+                if not _conforms(obj[key], kind):
+                    raise ValueError(f"trace param {key!r} must be {kind}")
+            elif required:
+                raise ValueError(f"trace params lack {key!r}")
         return cls(
-            nodes=int(obj["nodes"]),
+            nodes=obj["nodes"],
             seconds=float(obj["seconds"]),
-            seed=int(obj["seed"]),
-            segments=int(obj.get("segments", 2)),
+            seed=obj["seed"],
+            segments=obj.get("segments", 2),
             intensity=float(obj.get("intensity", 1.0)),
-            strict=bool(obj.get("strict", False)),
+            strict=obj.get("strict", False),
         )
 
 
@@ -182,15 +236,24 @@ class Schedule:
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
-        obj = json.loads(text)
-        if obj.get("format") != TRACE_FORMAT:
-            raise ValueError("not a raincore chaos trace")
-        if obj.get("version") != TRACE_VERSION:
-            raise ValueError(f"unsupported trace version {obj.get('version')!r}")
-        return cls(
-            params=ChaosParams.from_obj(obj["params"]),
-            ops=[FaultOp.from_obj(o) for o in obj["ops"]],
-        )
+        """Parse a trace.  Anything malformed — not JSON, nested too deep
+        for the parser, a foreign document, a missing or mistyped field —
+        raises ``ValueError``."""
+        try:
+            obj = json.loads(text)
+            if not isinstance(obj, dict) or obj.get("format") != TRACE_FORMAT:
+                raise ValueError("not a raincore chaos trace")
+            if obj.get("version") != TRACE_VERSION:
+                raise ValueError(f"unsupported trace version {obj.get('version')!r}")
+            ops = obj.get("ops")
+            if not isinstance(ops, list):
+                raise ValueError("trace 'ops' must be a list")
+            return cls(
+                params=ChaosParams.from_obj(obj.get("params")),
+                ops=[FaultOp.from_obj(o) for o in ops],
+            )
+        except RecursionError as exc:
+            raise ValueError("trace JSON is nested too deeply to load") from exc
 
     def with_ops(self, ops: list[FaultOp]) -> "Schedule":
         """Same environment, different op list (the shrinker's move)."""

@@ -9,8 +9,7 @@ Installed as ``raincore-repro`` (or ``python -m repro``).  Subcommands:
   diagnostic-bundle rendering, span-timeline reconstruction, and trace
   diff (docs/OBSERVABILITY.md, docs/MONITORING.md);
 * ``prof`` — hot-path wall-clock profiler: per-callback attribution
-  table, Chrome trace-event export, per-shard epoch utilization
-  (docs/PROFILING.md);
+  table and Chrome trace-event export (docs/PROFILING.md);
 * ``watch`` — run a cluster under the live contract monitor and stream
   per-node SLO health (plain-text, redraw-free, CI-safe);
 * ``scaling`` — the Figure 3 Rainwall throughput sweep;
@@ -251,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "prof",
         help=(
-            "hot-path wall-clock profiler: attribution table, Chrome "
-            "trace export, per-shard epoch utilization"
+            "hot-path wall-clock profiler: attribution table and Chrome "
+            "trace export"
         ),
     )
     p.add_argument("--nodes", type=int, default=8)
@@ -285,11 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--aggregate", action="store_true",
         help="also attach streaming aggregation and print the rollup",
-    )
-    p.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="profile the sharded multi-ring engine at K shards instead "
-        "of the chaos workload (per-shard epoch walls and imbalance)",
     )
     p.add_argument(
         "--quiet", action="store_true",
@@ -459,11 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", metavar="BASELINE.json",
         help="compare against a baseline report; exit 1 when a metric is "
         "more than 30%% worse or a baseline metric is not reported",
-    )
-    p.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="run only the shard-scaling benchmark at 1..K shards and "
-        "print the partition's cut-cost report",
     )
     p.add_argument(
         "--record", metavar="HISTORY.json", nargs="?",
@@ -875,36 +864,6 @@ def cmd_watch(args) -> int:
 
 def cmd_prof(args) -> int:
     import json as _json
-
-    if args.shards is not None:
-        from repro import perf
-        from repro.obs.prof import render_epoch_stats
-        from repro.parallel import ParallelSimulator
-
-        if args.shards < 1:
-            return _cli_error(f"--shards must be >= 1, got {args.shards}")
-        sim = ParallelSimulator("multi_ring", seed=args.seed, params=perf.SCALING_WORKLOAD)
-        mode = "serial" if args.shards == 1 else "process"
-        result = sim.run(
-            args.seconds,
-            shards=args.shards,
-            mode=mode,
-            profile=True,
-            aggregate=args.aggregate,
-        )
-        if args.json:
-            print(_json.dumps(result.profiles, indent=2, sort_keys=True))
-        elif not args.quiet:
-            print(
-                f"sharded profile: shards={args.shards} mode={mode} "
-                f"events={result.events} epochs={result.epochs}"
-            )
-            print(render_epoch_stats(result.profiles))
-        if args.aggregate and not args.quiet:
-            from repro.obs import render_rollup
-
-            print(render_rollup(result.rollup))
-        return 0
 
     from repro.chaos import ChaosEngine, ChaosParams, Schedule
     from repro.obs.prof import Profiler
@@ -1361,29 +1320,6 @@ def cmd_bench(args) -> int:
     import json
 
     from repro import perf
-
-    if args.shards is not None:
-        from repro.parallel import ParallelSimulator
-
-        if args.shards < 1:
-            return _cli_error(f"--shards must be >= 1, got {args.shards}")
-        counts = tuple(k for k in (1, 2, 4, 8) if k <= args.shards)
-        sim = ParallelSimulator("multi_ring", seed=11, params=perf.SCALING_WORKLOAD)
-        print(sim.plan().render_report())
-        knobs = perf.QUICK if args.quick else perf.FULL
-        scaling = perf.bench_shard_scaling(
-            knobs["scaling_sim_seconds"], shard_counts=counts
-        )
-        print(f"cpu_count: {scaling['cpu_count']}  events: {scaling['events']}")
-        for shards, row in scaling["curve"].items():
-            print(
-                f"  shards={shards:>2}: wall={row['wall_seconds']:.3f}s "
-                f"speedup={row['speedup']:.2f}x"
-            )
-        if args.out:
-            perf.write_report(args.out, {"schema": 1, "shard_scaling": scaling})
-            print(f"report written to {args.out}")
-        return 0
 
     report = perf.run_suite(quick=args.quick, repeats=args.repeats)
     for name, value in sorted(report["metrics"].items()):

@@ -510,114 +510,6 @@ def check_buffer_prune_path(ctx: FileContext) -> Iterator[FileFinding]:
                 )
 
 
-#: Names that conventionally hold collections of per-shard objects in
-#: ``repro/parallel/``.  Reaching *through* one of these into a shard's
-#: state is exactly the cross-shard access the exchange exists to forbid.
-_SHARD_COLLECTIONS = frozenset(
-    {"shards", "workers", "peers", "_shards", "_workers", "_peers"}
-)
-
-#: Terminal method names that mutate shard state or schedule into a
-#: shard's loop when reached through a shard collection.
-_CROSS_SHARD_MUTATORS = frozenset(
-    {
-        "call_at",
-        "call_later",
-        "send",
-        "submit",
-        "bind",
-        "unbind",
-        "crash",
-        "start_new_group",
-        "start_joining",
-        "multicast",
-        "set_eligible",
-    }
-)
-
-
-def _shard_subscript_in_chain(node: ast.AST) -> bool:
-    """True if an attribute/subscript chain passes through ``<shards>[i]``."""
-    while True:
-        if isinstance(node, ast.Attribute):
-            node = node.value
-        elif isinstance(node, ast.Subscript):
-            base = node.value
-            name = None
-            if isinstance(base, ast.Name):
-                name = base.id
-            elif isinstance(base, ast.Attribute):
-                name = base.attr
-            if name in _SHARD_COLLECTIONS:
-                return True
-            node = base
-        elif isinstance(node, ast.Call):
-            node = node.func
-        else:
-            return False
-
-
-def _rc206_findings_in(body: list[ast.stmt]) -> Iterator[FileFinding]:
-    for stmt in body:
-        if isinstance(stmt, ast.ClassDef):
-            if not stmt.name.endswith("Exchange"):
-                yield from _rc206_findings_in(stmt.body)
-            continue
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr in _CROSS_SHARD_MUTATORS and _shard_subscript_in_chain(
-                    node.func.value
-                ):
-                    yield (
-                        node.lineno,
-                        node.col_offset,
-                        f".{node.func.attr}() reached through a shard "
-                        "collection subscript mutates another shard "
-                        "directly; cross-shard effects must ride the "
-                        "epoch exchange (submit/deliver_trunk)",
-                    )
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    # Only attribute stores past the subscript count:
-                    # ``self.workers[i] = proc`` builds the collection and
-                    # stays legal; ``self.workers[i].node.x = 1`` mutates
-                    # the shard behind the exchange's back.
-                    if isinstance(target, ast.Attribute) and _shard_subscript_in_chain(
-                        target.value
-                    ):
-                        yield (
-                            target.lineno,
-                            target.col_offset,
-                            "assignment into another shard's object "
-                            "through a shard collection subscript; "
-                            "cross-shard state changes must ride the "
-                            "epoch exchange",
-                        )
-
-
-@rule("RC206", "direct cross-shard state access outside the exchange path")
-def check_cross_shard_access(ctx: FileContext) -> Iterator[FileFinding]:
-    """No reaching into another shard's loop/network/nodes directly.
-
-    Inside ``repro/parallel/`` the only sanctioned way for one shard to
-    affect another is the epoch exchange (``submit`` at send time,
-    ``deliver_trunk`` at the boundary): it is what keeps traces
-    shard-count invariant and what the process engine can actually ship
-    over a pipe.  Code that holds a collection of shard objects
-    (``shards``/``workers``/``peers``) and calls scheduling or protocol
-    mutators through it — ``self.shards[i].loop.call_at(...)``,
-    ``workers[k].network.send(...)`` — or assigns into a shard's objects
-    bypasses that path.  Exchange classes themselves (``*Exchange``) are
-    exempt: they *are* the sanctioned path.
-    """
-    if not ctx.in_dir("repro/parallel/"):
-        return
-    yield from _rc206_findings_in(ctx.tree.body)
-
-
 # ----------------------------------------------------------------------
 # RC3xx — hot-path hygiene
 # ----------------------------------------------------------------------

@@ -19,14 +19,12 @@ Six pieces (docs/OBSERVABILITY.md, docs/MONITORING.md):
   non-deterministic channel (docs/PROFILING.md).
 * :mod:`repro.obs.spans` — span/episode reconstruction over the probe
   stream (token laps, 911 episodes, merge windows, resync ladders).
-* :mod:`repro.obs.agg` — bounded-state streaming aggregation with
-  deterministic cross-shard merge.
+* :mod:`repro.obs.agg` — bounded-state streaming aggregation.
 """
 
 from repro.obs.agg import (
     BoundedHistogram,
     StreamAggregator,
-    merge_rollups,
     render_rollup,
     rollup_json,
 )
@@ -49,7 +47,7 @@ from repro.obs.monitor import (
     realtime_contract_rules,
     render_alerts,
 )
-from repro.obs.prof import Profiler, imbalance, render_epoch_stats
+from repro.obs.prof import Profiler
 from repro.obs.probe import (
     PROBE_CATALOG,
     PROBE_TYPES,
@@ -88,12 +86,9 @@ from repro.obs.spans import Span, SpanTimeline, reconstruct_spans
 __all__ = [
     "BoundedHistogram",
     "StreamAggregator",
-    "merge_rollups",
     "render_rollup",
     "rollup_json",
     "Profiler",
-    "imbalance",
-    "render_epoch_stats",
     "Span",
     "SpanTimeline",
     "reconstruct_spans",

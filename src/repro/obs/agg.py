@@ -10,26 +10,20 @@ geometric-bucket histograms, and nothing proportional to the event count.
 
 Determinism contract (pinned by tests/test_agg.py)
 --------------------------------------------------
-Rollups are **byte-identical across shard counts**.  The rules that make
-that true:
+A rollup is a pure function of each node's own sub-stream, never of how
+the nodes' events interleave.  The rules that make that true:
 
 * All cross-node reductions are either integer sums or are computed at
-  *export* time from the merged per-node state in sorted node order —
-  never by folding floats in stream order, which would make the result
-  depend on how nodes interleave (and therefore on placement).
+  *export* time from the per-node state in sorted node order — never by
+  folding floats in stream order, which would make the result depend on
+  how nodes interleave.
 * Per-node float state (histogram totals) is accumulated in that node's
-  own event order, which the sharded engine already guarantees is
-  placement-invariant (docs/PARALLEL.md).
-* Merging rollups from disjoint node sets is a union; overlapping nodes
-  (re-aggregating a split stream) sum counters bucket-wise.
+  own event order.
 * Top-K talkers are derived from exact per-node byte counters with a
-  total ``(bytes desc, node asc)`` order — no approximate sketches, whose
-  contents would depend on partitioning.
+  total ``(bytes desc, node asc)`` order — no approximate sketches.
 
-The same aggregator works on simulated runs, sharded workers (each worker
-aggregates locally and ships :meth:`to_dict`; the coordinator calls
-:func:`merge_rollups`), and real-UDP runs (:mod:`repro.runtime.udp` emits
-the same ``net.*`` probe kinds).
+The same aggregator works on simulated runs and real-UDP runs
+(:mod:`repro.runtime.udp` emits the same ``net.*`` probe kinds).
 """
 
 from __future__ import annotations
@@ -47,7 +41,6 @@ __all__ = [
     "DEFAULT_LATENCY_EDGES",
     "BoundedHistogram",
     "StreamAggregator",
-    "merge_rollups",
     "rollup_json",
     "render_rollup",
 ]
@@ -125,32 +118,6 @@ class BoundedHistogram:
             "max": round(self.vmax, 9),
         }
 
-    @classmethod
-    def merge_dicts(cls, dicts: list[dict[str, Any]]) -> dict[str, Any]:
-        """Bucket-wise sum of histogram dicts (same edge set assumed)."""
-        if not dicts:
-            return cls().to_dict()
-        counts = [0] * len(dicts[0]["counts"])
-        count = 0
-        total = 0.0
-        vmin = 0.0
-        vmax = 0.0
-        for d in dicts:
-            for i, c in enumerate(d["counts"]):
-                counts[i] += c
-            if d["count"]:
-                vmin = d["min"] if count == 0 else min(vmin, d["min"])
-                vmax = max(vmax, d["max"])
-            count += d["count"]
-            total += d["total"]
-        return {
-            "counts": counts,
-            "count": count,
-            "total": round(total, 9),
-            "min": round(vmin, 9),
-            "max": round(vmax, 9),
-        }
-
 
 class _NodeAgg:
     """Bounded per-node reducer state (no event retention)."""
@@ -200,8 +167,7 @@ class StreamAggregator(ProbeConsumer):
 
     ``observe`` folds a batch in O(1) dict work per event; nothing is
     retained.  ``to_dict`` (which drains an attached bus first) produces
-    the canonical rollup; :func:`merge_rollups` merges rollups from shard
-    workers into the identical document a serial run would produce.
+    the canonical rollup.
     """
 
     __slots__ = ("events", "by_kind", "drops_by_where", "_nodes", "_feeds")
@@ -282,7 +248,7 @@ def _finalize(state: dict[str, Any], top_k: int) -> dict[str, Any]:
     """Fill derived fields from per-node state in deterministic order.
 
     Every float reduction here walks ``per_node`` in sorted-node order,
-    so a merged rollup and a serial rollup derive bit-identical values.
+    so derived values do not depend on how the nodes' events interleaved.
     """
     per_node = state["per_node"]
     talkers = sorted(
@@ -304,64 +270,6 @@ def _finalize(state: dict[str, Any], top_k: int) -> dict[str, Any]:
         "token_accepts": sum(d["token_accepts"] for d in per_node.values()),
     }
     return state
-
-
-def merge_rollups(rollups: list[dict[str, Any]], top_k: int = 8) -> dict[str, Any]:
-    """Merge worker rollups into the document a serial run would produce.
-
-    Disjoint node sets union; overlapping nodes (re-aggregation of a split
-    stream) sum counters and merge histograms bucket-wise.
-    """
-    by_kind: dict[str, int] = {}
-    drops: dict[str, int] = {}
-    per_node_parts: dict[str, list[dict[str, Any]]] = {}
-    events = 0
-    for r in rollups:
-        if r.get("schema") != _ROLLUP_SCHEMA:
-            raise ValueError(
-                f"cannot merge rollup schema {r.get('schema')!r}; "
-                f"expected {_ROLLUP_SCHEMA}"
-            )
-        events += r["events"]
-        for k, c in r["by_kind"].items():
-            by_kind[k] = by_kind.get(k, 0) + c
-        for w, c in r["drops_by_where"].items():
-            drops[w] = drops.get(w, 0) + c
-        for node, d in r["per_node"].items():
-            per_node_parts.setdefault(node, []).append(d)
-    per_node: dict[str, dict[str, Any]] = {}
-    for node in sorted(per_node_parts):
-        parts = per_node_parts[node]
-        if len(parts) == 1:
-            per_node[node] = parts[0]
-        else:
-            merged = {
-                key: sum(p[key] for p in parts)
-                for key in (
-                    "events",
-                    "packets_sent",
-                    "bytes_sent",
-                    "packets_received",
-                    "bytes_received",
-                    "packets_dropped",
-                    "bytes_dropped",
-                    "token_accepts",
-                )
-            }
-            merged["token_gap"] = BoundedHistogram.merge_dicts(
-                [p["token_gap"] for p in parts]
-            )
-            per_node[node] = merged
-    return _finalize(
-        {
-            "schema": _ROLLUP_SCHEMA,
-            "events": events,
-            "by_kind": dict(sorted(by_kind.items())),
-            "drops_by_where": dict(sorted(drops.items())),
-            "per_node": per_node,
-        },
-        top_k,
-    )
 
 
 def rollup_json(rollup: dict[str, Any]) -> str:

@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.obs.probe import ProbeEvent, event_record
+from repro.obs.probe import ProbeEvent, check_record, event_record
 from repro.obs.recorder import load_bundle
 
 __all__ = [
@@ -74,21 +74,7 @@ def _record_of(item: object) -> dict:
     """Canonical record for one stream element (ProbeEvent or record dict)."""
     if isinstance(item, ProbeEvent):
         return event_record(item)
-    if isinstance(item, dict):
-        missing = [k for k in ("n", "at", "node", "kind", "args") if k not in item]
-        if missing:
-            raise ValueError(
-                f"not a probe event record (missing {', '.join(missing)}): "
-                f"{sorted(item)[:8]}"
-            )
-        return {
-            "n": item["n"],
-            "at": item["at"],
-            "node": item["node"],
-            "kind": item["kind"],
-            "args": item["args"],
-        }
-    raise ValueError(f"cannot interpret {type(item).__name__} as a probe event")
+    return check_record(item)
 
 
 def canonical_records(events: list) -> list[dict]:
@@ -127,7 +113,8 @@ def load_events(path: str | Path) -> list[dict]:
     carrying a ``schema`` key is a bundle (validated by the bundle
     loader, any supported schema); otherwise the file is treated as a
     JSONL export with one event record per line.  Raises ``ValueError``
-    with the offending path/line on anything malformed.
+    with the offending path/line on anything malformed, nesting too deep
+    for the parser included.
 
     Capture files are written live by a collector and may have been cut
     off mid-write (a killed soak run): a **final** line that is torn —
@@ -137,8 +124,15 @@ def load_events(path: str | Path) -> list[dict]:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+    try:
+        return _parse_events(path, text)
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply to load") from exc
+
+
+def _parse_events(path: Path, text: str) -> list[dict]:
     stripped = text.lstrip()
     if not stripped:
         raise ValueError(f"{path} is empty — not a probe export or bundle")

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -62,6 +63,7 @@ __all__ = [
     "format_event",
     "event_record",
     "event_from_record",
+    "check_record",
     "events_to_jsonl",
     "renumber_events",
 ]
@@ -408,12 +410,47 @@ def event_from_record(record: dict) -> ProbeEvent:
     )
 
 
+#: The fields of an :func:`event_record` and the JSON types a loaded one
+#: must have (``at`` must also convert to a finite float).
+_RECORD_FIELDS: tuple[tuple[str, type | tuple[type, ...]], ...] = (
+    ("n", int),
+    ("at", (int, float)),
+    ("node", str),
+    ("kind", str),
+    ("args", (list, tuple)),
+)
+
+
+def check_record(item: object) -> dict:
+    """``item`` as an :func:`event_record`-shaped dict, fields in order.
+
+    Raises ``ValueError`` naming what is missing or mistyped, so a file
+    loader can say which line or entry it came from.
+    """
+    if not isinstance(item, dict):
+        raise ValueError(f"cannot interpret {type(item).__name__} as a probe event")
+    missing = [key for key, _ in _RECORD_FIELDS if key not in item]
+    if missing:
+        raise ValueError(
+            f"not a probe event record (missing {', '.join(missing)}): "
+            f"{sorted(item)[:8]}"
+        )
+    for key, types in _RECORD_FIELDS:
+        if not isinstance(item[key], types):
+            raise ValueError(
+                f"probe event field {key!r} is {type(item[key]).__name__}"
+            )
+    if not abs(item["at"]) <= sys.float_info.max:
+        raise ValueError(f"probe event field 'at' is not finite: {item['at']!r}")
+    return {key: item[key] for key, _ in _RECORD_FIELDS}
+
+
 def renumber_events(events: Iterable[ProbeEvent]) -> list[ProbeEvent]:
     """Reassign ordinals 1..N in the given order, keeping all else intact.
 
-    Used when canonicalizing merged per-shard streams: ``n`` is a
-    per-bus emission counter, so a merged stream must renumber in its
-    canonical order to stay byte-stable (see repro.parallel.merge).
+    Used when canonicalizing a re-sorted stream: ``n`` is a per-bus
+    emission counter, so a stream put into canonical order must be
+    renumbered to stay byte-stable (see repro.parallel.coordinator).
     """
     return [
         ProbeEvent(i + 1, e.at, e.node, e.kind, e.args)

@@ -33,9 +33,8 @@ Outputs
 * :meth:`Profiler.trace_json` — Chrome trace-event JSON
   (``chrome://tracing`` / Perfetto loadable), one complete ``"X"`` event
   per dispatched callback, bounded by ``timeline_limit``.
-* :meth:`Profiler.to_dict` — picklable summary shipped from shard workers
-  to the coordinator (per-epoch wall durations feed the utilization
-  imbalance report in :mod:`repro.parallel.coordinator`).
+* :meth:`Profiler.to_dict` — JSON-safe summary of everything accounted
+  (``repro prof --json``), per-epoch wall durations included.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.eventloop import EventLoop
     from repro.obs.probe import ProbeBus, ProbeEvent
 
-__all__ = ["Profiler", "imbalance", "render_epoch_stats"]
+__all__ = ["Profiler"]
 
 
 def _callable_name(key: object) -> str:
@@ -76,7 +75,7 @@ class Profiler(ProbeConsumer):
         export.  Accounting (counts/totals) is exact regardless; only the
         visual timeline is bounded.  ``0`` disables span retention.
     label:
-        Name used for the trace process row (e.g. ``"shard-0"``).
+        Name used for the trace process row (e.g. ``"chaos"``).
     """
 
     # One wall-clock source for the whole channel; swappable in tests.
@@ -108,7 +107,7 @@ class Profiler(ProbeConsumer):
         self.events = 0
         #: Total wall seconds spent inside run_until/run_epoch/step calls.
         self.run_wall = 0.0
-        #: Wall seconds of each run_epoch call (sharded lockstep runs).
+        #: Wall seconds of each run_epoch call (lockstep-epoch runs).
         self.epoch_walls: list[float] = []
         self.heap_depth_max = 0
         self.heap_depth_sum = 0
@@ -205,11 +204,6 @@ class Profiler(ProbeConsumer):
             timeline.append((key, t0 - origin, t1 - t0, at))
         elif self.timeline_limit:
             self.timeline_truncated = True
-
-    def record_epoch_wall(self, wall: float) -> None:
-        """Record one externally-timed epoch (used when loops are driven
-        by a harness that brackets epochs itself)."""
-        self.epoch_walls.append(wall)
 
     # ------------------------------------------------------------------
     # reporting
@@ -350,10 +344,10 @@ class Profiler(ProbeConsumer):
         )
 
     # ------------------------------------------------------------------
-    # wire form (shard workers ship this to the coordinator)
+    # summary
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        """Picklable / JSON-safe summary of everything accounted."""
+        """JSON-safe summary of everything accounted."""
         return {
             "label": self.label,
             "events": self.events,
@@ -367,37 +361,3 @@ class Profiler(ProbeConsumer):
             "probe_counts": dict(sorted(self.probe_counts.items())),
             "timeline_truncated": self.timeline_truncated,
         }
-
-
-# ----------------------------------------------------------------------
-# cross-shard epoch statistics (coordinator side)
-# ----------------------------------------------------------------------
-def imbalance(profiles: list[dict[str, Any]]) -> float:
-    """Utilization imbalance across shard workers: max busy / mean busy.
-
-    1.0 means perfectly balanced; 2.0 means the busiest worker did twice
-    the mean work (the lockstep barrier makes it the critical path).
-    Workers with no epoch timings contribute zero busy time.
-    """
-    busy = [sum(p.get("epoch_walls_s", ())) for p in profiles]
-    if not busy or sum(busy) <= 0.0:
-        return 1.0
-    mean = sum(busy) / len(busy)
-    return max(busy) / mean if mean > 0.0 else 1.0
-
-
-def render_epoch_stats(profiles: list[dict[str, Any]]) -> str:
-    """Per-worker epoch wall summary plus the imbalance figure."""
-    lines = ["per-shard epochs:"]
-    for p in profiles:
-        walls = p.get("epoch_walls_s", [])
-        busy = sum(walls)
-        worst = max(walls) if walls else 0.0
-        lines.append(
-            f"  {p.get('label', '?'):>10}: {len(walls)} epochs, busy "
-            f"{busy * 1e3:.2f} ms, worst epoch {worst * 1e3:.3f} ms, "
-            f"{p.get('events', 0)} events, coverage "
-            f"{p.get('coverage', 0.0) * 100.0:.1f}%"
-        )
-    lines.append(f"utilization imbalance (max/mean busy): {imbalance(profiles):.3f}")
-    return "\n".join(lines)

@@ -16,6 +16,7 @@ of a single multicast span (attach → token hops → delivery).
 from __future__ import annotations
 
 import json
+import sys
 from collections import deque
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -24,6 +25,7 @@ from repro.obs.probe import (
     ProbeBus,
     ProbeConsumer,
     ProbeEvent,
+    check_record,
     event_from_record,
     event_record,
     format_event,
@@ -54,16 +56,17 @@ BUNDLE_SCHEMA = "repro.obs.bundle/2"
 #: with an empty ``alerts`` section so downstream readers see one shape.
 SUPPORTED_SCHEMAS = ("repro.obs.bundle/1", "repro.obs.bundle/2")
 
-#: Sections every bundle must carry (``alerts`` is backfilled for /1).
-_REQUIRED_SECTIONS = (
-    "reason",
-    "detail",
-    "at",
-    "nodes",
-    "context",
-    "events",
-    "metrics",
-)
+#: Sections every bundle must carry (``alerts`` is backfilled for /1),
+#: with the JSON type each must have and its name for error messages.
+_REQUIRED_SECTIONS: dict[str, tuple[type | tuple[type, ...], str]] = {
+    "reason": (str, "string"),
+    "detail": (str, "string"),
+    "at": ((int, float), "number"),
+    "nodes": (list, "list"),
+    "context": (dict, "object"),
+    "events": (list, "list"),
+    "metrics": (dict, "object"),
+}
 
 
 class FlightRecorder(ProbeConsumer):
@@ -179,19 +182,25 @@ def load_bundle(path: str | Path) -> dict:
 
     Accepts every schema in :data:`SUPPORTED_SCHEMAS`; /1 bundles gain an
     empty ``alerts`` section so downstream readers see one shape.  Every
-    failure mode — unreadable file, malformed JSON, foreign or unknown
-    schema, missing sections — raises ``ValueError`` naming the path and
-    the problem, never a bare ``KeyError``.
+    failure mode — unreadable file, malformed or too deeply nested JSON,
+    foreign or unknown schema, missing or mistyped sections, malformed
+    event records — raises ``ValueError`` naming the path and the
+    problem, never a bare ``KeyError``.
     """
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read bundle {path}: {exc}") from exc
     try:
-        bundle = json.loads(text)
+        return _checked_bundle(path, json.loads(text))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path} is JSON nested too deeply to load") from exc
+
+
+def _checked_bundle(path: Path, bundle: object) -> dict:
     if not isinstance(bundle, dict):
         raise ValueError(
             f"{path} is not a diagnostic bundle (top level is "
@@ -209,13 +218,21 @@ def load_bundle(path: str | Path) -> dict:
             f"{path}: bundle (schema {schema}) is missing required "
             f"section(s): {', '.join(missing)}"
         )
-    if not isinstance(bundle["events"], list):
-        raise ValueError(
-            f"{path}: bundle 'events' must be a list, got "
-            f"{type(bundle['events']).__name__}"
-        )
     if schema == "repro.obs.bundle/1":
         bundle.setdefault("alerts", [])
+    for key, (types, name) in dict(_REQUIRED_SECTIONS, alerts=(list, "list")).items():
+        if key in bundle and not isinstance(bundle[key], types):
+            raise ValueError(
+                f"{path}: bundle {key!r} must be a {name}, got "
+                f"{type(bundle[key]).__name__}"
+            )
+    if not abs(bundle["at"]) <= sys.float_info.max:
+        raise ValueError(f"{path}: bundle 'at' is not a finite number")
+    for i, record in enumerate(bundle["events"]):
+        try:
+            check_record(record)
+        except ValueError as exc:
+            raise ValueError(f"{path}: bundle event {i}: {exc}") from exc
     return bundle
 
 

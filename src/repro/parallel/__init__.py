@@ -1,20 +1,19 @@
-"""Sharded parallel simulator: conservative lockstep-epoch engine.
+"""Lockstep-epoch determinism harness for multi-ring topologies.
 
 Partitions a topology into natural shard groups (connected components
-once deterministic *trunk* segments are cut), runs each group's event
-loop in lockstep epochs bounded by the minimum trunk latency, and
-exchanges cross-shard packets as canonically-ordered batches at epoch
-boundaries — so one seed yields identical trace bytes at any shard
-count.  See docs/PARALLEL.md for the model and determinism contract.
+once deterministic *trunk* segments are cut), runs them on one event loop
+in lockstep epochs bounded by the minimum trunk latency, and exchanges
+trunk packets as canonically-ordered batches at epoch boundaries — so one
+seed yields identical trace bytes.  See docs/PARALLEL.md for the model,
+the determinism contract, and why there is no multi-process engine.
 """
 
 from repro.parallel.coordinator import (
     ParallelRunResult,
     ParallelSimulator,
-    available_cpus,
+    epoch_boundaries,
 )
-from repro.parallel.exchange import SerialExchange, WorkerExchange
-from repro.parallel.merge import merge_probe_events, merged_stream_jsonl
+from repro.parallel.exchange import SerialExchange
 from repro.parallel.partition import (
     CutEdge,
     ShardGroup,
@@ -31,10 +30,7 @@ __all__ = [
     "ShardGroup",
     "ShardPlan",
     "WORKLOADS",
-    "WorkerExchange",
-    "available_cpus",
     "build_workload",
-    "merge_probe_events",
-    "merged_stream_jsonl",
+    "epoch_boundaries",
     "partition_topology",
 ]

@@ -1,8 +1,7 @@
 """Sharded chaos campaign: seeded faults against the multi-ring workload.
 
-``repro chaos --shards K`` runs this campaign: the sharded engine (serial
-mode — the reference semantics of the lockstep-epoch path, identical to
-what the process engine executes) drives a multi-ring workload while a
+``repro chaos --shards K`` runs this campaign: the lockstep-epoch
+harness drives a multi-ring workload (``max(4, K)`` rings) while a
 seeded fault schedule crashes and recovers ring members and flips
 adversity knobs on ring segments.  Faults never touch gateways or the
 trunk, so the shard cut stays deterministic throughout.
@@ -170,9 +169,7 @@ def run_sharded_campaign(
         log(sim.plan().render_report())
         for line in faults:
             log(f"fault: {line}")
-    result = sim.run(
-        seconds, shards=shards, mode="serial", prepare=prepare_with_snapshot
-    )
+    result = sim.run(seconds, prepare=prepare_with_snapshot)
 
     ring_ids = multi_ring_node_ids(rings, ring_size)
     alerts: list[str] = []

@@ -1,108 +1,83 @@
-"""Sharded simulation coordinator: serial and process-parallel engines.
+"""Lockstep-epoch coordinator: the sharded engine's determinism harness.
 
 :class:`ParallelSimulator` partitions a registered workload's topology
-into natural shard groups and runs it to a horizon in one of two modes:
+into natural shard groups and runs every group on one in-process event
+loop in lockstep epochs of the plan's lookahead, with a
+:class:`~repro.parallel.exchange.SerialExchange` batching trunk packets
+per epoch and re-injecting them in canonical order at each boundary.
 
-* **serial** — every group on the one in-process event loop, with a
-  :class:`~repro.parallel.exchange.SerialExchange` batching trunk packets
-  per epoch.  This is the ``shards=1`` engine and the reference semantics.
-* **process** — groups placed onto K worker processes (greedy balanced,
-  deterministic), each running its own event loop in lockstep epochs, with
-  the coordinator routing each epoch's trunk batches between workers over
-  pipes (hub-and-spoke, one barrier per epoch).
-
-Both modes compute the identical epoch boundaries (``(k+1) * lookahead``),
-push every trunk packet — even between co-located groups — through the
-same canonically-ordered exchange path, and canonicalize the merged probe
-stream, so for a fixed seed the trace bytes are a function of the workload
-and horizon alone, never of the shard count (docs/PARALLEL.md).
+Epoch boundaries are computed as ``(k + 1) * lookahead`` from epoch
+*indices* — never by accumulating floats — and the recorded probe stream
+is canonicalized (stable sort by ``(at, node)``, then renumbered), so for
+a fixed seed the trace bytes are a function of the workload and horizon
+alone (docs/PARALLEL.md).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from typing import Any
 
-from repro.obs.probe import ProbeEvent
+from repro.obs.probe import ProbeEvent, events_to_jsonl, renumber_events
 from repro.parallel.exchange import SerialExchange
-from repro.parallel.merge import merge_probe_events, merged_stream_jsonl
 from repro.parallel.partition import ShardPlan, partition_topology
-from repro.parallel.worker import epoch_boundaries, events_from_wire, worker_main
 from repro.parallel.workloads import build_workload
 
-__all__ = ["ParallelRunResult", "ParallelSimulator"]
+__all__ = ["ParallelRunResult", "ParallelSimulator", "epoch_boundaries"]
+
+
+def epoch_boundaries(horizon: float, epoch: float) -> list[float]:
+    """Exclusive epoch end times covering ``[0, horizon]``.
+
+    Boundaries are ``epoch, 2*epoch, ...`` computed by multiplication (one
+    rounding each), with the final boundary clamped to ``horizon``.
+    """
+    if horizon <= 0.0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    if epoch <= 0.0:
+        raise ValueError(f"epoch length must be positive, got {epoch}")
+    ends: list[float] = []
+    k = 1
+    while True:
+        end = k * epoch
+        if end >= horizon:
+            ends.append(horizon)
+            return ends
+        ends.append(end)
+        k += 1
 
 
 class ParallelRunResult:
-    """Outcome of one sharded run (any mode)."""
+    """Outcome of one lockstep-epoch run."""
 
-    __slots__ = (
-        "mode",
-        "shards",
-        "events",
-        "epochs",
-        "facts",
-        "assignment",
-        "probe_streams",
-        "profiles",
-        "rollup",
-    )
+    __slots__ = ("events", "epochs", "facts", "_recorded")
 
     def __init__(
         self,
-        mode: str,
-        shards: int,
         events: int,
         epochs: int,
         facts: dict[str, Any],
-        assignment: tuple[int, ...],
-        probe_streams: list[list[ProbeEvent]],
-        profiles: list[dict[str, Any]] | None = None,
-        rollup: dict[str, Any] | None = None,
+        recorded: list[ProbeEvent],
     ) -> None:
-        self.mode = mode
-        self.shards = shards
-        #: Total events executed across all shard loops.
+        #: Total events executed by the loop.
         self.events = events
         self.epochs = epochs
-        #: Merged deterministic end-of-run facts from every shard.
+        #: Deterministic end-of-run facts (``WorkloadInstance.collect``).
         self.facts = facts
-        #: Group index -> worker index placement used for the run.
-        self.assignment = assignment
-        self.probe_streams = probe_streams
-        #: Per-worker profiler summaries (run with ``profile=True``) — the
-        #: non-deterministic wall-clock channel, one dict per worker.
-        self.profiles = profiles or []
-        #: Deterministic merged telemetry rollup (``aggregate=True``):
-        #: byte-identical across shard counts (repro.obs.agg).
-        self.rollup = rollup
+        self._recorded = recorded
 
     def probe_events(self) -> list[ProbeEvent]:
-        """Canonically merged probe stream (shard-count invariant)."""
-        return merge_probe_events(self.probe_streams)
+        """The canonical probe stream: stably sorted by ``(at, node)``,
+        then renumbered ``n = 1..N`` in that order."""
+        events = sorted(self._recorded, key=lambda e: (e.at, e.node))
+        return renumber_events(events)
 
     def stream_jsonl(self) -> str:
-        """Canonical merged probe stream as JSONL (golden-trace format)."""
-        return merged_stream_jsonl(self.probe_streams)
-
-    def rollup_jsonl(self) -> str:
-        """Canonical rollup serialization (requires ``aggregate=True``)."""
-        if self.rollup is None:
-            raise ValueError("run with aggregate=True to collect a rollup")
-        from repro.obs.agg import rollup_json
-
-        return rollup_json(self.rollup)
-
-    def epoch_imbalance(self) -> float:
-        """Utilization imbalance across workers (requires ``profile=True``)."""
-        from repro.obs.prof import imbalance
-
-        return imbalance(self.profiles)
+        """Canonical probe stream as JSONL (golden-trace format)."""
+        return events_to_jsonl(self.probe_events())
 
 
 class ParallelSimulator:
-    """Plan and run a registered workload across shard workers."""
+    """Plan and run a registered workload in lockstep epochs."""
 
     def __init__(
         self, workload: str, seed: int, params: dict | None = None
@@ -115,9 +90,7 @@ class ParallelSimulator:
     def plan(self) -> ShardPlan:
         """The natural shard plan (computed once, from topology alone)."""
         if self._plan is None:
-            skeleton = build_workload(
-                self.workload, self.seed, self.params, active=frozenset()
-            )
+            skeleton = build_workload(self.workload, self.seed, self.params)
             self._plan = partition_topology(
                 skeleton.topology,
                 trunk_segments=skeleton.trunk_segments or None,
@@ -127,78 +100,23 @@ class ParallelSimulator:
     def run(
         self,
         horizon: float,
-        shards: int = 1,
-        mode: str = "auto",
         probes: bool = False,
         prepare: Any = None,
-        profile: bool = False,
-        aggregate: bool = False,
     ) -> ParallelRunResult:
-        """Run to ``horizon`` on ``shards`` workers.
+        """Run to ``horizon``.
 
-        ``mode`` is ``"serial"`` (one process regardless of ``shards``,
-        used by the chaos campaign and as the reference), ``"process"``
-        (one OS process per shard), or ``"auto"`` (serial iff shards==1).
-
-        ``prepare`` is an optional callable receiving the built
+        ``probes=True`` records the probe stream (see
+        :meth:`ParallelRunResult.stream_jsonl`).  ``prepare`` is an
+        optional callable receiving the built
         :class:`~repro.parallel.workloads.WorkloadInstance` before it
-        starts — the chaos campaign uses it to arm fault timers.  Serial
-        mode only: closures cannot cross process boundaries.
-
-        ``profile=True`` attaches one wall-clock profiler per worker loop
-        (results in :attr:`ParallelRunResult.profiles`); ``aggregate=True``
-        attaches one streaming aggregator per worker and merges their
-        rollups into :attr:`ParallelRunResult.rollup` — a document that is
-        byte-identical across shard counts.  Neither touches the probe
-        stream or the golden byte-identity contract.
+        starts — the chaos campaign uses it to arm fault timers.
         """
-        if mode == "auto":
-            mode = "serial" if shards == 1 else "process"
-        if mode == "serial":
-            return self._run_serial(
-                horizon, shards, probes, prepare, profile, aggregate
-            )
-        if mode == "process":
-            if prepare is not None:
-                raise ValueError(
-                    "prepare hooks are serial-only: a closure cannot be "
-                    "shipped to shard worker processes"
-                )
-            return self._run_process(horizon, shards, probes, profile, aggregate)
-        raise ValueError(f"unknown mode {mode!r} (serial|process|auto)")
-
-    # ------------------------------------------------------------------
-    # serial engine
-    # ------------------------------------------------------------------
-    def _run_serial(
-        self,
-        horizon: float,
-        shards: int,
-        probes: bool,
-        prepare: Any = None,
-        profile: bool = False,
-        aggregate: bool = False,
-    ) -> ParallelRunResult:
         plan = self.plan()
-        assignment = plan.assign(min(shards, len(plan.groups)))
         instance = build_workload(self.workload, self.seed, self.params)
 
         recorded: list[ProbeEvent] = []
-        aggregator = None
-        if probes or aggregate:
-            bus = instance.enable_probes()
-            if probes:
-                bus.subscribe(recorded.extend)
-            if aggregate:
-                from repro.obs.agg import StreamAggregator
-
-                aggregator = StreamAggregator().attach(bus)
-        profiler = None
-        if profile:
-            from repro.obs.prof import Profiler
-
-            profiler = Profiler(label="serial").attach(instance.loop)
-
+        if probes:
+            instance.enable_probes().subscribe(recorded.extend)
         if prepare is not None:
             prepare(instance)
         instance.start()
@@ -214,140 +132,4 @@ class ParallelSimulator:
                 events += instance.loop.run_epoch(end)
                 exchange.flush_epoch()
                 epochs += 1
-        return ParallelRunResult(
-            mode="serial",
-            shards=shards,
-            events=events,
-            epochs=epochs,
-            facts=instance.collect(),
-            assignment=assignment,
-            probe_streams=[recorded],
-            profiles=[profiler.to_dict()] if profiler is not None else None,
-            rollup=aggregator.to_dict() if aggregator is not None else None,
-        )
-
-    # ------------------------------------------------------------------
-    # process engine
-    # ------------------------------------------------------------------
-    def _run_process(
-        self,
-        horizon: float,
-        shards: int,
-        probes: bool,
-        profile: bool = False,
-        aggregate: bool = False,
-    ) -> ParallelRunResult:
-        plan = self.plan()
-        if not plan.cut:
-            raise ValueError(
-                "topology has a single shard group (no trunk cut); "
-                "process mode cannot split it — use serial"
-            )
-        assignment = plan.assign(shards)
-        boundaries = epoch_boundaries(horizon, plan.lookahead)
-
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        ctx = multiprocessing.get_context(method)
-        pipes = [ctx.Pipe(duplex=True) for _ in range(shards)]
-        workers = [
-            ctx.Process(
-                target=worker_main,
-                args=(
-                    child,
-                    self.workload,
-                    self.params,
-                    self.seed,
-                    w,
-                    assignment,
-                    horizon,
-                    probes,
-                    profile,
-                    aggregate,
-                ),
-                name=f"repro-shard-{w}",
-            )
-            for w, (_parent, child) in enumerate(pipes)
-        ]
-        conns = [parent for parent, _child in pipes]
-        for proc in workers:
-            proc.start()
-        for _parent, child in pipes:
-            child.close()
-
-        try:
-            for k in range(len(boundaries)):
-                outbound: list[dict[int, list]] = []
-                for w, conn in enumerate(conns):
-                    tag, got_k, batches = conn.recv()
-                    if tag != "batch" or got_k != k:
-                        raise RuntimeError(
-                            f"coordinator: epoch protocol desync from worker "
-                            f"{w}: expected batch/{k}, got {tag}/{got_k}"
-                        )
-                    outbound.append(batches)
-                for w, conn in enumerate(conns):
-                    inbound = [
-                        batches[w] for batches in outbound if w in batches
-                    ]
-                    conn.send(("inject", k, inbound))
-
-            streams: list[list[ProbeEvent]] = []
-            facts: dict[str, Any] = {}
-            events = 0
-            profiles: list[dict[str, Any]] = []
-            rollups: list[dict[str, Any]] = []
-            for w, conn in enumerate(conns):
-                (
-                    tag,
-                    probe_records,
-                    worker_facts,
-                    worker_events,
-                    worker_profile,
-                    worker_rollup,
-                ) = conn.recv()
-                if tag != "result":
-                    raise RuntimeError(
-                        f"coordinator: expected result from worker {w}, "
-                        f"got {tag}"
-                    )
-                streams.append(events_from_wire(probe_records))
-                facts.update(worker_facts)
-                events += worker_events
-                if worker_profile is not None:
-                    profiles.append(worker_profile)
-                if worker_rollup is not None:
-                    rollups.append(worker_rollup)
-            for proc in workers:
-                proc.join(timeout=30.0)
-        finally:
-            for conn in conns:
-                conn.close()
-            for proc in workers:
-                if proc.is_alive():  # pragma: no cover - crash cleanup
-                    proc.terminate()
-                    proc.join()
-
-        rollup = None
-        if rollups:
-            from repro.obs.agg import merge_rollups
-
-            rollup = merge_rollups(rollups)
-        return ParallelRunResult(
-            mode="process",
-            shards=shards,
-            events=events,
-            epochs=len(boundaries),
-            facts=dict(sorted(facts.items())),
-            assignment=assignment,
-            probe_streams=streams,
-            profiles=profiles or None,
-            rollup=rollup,
-        )
-
-
-def available_cpus() -> int:
-    """Usable CPU count (for efficiency normalization in benchmarks)."""
-    return os.cpu_count() or 1
-
-
-__all__.append("available_cpus")
+        return ParallelRunResult(events, epochs, instance.collect(), recorded)

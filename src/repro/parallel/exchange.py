@@ -1,4 +1,4 @@
-"""Epoch-batched exchange of trunk packets between shards.
+"""Epoch-batched exchange of trunk packets between shard groups.
 
 Trunk packets are never scheduled directly: the datagram layer hands them
 to an exchange (``DatagramNetwork.set_exchange``), which buffers them for
@@ -6,28 +6,16 @@ the current epoch and re-injects the whole batch — in **canonical order**
 — at the epoch boundary via ``DatagramNetwork.deliver_trunk``.
 
 Canonical order is the total order ``(arrival_time, src, dst, submit_idx)``
-where ``submit_idx`` is the submitting buffer's per-epoch counter.  A
-source address sends from exactly one shard, so ties on the first three
-keys always come from a single buffer, whose relative ``submit_idx`` order
-is the same no matter how shards are placed onto workers — this is what
-makes the injected order (and therefore the whole trace) shard-count
-invariant.
-
-Two implementations:
-
-* :class:`SerialExchange` — everything in one process and one event loop;
-  the ``shards=1`` fallback and the chaos-campaign engine.
-* :class:`WorkerExchange` — the per-worker half of the process-parallel
-  engine: splits each epoch's buffer into locally-destined records and
-  per-peer-worker outbound batches (shipped over pipes by the worker main
-  loop in :mod:`repro.parallel.worker`).
+where ``submit_idx`` is the buffer's per-epoch counter.  Ties on the first
+three keys come from one sender, whose submission order ``submit_idx``
+preserves; everything else is ordered by the packets themselves.
 """
 
 from __future__ import annotations
 
 from repro.net.datagram import Datagram, DatagramNetwork
 
-__all__ = ["BatchRecord", "SerialExchange", "WorkerExchange", "inject_batch"]
+__all__ = ["BatchRecord", "SerialExchange", "inject_batch"]
 
 #: One buffered trunk packet: (arrival_time, src, dst, submit_idx, packet).
 #: The leading four fields are the canonical sort key; comparison never
@@ -36,7 +24,7 @@ BatchRecord = tuple[float, str, str, int, Datagram]
 
 
 def inject_batch(network: DatagramNetwork, records: list[BatchRecord]) -> None:
-    """Sort a merged batch canonically and schedule every arrival.
+    """Sort a batch canonically and schedule every arrival.
 
     Injection order is preserved by the event loop's FIFO tie sequence at
     ``TRUNK_DELIVERY_PRIORITY``, so same-instant arrivals fire exactly in
@@ -50,9 +38,8 @@ def inject_batch(network: DatagramNetwork, records: list[BatchRecord]) -> None:
 class SerialExchange:
     """In-process exchange: one loop hosts every shard group.
 
-    ``shards=1`` runs are byte-identical to a classic single-loop run for
-    workloads with no trunk segments (nothing is ever buffered), and
-    byte-identical to the process-parallel engine for workloads with them.
+    Workloads with no trunk segments never buffer anything, so their runs
+    are byte-identical to a classic single-loop run.
     """
 
     __slots__ = ("network", "_buffer", "_idx")
@@ -73,63 +60,3 @@ class SerialExchange:
         self._buffer = []
         self._idx = 0
         return moved
-
-
-class WorkerExchange:
-    """Per-worker exchange half for the process-parallel engine.
-
-    ``submit`` buffers trunk packets exactly like :class:`SerialExchange`;
-    ``drain_epoch`` splits the buffer into records staying on this worker
-    and records bound for each peer worker (by the destination address's
-    owning group).  The worker main loop ships the outbound map through
-    the coordinator and merges inbound batches with the local records
-    before calling :func:`inject_batch`.
-    """
-
-    __slots__ = ("network", "_worker_of_addr", "_me", "_buffer", "_idx")
-
-    def __init__(
-        self,
-        network: DatagramNetwork,
-        worker_of_addr: dict[str, int],
-        me: int,
-    ) -> None:
-        self.network = network
-        self._worker_of_addr = worker_of_addr
-        self._me = me
-        self._buffer: list[BatchRecord] = []
-        self._idx = 0
-
-    def submit(self, packet: Datagram, when: float) -> None:
-        self._buffer.append((when, packet.src, packet.dst, self._idx, packet))
-        self._idx += 1
-
-    def drain_epoch(self) -> tuple[list[BatchRecord], dict[int, list[BatchRecord]]]:
-        """Split and clear the buffer: (stay-local records, per-peer map)."""
-        local: list[BatchRecord] = []
-        outbound: dict[int, list[BatchRecord]] = {}
-        for record in self._buffer:
-            worker = self._worker_of_addr[record[2]]
-            if worker == self._me:
-                local.append(record)
-            else:
-                outbound.setdefault(worker, []).append(record)
-        self._buffer = []
-        self._idx = 0
-        return local, outbound
-
-
-def merge_and_inject(
-    network: DatagramNetwork,
-    local: list[BatchRecord],
-    inbound: list[list[BatchRecord]],
-) -> int:
-    """Merge local + received batches and inject canonically."""
-    merged = list(local)
-    for batch in inbound:
-        merged.extend(batch)
-    inject_batch(network, merged)
-    return len(merged)
-
-
-__all__.append("merge_and_inject")

@@ -12,11 +12,9 @@ RNG stream private to one shard.  By default any deterministic segment is
 a trunk *candidate*; a candidate whose attached nodes all fall inside one
 component anyway is demoted back to a local segment.
 
-The natural grouping — not the worker count — is the unit of determinism:
-``ShardPlan.assign`` merely places groups onto workers, and the engine
-routes *all* trunk traffic through the epoch exchange even between
-co-located groups, so the trace is a function of the plan alone
-(docs/PARALLEL.md).
+The natural grouping is the unit of determinism: the engine routes *all*
+trunk traffic through the epoch exchange, so the trace is a function of
+the plan alone (docs/PARALLEL.md).
 """
 
 from __future__ import annotations
@@ -67,37 +65,6 @@ class ShardPlan:
     @property
     def trunks(self) -> tuple[str, ...]:
         return tuple(edge.segment for edge in self.cut)
-
-    def group_of(self, node_id: str) -> int:
-        for group in self.groups:
-            if node_id in group.nodes:
-                return group.index
-        raise KeyError(f"node {node_id!r} not in any shard group")
-
-    def assign(self, workers: int) -> tuple[int, ...]:
-        """Place groups onto ``workers`` workers; returns group→worker.
-
-        Greedy longest-processing-time packing by node count, with
-        deterministic tie-breaks (group index, then worker id), so every
-        process derives the identical placement.
-        """
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
-        if workers > len(self.groups):
-            raise ValueError(
-                f"cannot spread {len(self.groups)} shard groups over "
-                f"{workers} workers; reduce --shards or add rings"
-            )
-        load = [0] * workers
-        assignment = [0] * len(self.groups)
-        order = sorted(
-            self.groups, key=lambda g: (-len(g.nodes), g.index)
-        )
-        for group in order:
-            worker = min(range(workers), key=lambda w: (load[w], w))
-            assignment[group.index] = worker
-            load[worker] += len(group.nodes)
-        return tuple(assignment)
 
     def cut_report(self) -> dict[str, Any]:
         """Machine-readable cut-cost report (stable key order when dumped)."""

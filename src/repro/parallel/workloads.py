@@ -1,11 +1,10 @@
-"""Shardable workloads: full-topology builders with per-shard activation.
+"""Registered workloads for the lockstep-epoch harness.
 
-A shardable workload is a registered builder that constructs the **entire
-topology** (every node, NIC and segment — cheap, and it keeps addressing
-and route planning identical in every process) but only *instantiates and
-starts* protocol nodes for an ``active`` subset.  The coordinator passes
-``active=None`` (everything) for serial runs and the union of a worker's
-assigned shard groups for process-parallel runs.
+A workload is a registered builder that constructs a whole topology —
+every node, NIC and segment — with its protocol nodes and load timers,
+and returns a :class:`WorkloadInstance` that
+:class:`~repro.parallel.coordinator.ParallelSimulator` partitions and
+runs.
 
 Determinism contract for builders (docs/PARALLEL.md):
 
@@ -13,7 +12,7 @@ Determinism contract for builders (docs/PARALLEL.md):
   entity that lives entirely inside one shard group (the builder calls
   ``topology.seed_segment_rngs``, which covers the datagram layer);
 * all load is scheduled as virtual-time timers before the run starts —
-  no imperative mid-run driving, so every worker replays the same script;
+  no imperative mid-run driving;
 * cross-group traffic only on deterministic trunk segments.
 
 The reference workload is ``multi_ring``: R independent Raincore token
@@ -48,18 +47,14 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class TrunkPing:
-    """Cross-ring gateway ping payload (rides the trunk segment).
-
-    ``slots=True`` (not a manual ``__slots__``) so the generated state
-    methods keep the frozen instance picklable across worker pipes.
-    """
+    """Cross-ring gateway ping payload (rides the trunk segment)."""
 
     ring: int
     n: int
 
 
 class WorkloadInstance:
-    """One built (and possibly partially-activated) workload."""
+    """One built workload."""
 
     def __init__(
         self,
@@ -73,8 +68,7 @@ class WorkloadInstance:
         self.network = network
         #: Segments the builder intends as the cut (partitioner input).
         self.trunk_segments = trunk_segments
-        #: Active protocol nodes only (inactive nodes exist in the topology
-        #: but have no RaincoreNode — their shard runs them elsewhere).
+        #: Protocol nodes by id (gateways are plain endpoints, not nodes).
         self.nodes: dict[str, RaincoreNode] = {}
         self.listeners: dict[str, RecordingListener] = {}
         #: Deterministic per-instance counters collected at end of run.
@@ -83,7 +77,7 @@ class WorkloadInstance:
         self._starters: list[Callable[[], None]] = []
 
     def enable_probes(self) -> ProbeBus:
-        """Attach one probe bus to the network and every active node."""
+        """Attach one probe bus to the network and every node."""
         if self.probes is None:
             from repro.obs.probe import ProbeBus
 
@@ -97,7 +91,7 @@ class WorkloadInstance:
         return self.probes
 
     def start(self) -> None:
-        """Kick off formation and load timers for the active nodes."""
+        """Kick off formation and load timers."""
         for starter in self._starters:
             starter()
 
@@ -123,11 +117,7 @@ def multi_ring_node_ids(rings: int, ring_size: int) -> list[list[str]]:
     ]
 
 
-def build_multi_ring(
-    seed: int,
-    params: dict,
-    active: frozenset[str] | None = None,
-) -> WorkloadInstance:
+def build_multi_ring(seed: int, params: dict) -> WorkloadInstance:
     """R Raincore rings + one deterministic trunk with gateway pings.
 
     ``params`` knobs (all optional):
@@ -160,9 +150,9 @@ def build_multi_ring(
     mcast_size = int(params.get("mcast_size", 200))
 
     # The loop seed is deliberately segregated from every draw the workload
-    # makes: all randomness is per-segment (seed_segment_rngs), so serial
-    # and per-worker loops never touch loop.rng and placement cannot move a
-    # draw (docs/PARALLEL.md determinism contract).
+    # makes: all randomness is per-segment (seed_segment_rngs), so no draw
+    # depends on how the loop interleaves the groups (docs/PARALLEL.md
+    # determinism contract).
     loop = EventLoop(seed=derive_rng_seed(seed, "loop"))
     topology = Topology()
     ring_ids = multi_ring_node_ids(rings, ring_size)
@@ -200,26 +190,15 @@ def build_multi_ring(
     instance = WorkloadInstance(loop, topology, network, trunks)
     config = RaincoreConfig.tuned(ring_size=ring_size, hop_interval=hop_interval)
 
-    def is_active(node_id: str) -> bool:
-        return active is None or node_id in active
-
     for i, members in enumerate(ring_ids):
-        active_members = [n for n in members if is_active(n)]
-        if active_members and len(active_members) != len(members):
-            raise ValueError(
-                f"ring {i} is split across workers: {active_members} vs "
-                f"{members}; activation must follow shard groups"
-            )
-        for node_id in active_members:
+        for node_id in members:
             listener = RecordingListener()
             node = RaincoreNode(node_id, loop, network, config, listener)
             node.set_eligible(members)
             instance.nodes[node_id] = node
             instance.listeners[node_id] = listener
-        if not active_members:
-            continue
 
-        def start_ring(members: list[str] = active_members) -> None:
+        def start_ring(members: list[str] = members) -> None:
             first, *rest = members
             instance.nodes[first].start_new_group()
             for node_id in rest:
@@ -230,7 +209,7 @@ def build_multi_ring(
         # Per-node multicast load: self-rescheduling timers, staggered by
         # a fixed per-node phase so the schedule is a pure function of the
         # node id.
-        for j, node_id in enumerate(active_members):
+        for j, node_id in enumerate(members):
             phase = mcast_start + (i * ring_size + j) * 1e-4
 
             def arm_mcast(node_id: str = node_id, phase: float = phase) -> None:
@@ -249,14 +228,11 @@ def build_multi_ring(
 
             instance._starters.append(arm_mcast)
 
-    # Gateway pings over the trunk: ring i pings ring (i+1) % rings.  The
-    # receive handler and counters live with the *destination* gateway, so
-    # each worker observes exactly its own shard's state.
+    # Gateway pings over the trunk: ring i pings ring (i+1) % rings.  Each
+    # gateway counts what it sends and what arrives at its own address.
     if rings > 1:
         for i in range(rings):
             gateway = f"r{i:02d}gw"
-            if not is_active(gateway):
-                continue
             src_addr = f"{gateway}@trunk"
             dst_addr = f"r{(i + 1) % rings:02d}gw@trunk"
             instance.counters[f"ping_tx.ring{i:02d}"] = 0
@@ -292,12 +268,7 @@ WORKLOADS: dict[str, Callable[..., WorkloadInstance]] = {
 }
 
 
-def build_workload(
-    name: str,
-    seed: int,
-    params: dict,
-    active: frozenset[str] | None = None,
-) -> WorkloadInstance:
+def build_workload(name: str, seed: int, params: dict) -> WorkloadInstance:
     """Build a registered workload by name (raises on unknown names)."""
     try:
         builder = WORKLOADS[name]
@@ -305,4 +276,4 @@ def build_workload(
         raise ValueError(
             f"unknown workload {name!r}; registered: {sorted(WORKLOADS)}"
         ) from None
-    return builder(seed, params, active)
+    return builder(seed, params)

@@ -21,8 +21,6 @@ Metrics (all higher-is-better except ``wall_clock_per_sim_second``):
 * ``token_hops_per_sec`` — token forwards per wall second in that ring.
 * ``wall_clock_per_sim_second`` — wall seconds needed to simulate one
   virtual second of the loaded ring (lower is better).
-* ``shard_speedup_2x`` — serial wall ÷ 2-shard wall of the sharded engine
-  on the ``multi_ring`` workload (docs/PARALLEL.md).
 
 Disabled probes and a detached profiler are one attribute load and a
 ``None`` test per hot-path site, so their cost is covered by the ring
@@ -44,11 +42,9 @@ from typing import Any
 __all__ = [
     "QUICK",
     "FULL",
-    "SCALING_WORKLOAD",
     "TOLERANCE",
     "bench_event_loop",
     "bench_loaded_ring",
-    "bench_shard_scaling",
     "run_suite",
     "write_report",
     "append_history",
@@ -56,22 +52,9 @@ __all__ = [
 ]
 
 #: Workload knobs: (bare-loop events, loaded-ring virtual seconds, repeats).
-FULL = {"loop_events": 50_000, "ring_sim_seconds": 1.0, "repeats": 5, "scaling_sim_seconds": 4.0}
+FULL = {"loop_events": 50_000, "ring_sim_seconds": 1.0, "repeats": 5}
 #: Reduced workload for CI smoke runs; same *rate* metrics, smaller sample.
-QUICK = {"loop_events": 10_000, "ring_sim_seconds": 0.5, "repeats": 3, "scaling_sim_seconds": 1.5}
-
-#: Multi-ring workload for the shard-scaling curve: 8 natural groups so
-#: every shard count up to 8 has work.  The 20 ms trunk latency (= epoch
-#: length) and the dense per-ring load keep per-epoch compute well above
-#: the barrier cost — the regime the sharded engine is built for; shorter
-#: lookaheads shift the bill toward synchronization on any machine.
-SCALING_WORKLOAD = {
-    "rings": 8,
-    "ring_size": 6,
-    "hop_interval": 0.001,
-    "mcast_interval": 0.004,
-    "trunk_latency": 0.02,
-}
+QUICK = {"loop_events": 10_000, "ring_sim_seconds": 0.5, "repeats": 3}
 
 #: How much worse than the baseline a metric may read before
 #: :func:`compare` calls it a regression (0.30 = 30%).
@@ -122,56 +105,6 @@ def bench_loaded_ring(sim_seconds: float) -> tuple[float, float, float]:
     return events / wall, hops / wall, wall / sim_seconds
 
 
-def bench_shard_scaling(
-    sim_seconds: float,
-    shard_counts: tuple[int, ...] = (1, 2),
-    repeats: int = 3,
-) -> dict[str, Any]:
-    """Measure the sharded engine's scaling curve on the multi-ring workload.
-
-    Runs :data:`SCALING_WORKLOAD` ``repeats`` times per shard count —
-    ``shards=1`` through the serial engine (the reference), higher counts
-    through the process engine — and reports the best wall seconds and the
-    raw speedup vs serial of each.  ``shard_speedup_2x`` is the 2-shard
-    speedup (``None`` when 2 is not among ``shard_counts``).
-
-    Raw speedup is machine-dependent: two workers timeslicing one core
-    cannot beat serial.  Two shards is what a 2-core box can measure; the
-    floor in benchmarks/BENCH_baseline.json only guards against a collapse
-    (per-event exchange chatter, a broken epoch batcher).
-    """
-    from repro.parallel import ParallelSimulator, available_cpus
-
-    walls: dict[int, float] = {}
-    events: dict[int, int] = {}
-    for shards in shard_counts:
-        mode = "serial" if shards == 1 else "process"
-        best = float("inf")
-        for _ in range(repeats):
-            sim = ParallelSimulator(
-                "multi_ring", seed=11, params=SCALING_WORKLOAD
-            )
-            t0 = time.perf_counter()
-            result = sim.run(sim_seconds, shards=shards, mode=mode)
-            best = min(best, time.perf_counter() - t0)
-            events[shards] = result.events
-        walls[shards] = best
-    curve = {
-        str(shards): {
-            "wall_seconds": round(walls[shards], 6),
-            "speedup": round(walls[shard_counts[0]] / walls[shards], 4),
-        }
-        for shards in shard_counts
-    }
-    return {
-        "workload": dict(SCALING_WORKLOAD, sim_seconds=sim_seconds),
-        "cpu_count": available_cpus(),
-        "events": events[shard_counts[0]],
-        "curve": curve,
-        "shard_speedup_2x": curve["2"]["speedup"] if "2" in curve else None,
-    }
-
-
 def run_suite(quick: bool = False, repeats: int | None = None) -> dict[str, Any]:
     """Run all benchmarks and return a report dict (see ``write_report``).
 
@@ -188,12 +121,6 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict[str, Any]
         key=lambda r: r[0],
     )
     events_per_s, hops_per_s, wall_per_sim = best_ring
-    # The scaling curve spawns process fleets; cap its repeats at 2 to
-    # keep suite time sane (the floor on its metric is a coarse guard, not
-    # a tight gate — see benchmarks/BENCH_baseline.json).
-    scaling = bench_shard_scaling(
-        knobs["scaling_sim_seconds"], repeats=min(repeats, 2)
-    )
     return {
         "schema": 1,
         "quick": quick,
@@ -209,9 +136,7 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict[str, Any]
             "loaded_ring_events_per_sec": round(events_per_s),
             "token_hops_per_sec": round(hops_per_s),
             "wall_clock_per_sim_second": round(wall_per_sim, 6),
-            "shard_speedup_2x": scaling["shard_speedup_2x"],
         },
-        "shard_scaling": scaling,
     }
 
 

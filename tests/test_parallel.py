@@ -1,9 +1,8 @@
 """Tests for the sharded parallel simulator (repro.parallel).
 
 Covers the partitioner, the canonical exchange ordering, the epoch-edge
-arrival rule, serial-vs-process equality, and the sharded chaos campaign.
-The byte-identical golden contract across shard counts lives in
-tests/test_parallel_golden.py.
+arrival rule, the lockstep-epoch run, and the sharded chaos campaign.
+The committed golden stream is pinned in tests/test_parallel_golden.py.
 """
 
 from __future__ import annotations
@@ -16,12 +15,11 @@ from repro.net.topology import Segment, Topology, derive_rng_seed
 from repro.parallel import (
     ParallelSimulator,
     SerialExchange,
-    WorkerExchange,
+    epoch_boundaries,
     partition_topology,
 )
 from repro.parallel.campaign import run_sharded_campaign
 from repro.parallel.exchange import inject_batch
-from repro.parallel.worker import epoch_boundaries
 from repro.parallel.workloads import build_workload
 
 
@@ -50,9 +48,6 @@ def test_partition_two_islands():
     assert plan.groups[0].segments == ("lan_a",)
     assert plan.trunks == ("wan",)
     assert plan.lookahead == pytest.approx(0.01)
-    assert plan.group_of("b1") == 1
-    with pytest.raises(KeyError):
-        plan.group_of("nope")
 
 
 def test_partition_demotes_non_bridging_deterministic_segment():
@@ -76,16 +71,6 @@ def test_partition_rejects_adverse_trunk():
 def test_partition_rejects_zero_latency_cut():
     with pytest.raises(ValueError, match="zero latency"):
         partition_topology(two_island_topology(trunk_latency=0.0))
-
-
-def test_assign_balances_and_validates():
-    plan = partition_topology(two_island_topology())
-    assert plan.assign(1) == (0, 0)
-    assert plan.assign(2) == (0, 1)
-    with pytest.raises(ValueError):
-        plan.assign(3)
-    with pytest.raises(ValueError):
-        plan.assign(0)
 
 
 def test_cut_report_shape():
@@ -154,19 +139,6 @@ def test_inject_batch_ties_resolve_by_src_then_submit_idx():
     assert seen == ["x", "y", "z"]
 
 
-def test_worker_exchange_splits_by_destination_owner():
-    _loop, network = _exchange_rig()
-    worker_of_addr = {"a0@wan": 0, "b0@wan": 1}
-    exchange = WorkerExchange(network, worker_of_addr, me=0)
-    exchange.submit(Datagram("a0@wan", "b0@wan", "away", 1), 0.01)
-    exchange.submit(Datagram("a0@wan", "a0@wan", "home", 1), 0.01)
-    local, outbound = exchange.drain_epoch()
-    assert [r[4].payload for r in local] == ["home"]
-    assert [r[4].payload for r in outbound[1]] == ["away"]
-    # Buffer cleared and submit counter reset.
-    assert exchange.drain_epoch() == ([], {})
-
-
 def test_trunk_delivery_fires_after_local_events_at_same_instant():
     # A trunk arrival at t and a local event at t: local (priority 0)
     # must run first regardless of scheduling order.
@@ -185,23 +157,10 @@ def test_trunk_delivery_fires_after_local_events_at_same_instant():
 SMALL = {"rings": 2, "ring_size": 3, "trunk_latency": 0.01}
 
 
-def test_serial_and_process_agree_on_facts_and_stream():
-    serial = ParallelSimulator("multi_ring", 3, SMALL).run(
-        1.0, shards=1, probes=True
-    )
-    process = ParallelSimulator("multi_ring", 3, SMALL).run(
-        1.0, shards=2, mode="process", probes=True
-    )
-    assert serial.facts == process.facts
-    assert serial.stream_jsonl() == process.stream_jsonl()
-    assert serial.events == process.events
-    assert process.mode == "process" and process.shards == 2
-
-
 def test_cross_shard_packet_exactly_at_epoch_edge():
     # trunk latency = epoch length, ping armed exactly at an epoch
     # boundary: the arrival lands exactly on the next boundary and must
-    # be delivered once, identically in both engines.
+    # be delivered once, in the epoch that starts there.
     params = {
         "rings": 2,
         "ring_size": 3,
@@ -210,41 +169,26 @@ def test_cross_shard_packet_exactly_at_epoch_edge():
         "ping_interval": 0.05,  # every arrival lands on a boundary
         "mcast_start": 10.0,  # quiesce multicast load for clarity
     }
-    serial = ParallelSimulator("multi_ring", 5, params).run(1.0, shards=1)
-    process = ParallelSimulator("multi_ring", 5, params).run(
-        1.0, shards=2, mode="process"
-    )
-    assert serial.facts == process.facts
+    result = ParallelSimulator("multi_ring", 5, params).run(1.0)
     # ping at t=0.05+ring*1e-4 .. every 0.05 until 1.0; ring 0's timer
     # fires exactly on boundaries: 19 sends, each delivered exactly once
     # (the last arrival lands exactly at the horizon and is not run —
     # run_epoch ends strictly before its end time).
-    assert serial.facts["ping_tx.ring00"] == 19
-    assert serial.facts["ping_rx.ring01"] == 18
+    assert result.facts["ping_tx.ring00"] == 19
+    assert result.facts["ping_rx.ring01"] == 18
 
 
-def test_auto_mode_picks_serial_for_one_shard():
-    result = ParallelSimulator("multi_ring", 3, SMALL).run(0.5, shards=1)
-    assert result.mode == "serial"
-
-
-def test_process_mode_rejects_prepare_hook():
-    sim = ParallelSimulator("multi_ring", 3, SMALL)
-    with pytest.raises(ValueError, match="serial-only"):
-        sim.run(0.5, shards=2, mode="process", prepare=lambda inst: None)
-
-
-def test_single_group_workload_cannot_use_process_mode():
+def test_single_group_workload_runs_on_one_loop():
+    # One ring and no trunk: no cut, so the classic single-loop path runs
+    # with no epochs and nothing to exchange.
     sim = ParallelSimulator("multi_ring", 3, {"rings": 1, "ring_size": 3})
-    with pytest.raises(ValueError, match="single shard group"):
-        sim.run(0.5, shards=2, mode="process")
+    result = sim.run(0.5)
+    assert result.epochs == 0 and result.events > 0
 
 
 def test_workload_registry_validates():
     with pytest.raises(ValueError, match="unknown workload"):
         build_workload("nope", 1, {})
-    with pytest.raises(ValueError, match="split across workers"):
-        build_workload("multi_ring", 1, SMALL, active=frozenset({"r00n00"}))
 
 
 def test_workload_build_is_deterministic():

@@ -17,7 +17,7 @@ import json
 
 from repro.net.eventloop import EventLoop
 from repro.obs import events_to_jsonl
-from repro.obs.prof import Profiler, imbalance, render_epoch_stats
+from repro.obs.prof import Profiler
 
 
 def drive_loop(profiler=None, n=50):
@@ -201,7 +201,7 @@ def test_timeline_zero_disables_retention():
 
 
 # ----------------------------------------------------------------------
-# epoch statistics (parallel engine integration)
+# epoch walls (lockstep-epoch harness)
 # ----------------------------------------------------------------------
 def test_run_epoch_walls_recorded():
     prof = Profiler()
@@ -218,26 +218,13 @@ def test_run_epoch_walls_recorded():
 def test_serial_parallel_run_collects_profile():
     from repro.parallel import ParallelSimulator
 
+    prof = Profiler(label="harness")
     sim = ParallelSimulator("multi_ring", seed=7, params={"rings": 2, "ring_size": 3})
-    result = sim.run(0.5, shards=1, mode="serial", profile=True)
-    assert len(result.profiles) == 1
-    profile = result.profiles[0]
-    assert profile["label"] == "serial"
+    result = sim.run(0.5, prepare=lambda instance: prof.attach(instance.loop))
+    profile = prof.to_dict()
+    assert profile["label"] == "harness"
     assert profile["events"] > 0
     assert len(profile["epoch_walls_s"]) == result.epochs
-    assert result.epoch_imbalance() == 1.0  # single worker is balanced
-
-
-def test_imbalance_and_epoch_stats():
-    assert imbalance([]) == 1.0
-    profiles = [
-        {"label": "shard-0", "epoch_walls_s": [0.3, 0.3], "events": 10, "coverage": 0.9},
-        {"label": "shard-1", "epoch_walls_s": [0.1, 0.1], "events": 4, "coverage": 0.8},
-    ]
-    # busy: 0.6 and 0.2 -> mean 0.4 -> imbalance 1.5
-    assert abs(imbalance(profiles) - 1.5) < 1e-12
-    text = render_epoch_stats(profiles)
-    assert "shard-0" in text and "imbalance" in text and "1.500" in text
 
 
 def test_profile_off_is_default():
@@ -245,7 +232,7 @@ def test_profile_off_is_default():
     assert loop.profile is None
     from repro.parallel import ParallelSimulator
 
+    seen = []
     sim = ParallelSimulator("multi_ring", seed=7, params={"rings": 2, "ring_size": 3})
-    result = sim.run(0.2, shards=1, mode="serial")
-    assert result.profiles == []
-    assert result.rollup is None
+    sim.run(0.2, prepare=lambda instance: seen.append(instance.loop.profile))
+    assert seen == [None]
