@@ -86,13 +86,46 @@ class RaincoreNode:
         node.run_exclusive(lambda: ...)            # master-lock section
     """
 
-    #: How late this node's own clock and work made its last forward, repaid
-    #: out of its next hold so a real ring keeps its configured rate.  A
-    #: class-level default stored on the instance only when non-zero, which
-    #: in the simulator is never: a 30th instance attribute would cost every
-    #: node its key-sharing ``__dict__`` (CPython's limit is 30 keys) and
-    #: with it a tenth of the simulated hop rate (docs/FINDINGS.md §10).
-    _hold_debt = 0.0
+    # Slotted: one node is touched on every hop, and a slotted instance
+    # reads each field at a fixed offset instead of through a per-instance
+    # dict (whose shared keys CPython gives up on at 30 attributes, a cliff
+    # that once cost the simulator a tenth of its hop rate; FINDINGS §10).
+    # ``__dict__`` stays, empty, for per-instance method wrappers (the
+    # benchmark ledger wraps ``multicast`` on the node it watches).
+    __slots__ = (
+        "__dict__",
+        "node_id",
+        "loop",
+        "network",
+        "config",
+        "listener",
+        "stats",
+        "probe",
+        "transport",
+        "multicast_service",
+        "mutex",
+        "recovery",
+        "merge",
+        "monitor",
+        "state",
+        "shutdown_reason",
+        "quarantined",
+        "_gen_seq",
+        "_live_token",
+        "_local_copy",
+        "_last_seen_seq",
+        "_lineage",
+        "_members",
+        "_announced_view",
+        "_hungry_timer",
+        "_hungry_due",
+        "_forward_timer",
+        "_hold_debt",
+        "_epoch",
+        "_leaving",
+        "_drain_before_leave",
+        "_open_group_seen",
+    )
 
     def __init__(
         self,
@@ -132,8 +165,15 @@ class RaincoreNode:
         self._lineage: str | None = None
         self._members: tuple[str, ...] = ()
         self._announced_view: tuple[str, ...] | None = None
+        # The HUNGRY deadline is lazy (see _arm_hungry_timer): the deadline
+        # itself, and the one handle that may be armed on its behalf.
+        self._hungry_due: float | None = None
         self._hungry_timer: TimerHandle | None = None
         self._forward_timer: TimerHandle | None = None
+        # How late this node's own clock and work made its last forward,
+        # repaid out of its next hold so a real ring keeps its configured
+        # rate.  Always 0.0 in the simulator.
+        self._hold_debt = 0.0
         self._epoch = 0  # bumped on crash/shutdown to invalidate stale timers
         self._leaving = False
         self._drain_before_leave = False
@@ -279,12 +319,12 @@ class RaincoreNode:
 
     def _teardown(self) -> None:
         self._epoch += 1
-        if self._hold_debt:
-            self._hold_debt = 0.0
+        self._hold_debt = 0.0
         self.transport.stop()
         self.merge.stop()
         self.monitor.stop()
         self.recovery.cancel_timers()
+        self._hungry_due = None
         self._cancel_timer("_hungry_timer")
         self._cancel_timer("_forward_timer")
         self._live_token = None
@@ -380,15 +420,20 @@ class RaincoreNode:
             probe.emit(self.node_id, "node.state", old.value, new.value)
         self.listener.on_state_change(old, new)
 
-    def _arm_hungry_timer(self, timeout: float | None = None) -> None:
-        timer = self._hungry_timer
-        if timer is not None:
-            timer.cancel()
-        self._hungry_timer = self.loop.call_later(
-            timeout if timeout is not None else self.config.hungry_timeout,
-            self._on_hungry_timeout,
-            self._epoch,
-        )
+    def _arm_hungry_timer(self) -> None:
+        """Start (or restart) the HUNGRY deadline: ``hungry_timeout`` from now.
+
+        Lazy: the deadline is a float, and at most one handle is armed for
+        it.  A handle that fires before the deadline re-arms itself at the
+        deadline; accepting the token clears the deadline and leaves the
+        handle to fire as a no-op.  So a token that keeps coming back costs
+        no heap entry per hop, and STARVING still begins at exactly the
+        instant a cancel-and-re-arm timer would have fired.
+        """
+        loop = self.loop
+        due = self._hungry_due = loop.now + self.config.hungry_timeout
+        if self._hungry_timer is None:
+            self._hungry_timer = loop.call_at(due, self._on_hungry_timeout, self._epoch)
 
     def _cancel_timer(self, attr: str) -> None:
         timer = getattr(self, attr)
@@ -397,7 +442,19 @@ class RaincoreNode:
             setattr(self, attr, None)
 
     def _on_hungry_timeout(self, epoch: int) -> None:
-        if epoch != self._epoch or self.state is not NodeState.HUNGRY:
+        if epoch != self._epoch:
+            return
+        self._hungry_timer = None
+        due = self._hungry_due
+        if due is None:
+            return  # the token came back; nothing to wait for
+        loop = self.loop
+        if due > loop.now:
+            # The deadline moved on since this handle was armed.
+            self._hungry_timer = loop.call_at(due, self._on_hungry_timeout, epoch)
+            return
+        self._hungry_due = None
+        if self.state is not NodeState.HUNGRY:
             return
         self._gc_wakeup()
         self.recovery.on_hungry_timeout()
@@ -503,10 +560,7 @@ class RaincoreNode:
                 token.message_count(),
             )
         self.recovery.cancel_timers()
-        timer = self._hungry_timer
-        if timer is not None:
-            timer.cancel()
-            self._hungry_timer = None
+        self._hungry_due = None
         self._transition(NodeState.EATING)
 
         if self.merge.holding_tbm:
@@ -629,7 +683,7 @@ class RaincoreNode:
         if late > 0.0:
             hop = self.config.hop_interval
             self._hold_debt = late if late < hop else hop
-        elif self._hold_debt:
+        else:
             self._hold_debt = 0.0
 
     def _send_token_to(self, target: str) -> None:

@@ -359,11 +359,23 @@ def check_socket_containment(ctx: FileContext) -> Iterator[FileFinding]:
             )
 
 
-#: EventLoop/SimClock internals that only the loop itself may touch.
+#: EventLoop internals that only the loop itself may touch.
 _LOOP_PRIVATE_ATTRS = frozenset({"_heap", "_pop_live"})
 
 
-@rule("RC204", "EventLoop/SimClock internals touched outside repro/net")
+def _names_a_loop(node: ast.AST) -> bool:
+    """``loop``, ``self.loop``, ``cluster._loop``, ``aloop`` ... — any
+    expression whose last name ends in ``loop``."""
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    else:
+        return False
+    return name.lower().endswith("loop")
+
+
+@rule("RC204", "EventLoop internals touched outside repro/net")
 def check_loop_internals(ctx: FileContext) -> Iterator[FileFinding]:
     if ctx.in_dir("repro/net/"):
         return
@@ -375,18 +387,21 @@ def check_loop_internals(ctx: FileContext) -> Iterator[FileFinding]:
                 f"accessing .{node.attr} reaches into the EventLoop's "
                 "private heap; use call_at/call_later/peek_time",
             )
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "advance_to"
-        ):
-            yield (
-                node.lineno,
-                node.col_offset,
-                "advance_to() moves the virtual clock out from under the "
-                "event heap; time advances only by running events "
-                "(run_until/run_for/step)",
-            )
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if (
+                    isinstance(target, ast.Attribute)
+                    and target.attr == "now"
+                    and _names_a_loop(target.value)
+                ):
+                    yield (
+                        target.lineno,
+                        target.col_offset,
+                        "assigning <loop>.now moves the virtual clock out from "
+                        "under the event heap; time advances only by running "
+                        "events (run_until/run_for/step)",
+                    )
 
 
 #: Modules whose classes buffer protocol data and therefore must bound it

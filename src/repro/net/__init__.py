@@ -10,7 +10,6 @@ See DESIGN.md §2 for the substitution argument.
 from repro.net.adversity import GilbertElliott
 from repro.net.datagram import Datagram, DatagramNetwork
 from repro.net.eventloop import EventLoop, TimerHandle
-from repro.net.simclock import SimClock
 from repro.net.stats import CpuModel, NodeStats, StatsRegistry
 from repro.net.topology import NodeSite, Segment, Topology, build_switched_cluster
 
@@ -20,7 +19,6 @@ __all__ = [
     "DatagramNetwork",
     "EventLoop",
     "TimerHandle",
-    "SimClock",
     "CpuModel",
     "NodeStats",
     "StatsRegistry",

@@ -16,7 +16,18 @@ Determinism rules
 Timers are cancellable handles rather than removable heap entries: cancelling
 marks the handle dead and the heap entry is discarded when popped.  This is
 the standard lazy-deletion scheme used by ``asyncio`` and keeps cancellation
-O(1).
+O(1).  A dead entry still costs a push and a pop, so protocol deadlines that
+usually never fire (HUNGRY, retransmit) are kept lazy by their owners: one
+armed handle each, re-armed from the handle when it fires early, never
+cancelled and re-armed per hop (docs/DETERMINISM.md).
+
+The clock
+---------
+:attr:`EventLoop.now` is a plain attribute, written once per dispatch by the
+loop and read directly by everything else: the loop is the only clock owner,
+so there is no clock object to reach through.  Time never flows backwards —
+``call_at`` refuses the past, so the heap head is never earlier than ``now``
+— and nothing outside ``repro/net`` may assign it (raincheck RC204).
 
 Hot-path layout
 ---------------
@@ -66,13 +77,6 @@ class TimerHandle:
         """Prevent the callback from running; idempotent."""
         self.cancelled = True
 
-    def __lt__(self, other: "TimerHandle") -> bool:
-        return (self.when, self.priority, self.seq) < (
-            other.when,
-            other.priority,
-            other.seq,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "armed"
         return f"TimerHandle(when={self.when:.6f}, seq={self.seq}, {state})"
@@ -87,14 +91,15 @@ class EventLoop:
         Seed for :attr:`rng`.  Every run of a scenario with the same seed
         produces an identical event trace.
     start:
-        Initial virtual time in seconds.
+        Initial virtual time in seconds; may not be negative.
     """
 
     def __init__(self, seed: int = 0, start: float = 0.0) -> None:
-        # Import here to avoid a cycle when simclock wants type hints later.
-        from repro.net.simclock import SimClock
-
-        self.clock = SimClock(start)
+        if not start >= 0.0:
+            raise ValueError(f"clock cannot start at negative time: {start}")
+        #: Current virtual time in seconds.  Written only by the loop, once
+        #: per dispatched event; everyone else reads it.
+        self.now = float(start)
         self.rng = random.Random(seed)
         # Heap entries: (when, priority, seq, handle).
         self._heap: list[tuple[float, int, int, TimerHandle]] = []
@@ -114,11 +119,6 @@ class EventLoop:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self.clock.now
-
     @property
     def events_processed(self) -> int:
         """Number of callbacks executed so far (for run-away detection)."""
@@ -142,10 +142,8 @@ class EventLoop:
             # comparison is False) and breaks deterministic replay; +/-inf
             # is a scheduling bug that would otherwise wedge run_until.
             raise ValueError(f"when must be finite, got {when}")
-        if when < self.clock.now:
-            raise ValueError(
-                f"cannot schedule in the past: {when} < now={self.clock.now}"
-            )
+        if when < self.now:
+            raise ValueError(f"cannot schedule in the past: {when} < now={self.now}")
         seq = next(self._seq)
         handle = TimerHandle(when, priority, seq, callback, args)
         heapq.heappush(self._heap, (when, priority, seq, handle))
@@ -164,7 +162,7 @@ class EventLoop:
             # False), which would otherwise corrupt heap order silently.
             raise ValueError(f"delay must be finite and non-negative, got {delay}")
         # Inlined call_at: delay >= 0 means when >= now by construction.
-        when = self.clock.now + delay
+        when = self.now + delay
         seq = next(self._seq)
         handle = TimerHandle(when, priority, seq, callback, args)
         heapq.heappush(self._heap, (when, priority, seq, handle))
@@ -201,7 +199,7 @@ class EventLoop:
             when, _, _, handle = heapq.heappop(heap)
             if handle.cancelled:
                 continue
-            self.clock.advance_to(when)
+            self.now = when
             self._events_processed += 1
             if prof is None:
                 handle.callback(*handle.args)
@@ -226,7 +224,6 @@ class EventLoop:
         """
         executed = 0
         heap = self._heap
-        clock = self.clock
         pop = heapq.heappop
         prof = self.profile
         if prof is not None:
@@ -246,7 +243,7 @@ class EventLoop:
                         f"run_until exceeded max_events={max_events} before {deadline}"
                     )
                 pop(heap)
-                clock.advance_to(when)
+                self.now = when
                 self._events_processed += 1
                 if prof is None:
                     handle.callback(*handle.args)
@@ -260,8 +257,8 @@ class EventLoop:
         finally:
             if prof is not None:
                 prof.end_run()
-        if deadline > clock.now:
-            clock.advance_to(deadline)
+        if deadline > self.now:
+            self.now = deadline
         self._drain()
         return executed
 
@@ -277,13 +274,10 @@ class EventLoop:
         schedule events at ``end`` itself (``call_at(end, ...)`` is legal
         once ``now == end``).  Returns the number of events executed.
         """
-        if end < self.clock.now:
-            raise ValueError(
-                f"epoch end {end} is before now={self.clock.now}"
-            )
+        if end < self.now:
+            raise ValueError(f"epoch end {end} is before now={self.now}")
         executed = 0
         heap = self._heap
-        clock = self.clock
         pop = heapq.heappop
         prof = self.profile
         if prof is not None:
@@ -303,7 +297,7 @@ class EventLoop:
                         f"run_epoch exceeded max_events={max_events} before {end}"
                     )
                 pop(heap)
-                clock.advance_to(when)
+                self.now = when
                 self._events_processed += 1
                 if prof is None:
                     handle.callback(*handle.args)
@@ -317,8 +311,8 @@ class EventLoop:
         finally:
             if prof is not None:
                 prof.end_run()
-        if end > clock.now:
-            clock.advance_to(end)
+        if end > self.now:
+            self.now = end
         self._drain()
         return executed
 
@@ -326,7 +320,7 @@ class EventLoop:
         """Run events for ``duration`` seconds of virtual time."""
         if duration < 0.0:
             raise ValueError(f"duration must be non-negative, got {duration}")
-        return self.run_until(self.clock.now + duration, max_events=max_events)
+        return self.run_until(self.now + duration, max_events=max_events)
 
     def run_until_idle(self, max_events: int = 1_000_000) -> int:
         """Run until no events remain.
@@ -354,11 +348,11 @@ class EventLoop:
                 prof.begin_run()
                 t0 = prof.clock()
                 drain()
-                prof.account(drain, t0, prof.clock(), len(self._heap), self.clock.now)
+                prof.account(drain, t0, prof.clock(), len(self._heap), self.now)
                 prof.end_run()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"EventLoop(now={self.clock.now:.6f}, pending={len(self._heap)}, "
+            f"EventLoop(now={self.now:.6f}, pending={len(self._heap)}, "
             f"processed={self._events_processed})"
         )

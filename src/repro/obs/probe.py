@@ -44,8 +44,6 @@ import sys
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.net.simclock import SimClock
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.eventloop import EventLoop
 
@@ -242,19 +240,6 @@ class ProbeEvent:
 JOURNAL_BOUND = 64
 
 
-class _LoopTime:
-    """The ``_now`` read of a loop that has no :class:`SimClock` (asyncio)."""
-
-    __slots__ = ("loop",)
-
-    def __init__(self, loop) -> None:
-        self.loop = loop
-
-    @property
-    def _now(self) -> float:
-        return self.loop.now
-
-
 class ProbeBus:
     """Per-cluster event sink fanning probe events out to subscribers.
 
@@ -276,13 +261,11 @@ class ProbeBus:
     mutate protocol state, nor the batch they are handed.
     """
 
-    __slots__ = ("loop", "events_emitted", "_clock", "_journal", "_listeners")
+    __slots__ = ("loop", "events_emitted", "_journal", "_listeners")
 
     def __init__(self, loop: "EventLoop") -> None:
         self.loop = loop
         self.events_emitted = 0
-        clock = getattr(loop, "clock", None)
-        self._clock = clock if isinstance(clock, SimClock) else _LoopTime(loop)
         self._journal: list[ProbeEvent] = []
         self._listeners: list[Callable[[list[ProbeEvent]], None]] = []
         drains = getattr(loop, "drains", None)
@@ -319,7 +302,7 @@ class ProbeBus:
             )
         self.events_emitted = n = self.events_emitted + 1
         journal = self._journal
-        journal.append(ProbeEvent(n, self._clock._now, node, kind, args))
+        journal.append(ProbeEvent(n, self.loop.now, node, kind, args))
         if len(journal) >= JOURNAL_BOUND:
             self.drain()
 

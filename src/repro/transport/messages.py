@@ -116,7 +116,12 @@ def _payload_size(payload: Any) -> int:
     raise TypeError(f"payload {payload!r} has no wire_size() and is not bytes/str")
 
 
-@dataclass(frozen=True, slots=True)
+# DATA and ACK frames are built once per hop each.  They are not ``frozen``:
+# a frozen ``__init__`` stores every field through ``object.__setattr__``,
+# which costs more than the frame's whole life.  Nothing mutates a frame
+# after construction, and ``unsafe_hash`` keeps the field-wise hash that
+# ``frozen`` gave them.
+@dataclass(slots=True, unsafe_hash=True)
 class DataFrame:
     """A transport DATA frame: one atomic, acknowledged unicast payload."""
 
@@ -129,7 +134,7 @@ class DataFrame:
         return _payload_size(self.payload)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AckFrame:
     """Acknowledges receipt of DATA frame ``msg_id`` from ``dst_node``."""
 

@@ -19,6 +19,18 @@ enumerates, all reflected here:
 Duplicate DATA frames (caused by lost acks or PARALLEL multipath) are
 suppressed with a bounded per-peer window, and every DATA frame is re-acked
 so the sender can complete.
+
+Retransmit deadlines
+--------------------
+Nearly every send is acked long before its retransmit deadline, so the
+deadlines live in one FIFO queue per transport rather than one timer per
+send: every transmission appends ``(due, msg_id, pending)`` with
+``due = now + retx_timeout``.  ``retx_timeout`` is constant, so the queue is
+sorted by construction, and one loop timer armed at the head's ``due`` serves
+them all.  When it fires it discards acked or cancelled entries, retransmits
+(or fails) the live ones that are due, and re-arms at the new head.  An ack
+never touches the loop; each deadline still fires at exactly the float the
+per-send timer would have used.
 """
 
 from __future__ import annotations
@@ -105,7 +117,6 @@ class _PendingSend:
     attempts_on_route: int = 0
     rounds: int = 0  # parallel strategy: completed all-routes rounds
     sends: int = 0  # total transmission rounds, for the transport.tx probe
-    timer: TimerHandle | None = None
     done: bool = False
 
 
@@ -135,6 +146,10 @@ class ReliableUnicast:
         self._msg_ids = itertools.count(1)
         self._pending: dict[int, _PendingSend] = {}
         self._pending_bytes = 0
+        # Retransmit deadlines, FIFO = due order: (due, msg_id, pending).
+        # Each live send has exactly one entry; done ones drain at the head.
+        self._retx: deque[tuple[float, int, _PendingSend]] = deque()
+        self._retx_timer: TimerHandle | None = None
         self.sheds = 0  #: sends refused by the pending-bytes budget
         # Duplicate suppression: peer -> (set of ids, FIFO of ids).
         self._seen: dict[str, tuple[set[int], deque[int]]] = {}
@@ -172,11 +187,13 @@ class ReliableUnicast:
         for addr in self.topology.addresses_of(self.node_id):
             self.network.unbind(addr)
         for pending in self._pending.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
             pending.done = True
         self._pending.clear()
         self._pending_bytes = 0
+        self._retx.clear()
+        if self._retx_timer is not None:
+            self._retx_timer.cancel()
+            self._retx_timer = None
 
     @property
     def running(self) -> bool:
@@ -223,7 +240,7 @@ class ReliableUnicast:
             # No shared segment at all: immediate (but async) failure.
             self.loop.call_later(0.0, self._finish, msg_id, False)
             return msg_id
-        self._transmit(pending)
+        self._transmit(pending, size)
         return msg_id
 
     def send_best_effort(self, dst_node: str, payload: Any) -> None:
@@ -247,8 +264,6 @@ class ReliableUnicast:
         if pending is not None:
             pending.done = True
             self._pending_bytes -= pending.size
-            if pending.timer is not None:
-                pending.timer.cancel()
 
     def pending_count(self) -> int:
         return len(self._pending)
@@ -260,12 +275,10 @@ class ReliableUnicast:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _transmit(self, pending: _PendingSend) -> None:
+    def _transmit(self, pending: _PendingSend, size: int) -> None:
+        """Put ``pending``'s frame on the wire (``size`` = its wire size
+        now) and queue its next deadline."""
         frame = pending.frame
-        # Recomputed per transmission on purpose: the payload may be the
-        # live token object, whose wire size can change between the first
-        # send and a retransmission (the model serializes at transmit time).
-        size = frame_size(frame)
         probe = self.probe
         if probe is not None:
             # The trace context is read from the live payload *now* — at
@@ -286,29 +299,52 @@ class ReliableUnicast:
             for src_addr, dst_addr in pending.plan.pairs:
                 self.network.send(src_addr, dst_addr, frame, size)
             pending.rounds += 1
-            if pending.rounds >= cfg.attempts_per_route:
-                pending.timer = self.loop.call_later(
-                    cfg.retx_timeout, self._finish, frame.msg_id, False
-                )
-            else:
-                pending.timer = self.loop.call_later(
-                    cfg.retx_timeout, self._retransmit, frame.msg_id
-                )
-            return
-
-        # SEQUENTIAL: exhaust the retry budget on one route, then advance.
-        src_addr, dst_addr = pending.plan.pairs[pending.route_index]
-        self.network.send(src_addr, dst_addr, frame, size)
-        pending.attempts_on_route += 1
-        exhausted_route = pending.attempts_on_route >= cfg.attempts_per_route
-        last_route = pending.route_index >= len(pending.plan) - 1
-        if exhausted_route and last_route:
-            pending.timer = self.loop.call_later(
-                cfg.retx_timeout, self._finish, frame.msg_id, False
-            )
         else:
-            pending.timer = self.loop.call_later(
-                cfg.retx_timeout, self._retransmit, frame.msg_id
+            # SEQUENTIAL: exhaust the retry budget on one route, then advance.
+            src_addr, dst_addr = pending.plan.pairs[pending.route_index]
+            self.network.send(src_addr, dst_addr, frame, size)
+            pending.attempts_on_route += 1
+        loop = self.loop
+        due = loop.now + cfg.retx_timeout
+        self._retx.append((due, frame.msg_id, pending))
+        if self._retx_timer is None:
+            self._retx_timer = loop.call_at(due, self._on_retx_due)
+
+    def _exhausted(self, pending: _PendingSend) -> bool:
+        """True once ``pending`` has no transmission left to try."""
+        cfg = self.config
+        if cfg.strategy is SendStrategy.PARALLEL:
+            return pending.rounds >= cfg.attempts_per_route
+        return (
+            pending.attempts_on_route >= cfg.attempts_per_route
+            and pending.route_index >= len(pending.plan) - 1
+        )
+
+    def _on_retx_due(self) -> None:
+        """The head deadline is due: drop finished entries, act on due ones.
+
+        While this runs ``_retx_timer`` still names the firing handle, so
+        the transmissions it makes queue without arming a second timer;
+        ``stop()`` from inside a callback clears both.
+        """
+        firing = self._retx_timer
+        queue = self._retx
+        now = self.loop.now
+        while queue:
+            due, msg_id, pending = queue[0]
+            if pending.done:
+                queue.popleft()
+                continue
+            if due > now:
+                break
+            queue.popleft()
+            if self._exhausted(pending):
+                self._finish(msg_id, False)
+            else:
+                self._retransmit(msg_id)
+        if self._retx_timer is firing:
+            self._retx_timer = (
+                self.loop.call_at(queue[0][0], self._on_retx_due) if queue else None
             )
 
     def _retransmit(self, msg_id: int) -> None:
@@ -319,7 +355,10 @@ class ReliableUnicast:
             if pending.attempts_on_route >= self.config.attempts_per_route:
                 pending.route_index += 1
                 pending.attempts_on_route = 0
-        self._transmit(pending)
+        # Sized per transmission on purpose: the payload may be the live
+        # token object, whose wire size can change between the first send
+        # and a retransmission (the model serializes at transmit time).
+        self._transmit(pending, frame_size(pending.frame))
 
     def _finish(self, msg_id: int, success: bool) -> None:
         pending = self._pending.pop(msg_id, None)
@@ -327,8 +366,6 @@ class ReliableUnicast:
             return
         pending.done = True
         self._pending_bytes -= pending.size
-        if pending.timer is not None:
-            pending.timer.cancel()
         probe = self.probe
         if probe is not None and not success:
             probe.emit(

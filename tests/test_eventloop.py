@@ -194,3 +194,43 @@ def test_run_epoch_allows_scheduling_at_boundary():
     loop.call_at(1.0, fired.append, "injected")
     loop.run_epoch(2.0)
     assert fired == ["injected"]
+
+
+# -- the clock (the loop is its only owner; ``now`` is a plain attribute) --
+def test_starts_at_zero_by_default():
+    assert EventLoop().now == 0.0
+
+
+def test_starts_at_given_time():
+    assert EventLoop(start=5.5).now == 5.5
+
+
+def test_rejects_negative_start():
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            EventLoop(start=bad)
+
+
+def test_advance_moves_forward():
+    loop = EventLoop()
+    loop.run_until(3.25)
+    assert loop.now == 3.25
+
+
+def test_advance_to_same_time_is_allowed():
+    loop = EventLoop(start=2.0)
+    fired = []
+    loop.call_at(2.0, fired.append, "now")
+    loop.run_until(2.0)
+    assert fired == ["now"] and loop.now == 2.0
+
+
+def test_time_cannot_flow_backwards():
+    loop = EventLoop(start=10.0)
+    loop.run_until(9.999)  # a deadline in the past leaves the clock alone
+    assert loop.now == 10.0
+    with pytest.raises(ValueError):
+        loop.run_epoch(9.999)
+    with pytest.raises(ValueError):
+        loop.call_at(9.999, lambda: None)
+    assert loop.now == 10.0

@@ -184,7 +184,7 @@ def test_rc202_rc203_allowed_in_owning_layers():
 def test_rc204_loop_internals():
     report = lint_paths(FIXTURES / "rc204_loop_internals.py")
     assert fired(report) == {"RC204"}
-    assert count(report, "RC204") == 2  # ._heap access + advance_to() call
+    assert count(report, "RC204") == 3  # ._heap access + two <loop>.now writes
 
 
 def test_rc205_unpruned_buffer():
