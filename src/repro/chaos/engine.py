@@ -40,8 +40,7 @@ from repro.metrics.analysis import duplicate_deliveries, prefix_consistency_viol
 from repro.obs import (
     ContractMonitor,
     FlightRecorder,
-    MetricsRegistry,
-    ProbeMetrics,
+    StreamAggregator,
     build_bundle,
     bundle_to_json,
     paper_contract_rules,
@@ -150,8 +149,7 @@ class ChaosEngine:
         if self.instrument is not None:
             self.instrument(cluster, bus)
         recorder = FlightRecorder(bus, capacity=self.recorder_capacity)
-        registry = MetricsRegistry()
-        ProbeMetrics(bus, registry)
+        agg = StreamAggregator().attach(bus)
         dicts = {nid: SharedDict(cluster.node(nid)) for nid in self.ids}
         # Contract monitor: the paper's SLO bounds, derived from the same
         # config the cluster was provisioned with, watched live.  It must
@@ -201,7 +199,6 @@ class ChaosEngine:
         alerts = contract.alert_records()
         bundle = None
         if failure is not None:
-            registry.capture_node_stats(cluster.stats)
             bundle = build_bundle(
                 failure,
                 detail=detail,
@@ -216,7 +213,7 @@ class ChaosEngine:
                     "ops": len(self.schedule.ops),
                     "events_seen": recorder.events_seen,
                 },
-                metrics=registry.to_dict(),
+                metrics=agg.to_dict(),
                 schedule=json.loads(self.schedule.to_json()),
                 alerts=alerts,
             )

@@ -44,6 +44,14 @@ import sys
 __all__ = ["main", "build_parser"]
 
 
+def _count(text: str) -> int:
+    """argparse type for a row count: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="raincore-repro",
@@ -64,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=3)
     p.add_argument("--duration", type=float, default=0.25)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--limit", type=int, default=60)
+    p.add_argument("--limit", type=_count, default=60)
     p.add_argument(
         "--quiet", action="store_true",
         help="suppress the rendered output; exit code only (CI use)",
@@ -124,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument(
         "--metrics", action="store_true",
-        help="export the metrics registry instead of the probe event stream",
+        help="export the stream rollup instead of the probe event stream",
     )
     q.add_argument(
         "--out", metavar="FILE.jsonl",
@@ -142,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated probe kinds to show (default: all)",
     )
     q.add_argument("--node", default=None, help="show only this node's events")
-    q.add_argument("--limit", type=int, default=60)
+    q.add_argument("--limit", type=_count, default=60)
     q.add_argument(
         "--span", metavar="ORIGIN#N",
         help="render the causal chain of one multicast span instead",
@@ -167,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-crash", action="store_true",
         help="skip the crash/recover phase of the scenario",
     )
-    q.add_argument("--limit", type=int, default=40)
+    q.add_argument("--limit", type=_count, default=40)
     q.add_argument(
         "--kind", default=None,
         help="show only spans of this kind (e.g. episode.911)",
@@ -280,10 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--json", action="store_true",
         help="print the profiler summary as JSON instead of the table",
-    )
-    p.add_argument(
-        "--aggregate", action="store_true",
-        help="also attach streaming aggregation and print the rollup",
     )
     p.add_argument(
         "--quiet", action="store_true",
@@ -528,27 +532,29 @@ def cmd_quickstart(args) -> int:
 
 def cmd_trace(args) -> int:
     from repro.cluster.harness import RaincoreCluster
-    from repro.metrics.trace import TraceRecorder
+    from repro.obs import (
+        ProbeLog,
+        events_to_json,
+        render_swimlanes,
+        render_timeline,
+        trace_rows,
+    )
 
     ids = [chr(ord("A") + i) for i in range(args.nodes)]
     cluster = RaincoreCluster(ids, seed=args.seed)
-    trace = TraceRecorder(cluster)
+    log = ProbeLog(cluster.enable_probes())
     cluster.start_all()
     cluster.node(ids[0]).multicast(b"traced")
     cluster.run(args.duration)
-    kinds = set(args.kinds.split(","))
     if args.quiet:
         return 0
+    rows = trace_rows(log, set(args.kinds.split(",")))
     if args.json:
-        from repro.metrics.trace import events_to_json
-
-        print(events_to_json(trace.filter(kinds=kinds)))
+        print(events_to_json(rows))
     elif args.swimlanes:
-        from repro.metrics.trace import render_swimlanes
-
-        print(render_swimlanes(trace.filter(kinds=kinds), ids, limit=args.limit))
+        print(render_swimlanes(rows, ids, limit=args.limit))
     else:
-        print(trace.render(kinds=kinds, limit=args.limit))
+        print(render_timeline(rows, limit=args.limit))
     return 0
 
 
@@ -721,10 +727,10 @@ def cmd_obs(args) -> int:
         crash=not args.no_crash,
     )
     if args.obs_command == "export":
-        from repro.obs import events_to_jsonl
+        from repro.obs import events_to_jsonl, rollup_json
 
         text = (
-            run.registry.to_jsonl()
+            rollup_json(run.agg.to_dict())
             if args.metrics
             else events_to_jsonl(run.events)
         )
@@ -761,13 +767,13 @@ def cmd_obs(args) -> int:
     for kind, count in sorted(by_kind.items(), key=lambda kv: (-kv[1], kv[0])):
         print(f"  {kind:<20} {count}")
     print("token inter-arrival (per node):")
-    histograms = run.registry.to_dict()["histograms"]
-    for node in sorted(histograms):
-        s = histograms[node].get("token.interarrival")
-        if s:
+    for node, d in run.agg.to_dict()["per_node"].items():
+        gap = d["token_gap"]
+        if gap["count"]:
             print(
-                f"  {node}: n={s['count']} mean={s['mean'] * 1e3:.2f}ms "
-                f"p95={s.get('p95', 0.0) * 1e3:.2f}ms"
+                f"  {node}: n={gap['count']} "
+                f"mean={gap['total'] / gap['count'] * 1e3:.2f}ms "
+                f"max={gap['max'] * 1e3:.2f}ms"
             )
     return 0
 
@@ -866,6 +872,7 @@ def cmd_prof(args) -> int:
     import json as _json
 
     from repro.chaos import ChaosEngine, ChaosParams, Schedule
+    from repro.obs import StreamAggregator, render_rollup
     from repro.obs.prof import Profiler
 
     schedule = Schedule.generate(
@@ -878,15 +885,11 @@ def cmd_prof(args) -> int:
         )
     )
     profiler = Profiler(timeline_limit=args.timeline_limit, label="chaos")
-    aggregator = None
+    aggregator = StreamAggregator()
 
     def instrument(cluster, bus) -> None:
-        nonlocal aggregator
-        profiler.attach(cluster.loop).attach_bus(bus)
-        if args.aggregate:
-            from repro.obs import StreamAggregator
-
-            aggregator = StreamAggregator().attach(bus)
+        profiler.attach(cluster.loop)
+        aggregator.attach(bus)
 
     if not args.quiet:
         print(
@@ -896,12 +899,10 @@ def cmd_prof(args) -> int:
         )
     result = ChaosEngine(schedule, instrument=instrument).run()
     if args.json:
-        print(_json.dumps(profiler.to_dict(), indent=2, sort_keys=True))
+        summary = dict(profiler.to_dict(), rollup=aggregator.to_dict())
+        print(_json.dumps(summary, indent=2, sort_keys=True))
     elif not args.quiet:
         print(profiler.render_table(top=args.top))
-    if aggregator is not None and not args.quiet:
-        from repro.obs import render_rollup
-
         print(render_rollup(aggregator.to_dict()))
     if args.trace:
         try:
@@ -1044,6 +1045,7 @@ def cmd_top(args) -> int:
 def cmd_soak(args) -> int:
     from repro.cluster.harness import RaincoreCluster
     from repro.core.config import RaincoreConfig
+    from repro.metrics.analysis import duplicate_deliveries
 
     if args.procs is not None:
         # the real thing: N OS processes over UDP, raintap plane attached
@@ -1091,11 +1093,7 @@ def cmd_soak(args) -> int:
         if cluster.node(nid).state.value == "down":
             cluster.faults.recover_node(nid)
     ok = cluster.run_until_converged(60.0, expected=set(ids))
-    dupes = sum(
-        len(cluster.listener(nid).delivery_keys)
-        - len(set(cluster.listener(nid).delivery_keys))
-        for nid in ids
-    )
+    dupes = sum(duplicate_deliveries(cluster).values())
     print(
         f"soak: {rounds}s virtual churn on {args.nodes} nodes, {sent} multicasts"
     )

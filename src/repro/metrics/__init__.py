@@ -3,18 +3,8 @@
 from repro.metrics.charts import bar_chart
 from repro.metrics.report import Table, fmt, ratio
 from repro.metrics.analysis import (
-    Stats,
-    delivery_spreads,
     duplicate_deliveries,
     prefix_consistency_violations,
-    summarize,
-    view_change_counts,
-)
-from repro.metrics.trace import (
-    TraceEvent,
-    TraceRecorder,
-    render_swimlanes,
-    render_timeline,
 )
 
 __all__ = [
@@ -22,14 +12,6 @@ __all__ = [
     "Table",
     "fmt",
     "ratio",
-    "TraceEvent",
-    "TraceRecorder",
-    "render_timeline",
-    "render_swimlanes",
-    "Stats",
-    "summarize",
-    "delivery_spreads",
     "duplicate_deliveries",
     "prefix_consistency_violations",
-    "view_change_counts",
 ]

@@ -1,73 +1,20 @@
 """Post-run analysis helpers over cluster observations.
 
-The tests and benchmarks repeatedly compute the same derived quantities
-from :class:`~repro.core.events.RecordingListener` data — delivery spreads,
-order-consistency checks, duplicate scans, view churn.  This module is the
-shared, public home for those computations so downstream users analyze
-their own scenarios the same way.
+The chaos engine, ``repro soak`` and the tests check the same two
+properties of :class:`~repro.core.events.RecordingListener` data — agreed
+order across nodes and no duplicate delivery.  This module is the shared,
+public home for those checks so downstream users analyze their own
+scenarios the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.harness import RaincoreCluster
 
-__all__ = [
-    "Stats",
-    "summarize",
-    "delivery_spreads",
-    "prefix_consistency_violations",
-    "duplicate_deliveries",
-    "view_change_counts",
-]
-
-
-@dataclass(frozen=True)
-class Stats:
-    """Summary statistics of one sample set."""
-
-    count: int
-    mean: float
-    p50: float
-    p95: float
-    max: float
-
-    @classmethod
-    def empty(cls) -> "Stats":
-        return cls(0, 0.0, 0.0, 0.0, 0.0)
-
-
-def summarize(samples: Sequence[float]) -> Stats:
-    """Count/mean/median/p95/max of a sample list."""
-    if not samples:
-        return Stats.empty()
-    ordered = sorted(samples)
-    n = len(ordered)
-    return Stats(
-        count=n,
-        mean=sum(ordered) / n,
-        p50=ordered[n // 2],
-        p95=ordered[min(n - 1, int(0.95 * n))],
-        max=ordered[-1],
-    )
-
-
-def delivery_spreads(cluster: "RaincoreCluster") -> Stats:
-    """Per-message delivery spread: last-delivery minus first-delivery time
-    across nodes.  The spread of an agreed multicast is bounded by one ring
-    traversal; growth beyond that signals retransmission storms or churn.
-    """
-    first: dict[tuple[str, int], float] = {}
-    last: dict[tuple[str, int], float] = {}
-    for cn in cluster.nodes.values():
-        for d in cn.listener.deliveries:
-            key = (d.origin, d.msg_no)
-            first[key] = min(first.get(key, d.at), d.at)
-            last[key] = max(last.get(key, d.at), d.at)
-    return summarize([last[k] - first[k] for k in first])
+__all__ = ["prefix_consistency_violations", "duplicate_deliveries"]
 
 
 def prefix_consistency_violations(
@@ -99,7 +46,3 @@ def duplicate_deliveries(cluster: "RaincoreCluster") -> dict[str, int]:
         out[nid] = len(keys) - len(set(keys))
     return out
 
-
-def view_change_counts(cluster: "RaincoreCluster") -> dict[str, int]:
-    """Node id → observed view changes (membership churn indicator)."""
-    return {nid: len(cn.listener.views) for nid, cn in cluster.nodes.items()}

@@ -1,14 +1,14 @@
 """repro.obs — deterministic cross-layer observability.
 
-Six pieces (docs/OBSERVABILITY.md, docs/MONITORING.md):
+The pieces (docs/OBSERVABILITY.md, docs/MONITORING.md):
 
 * :mod:`repro.obs.probe` — the probe bus: typed, zero-cost-when-disabled
   event emission from every layer, journaled and fanned out to batch
-  subscribers, with the typed probe catalogue.
-* :mod:`repro.obs.registry` — counters/gauges/histograms with sim-time
-  windowing, unifying the ad-hoc ``NodeStats`` counters into one export.
+  subscribers, with the typed probe catalogue and ``ProbeLog``, the one
+  whole-stream list.
 * :mod:`repro.obs.recorder` — the flight recorder (bounded per-node event
-  rings) and failure-time diagnostic bundles.
+  rings), failure-time diagnostic bundles, and the timeline/swimlane
+  renderers ``repro trace`` and ``repro obs render`` share.
 * :mod:`repro.obs.monitor` — the contract monitor: a live SLO rules
   engine evaluating the paper's overhead bounds over the probe stream.
 * :mod:`repro.obs.diff` — trace diff: first-divergence localization
@@ -19,7 +19,8 @@ Six pieces (docs/OBSERVABILITY.md, docs/MONITORING.md):
   non-deterministic channel (docs/PROFILING.md).
 * :mod:`repro.obs.spans` — span/episode reconstruction over the probe
   stream (token laps, 911 episodes, merge windows, resync ladders).
-* :mod:`repro.obs.agg` — bounded-state streaming aggregation.
+* :mod:`repro.obs.agg` — bounded-state streaming aggregation: the one
+  rollup every bundle, export and profile carries.
 """
 
 from repro.obs.agg import (
@@ -70,16 +71,13 @@ from repro.obs.recorder import (
     bundle_to_json,
     causal_chain,
     dump_bundle,
+    events_to_json,
     load_bundle,
     render_bundle,
     render_chain,
-)
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    ProbeMetrics,
+    render_swimlanes,
+    render_timeline,
+    trace_rows,
 )
 from repro.obs.spans import Span, SpanTimeline, reconstruct_spans
 
@@ -114,11 +112,10 @@ __all__ = [
     "load_bundle",
     "render_bundle",
     "render_chain",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "ProbeMetrics",
+    "trace_rows",
+    "render_timeline",
+    "render_swimlanes",
+    "events_to_json",
     "CONTRACT_READS",
     "CONTRACT_RULES",
     "Alert",

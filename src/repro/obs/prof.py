@@ -43,11 +43,8 @@ import json
 import time
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.obs.probe import ProbeConsumer
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.eventloop import EventLoop
-    from repro.obs.probe import ProbeBus, ProbeEvent
 
 __all__ = ["Profiler"]
 
@@ -65,7 +62,7 @@ def _callable_name(key: object) -> str:
     return name[6:] if name.startswith("repro.") else name
 
 
-class Profiler(ProbeConsumer):
+class Profiler:
     """Sampling-free wall-clock accounting for one event loop.
 
     Parameters
@@ -89,8 +86,6 @@ class Profiler(ProbeConsumer):
         "epoch_walls",
         "heap_depth_max",
         "heap_depth_sum",
-        "_probe_counts",
-        "_feeds",
         "timeline_truncated",
         "_stats",
         "_timeline",
@@ -111,8 +106,6 @@ class Profiler(ProbeConsumer):
         self.epoch_walls: list[float] = []
         self.heap_depth_max = 0
         self.heap_depth_sum = 0
-        self._probe_counts: dict[str, int] = {}
-        self._feeds: list[ProbeBus] = []
         self.timeline_truncated = False
         # key (shared function object) -> [calls, total_seconds]
         self._stats: dict[object, list[Any]] = {}
@@ -134,22 +127,6 @@ class Profiler(ProbeConsumer):
     def detach(self, loop: "EventLoop") -> None:
         if loop.profile is self:
             loop.profile = None
-
-    def attach_bus(self, bus: "ProbeBus") -> "Profiler":
-        """Additionally count probe emissions per kind (read-only tap)."""
-        bus.subscribe(self._on_probe)
-        return self
-
-    def _on_probe(self, events: "list[ProbeEvent]") -> None:
-        counts = self._probe_counts
-        for event in events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-
-    @property
-    def probe_counts(self) -> dict[str, int]:
-        """Probe kind -> emission count (filled via attach_bus)."""
-        self._catch_up()
-        return self._probe_counts
 
     # ------------------------------------------------------------------
     # accounting (called from the EventLoop dispatch hot path)
@@ -287,15 +264,6 @@ class Profiler(ProbeConsumer):
                 f"{r['total_s'] * 1e3:>10.3f}  {r['mean_us']:>9.2f}  "
                 f"{r['share'] * 100.0:>5.1f}%"
             )
-        if self.probe_counts:
-            total = sum(self.probe_counts.values())
-            top_kinds = sorted(
-                self.probe_counts.items(), key=lambda kv: (-kv[1], kv[0])
-            )[:8]
-            lines.append(
-                f"probes: {total} emitted; top kinds: "
-                + " ".join(f"{k}={c}" for k, c in top_kinds)
-            )
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
@@ -358,6 +326,5 @@ class Profiler(ProbeConsumer):
             "heap_depth_mean": self.heap_depth_mean,
             "epoch_walls_s": list(self.epoch_walls),
             "callbacks": self.table(),
-            "probe_counts": dict(sorted(self.probe_counts.items())),
             "timeline_truncated": self.timeline_truncated,
         }

@@ -5,12 +5,14 @@ ring (old events fall off the back), so that when something finally goes
 wrong — an invariant violation, a chaos-campaign failure, a harness
 assertion — the moments leading up to it are still in memory and can be
 dumped as one self-contained **diagnostic bundle**: reason, sim time,
-recent events, metrics snapshot, and (for chaos runs) the fault schedule.
+recent events, the stream rollup, and (for chaos runs) the fault schedule.
 
 Bundles are plain JSON with fully sorted keys; two runs with the same seed
 produce byte-identical bundles.  ``repro obs render`` turns a bundle back
 into the familiar timeline/swimlane views and can extract the causal chain
-of a single multicast span (attach → token hops → delivery).
+of a single multicast span (attach → token hops → delivery).  The same
+renderers draw ``repro trace``: :func:`trace_rows` folds a probe stream
+into its five protocol trace kinds (state, view, deliver, shutdown, token).
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from __future__ import annotations
 import json
 import sys
 from collections import deque
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro.obs.probe import (
     ProbeBus,
@@ -31,9 +34,6 @@ from repro.obs.probe import (
     format_event,
 )
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.metrics.trace import TraceEvent
-
 __all__ = [
     "BUNDLE_SCHEMA",
     "SUPPORTED_SCHEMAS",
@@ -43,6 +43,11 @@ __all__ = [
     "dump_bundle",
     "load_bundle",
     "bundle_events",
+    "TraceEvent",
+    "trace_rows",
+    "render_timeline",
+    "render_swimlanes",
+    "events_to_json",
     "render_bundle",
     "causal_chain",
     "render_chain",
@@ -244,31 +249,109 @@ def bundle_events(bundle: dict) -> list[ProbeEvent]:
 # ----------------------------------------------------------------------
 # rendering
 # ----------------------------------------------------------------------
-def _trace_events(
-    events: Iterable[ProbeEvent],
-    kinds: set[str] | None = None,
-    node: str | None = None,
+@dataclass(frozen=True)
+class TraceEvent:
+    """One rendered row: a probe event as time, node, kind and detail."""
+
+    at: float
+    node: str
+    kind: str
+    detail: str
+
+
+def trace_rows(
+    events: Iterable[ProbeEvent], kinds: set[str] | None = None
 ) -> list[TraceEvent]:
-    """Adapt probe events to the trace renderers' event shape.
+    """The protocol trace of a probe stream (``repro trace``).
 
-    The probe ``kind`` maps to the trace ``kind`` column and the lazily
-    formatted fields become the detail string — formatting happens here,
-    at render time, never at the emitting call site.
+    Five probe kinds become the five trace kinds — ``node.state`` →
+    state, ``view.change`` → view, ``mcast.deliver`` → deliver,
+    ``node.shutdown`` → shutdown, and a ``transport.tx`` whose trace
+    context is a token → token — in stream order; everything else is
+    left out, as is any trace kind not in ``kinds`` (None = all five).
     """
-    # Imported here: repro.metrics.trace's TraceRecorder is a probe
-    # consumer, so it imports repro.obs, which imports this module.
-    from repro.metrics.trace import TraceEvent
+    rows: list[TraceEvent] = []
+    for event in events:
+        kind = event.kind
+        args = event.args
+        if kind == "node.state":
+            row = ("state", f"{args[0]} -> {args[1]}")
+        elif kind == "view.change":
+            row = ("view", f"v{args[0]}: {'-'.join(args[1])}")
+        elif kind == "mcast.deliver":
+            row = ("deliver", f"{args[0]}#{args[1]} ({args[2]})")
+        elif kind == "node.shutdown":
+            row = ("shutdown", args[0])
+        elif kind == "transport.tx" and _is_token_ctx(args[4]):
+            ctx = args[4]
+            row = (
+                "token",
+                f"seq={ctx[2]} -> {args[0]}"
+                + (f" +{ctx[3]}msg" if ctx[3] else "")
+                + (" TBM" if ctx[4] else ""),
+            )
+        else:
+            continue
+        if kinds is None or row[0] in kinds:
+            rows.append(TraceEvent(event.at, event.node, *row))
+    return rows
 
-    out: list[TraceEvent] = []
-    for e in events:
-        if kinds is not None and e.kind not in kinds:
-            continue
-        if node is not None and e.node != node:
-            continue
-        formatted = format_event(e)
-        detail = formatted[len(e.kind) :].lstrip()
-        out.append(TraceEvent(at=e.at, node=e.node, kind=e.kind, detail=detail))
-    return out
+
+def _shown(
+    events: list[TraceEvent], limit: int | None
+) -> tuple[list[TraceEvent], str | None]:
+    """The first ``limit`` rows (all when None) and the "more" footer."""
+    shown = events if limit is None else events[:limit]
+    hidden = len(events) - len(shown)
+    return shown, f"... {hidden} more events" if hidden else None
+
+
+def render_swimlanes(
+    events: list[TraceEvent],
+    nodes: list[str],
+    limit: int | None = None,
+    lane_width: int = 22,
+) -> str:
+    """Per-node column rendering — the classic distributed-systems swimlane.
+
+    Each event appears in its node's lane; reading down a column gives one
+    node's history, reading across gives the cluster-wide interleaving.
+    """
+    shown, footer = _shown(events, limit)
+    if not shown:
+        return footer or "(no events)"
+    header = f"{'time':>10}  " + "  ".join(f"{n:^{lane_width}}" for n in nodes)
+    lines = [header, "-" * len(header)]
+    for e in shown:
+        cells = []
+        for n in nodes:
+            text = f"{e.kind}: {e.detail}" if e.node == n else ""
+            cells.append(f"{text[:lane_width]:<{lane_width}}")
+        lines.append(f"{e.at:>9.4f}s  " + "  ".join(cells))
+    if footer:
+        lines.append(footer)
+    return "\n".join(lines)
+
+
+def render_timeline(events: list[TraceEvent], limit: int | None = None) -> str:
+    """Fixed-width timeline rendering of a trace-event list."""
+    shown, footer = _shown(events, limit)
+    if not shown:
+        return footer or "(no events)"
+    node_w = max(len(e.node) for e in shown)
+    kind_w = max(len(e.kind) for e in shown)
+    lines = [
+        f"{e.at:>10.4f}s  {e.node:<{node_w}}  {e.kind:<{kind_w}}  {e.detail}"
+        for e in shown
+    ]
+    if footer:
+        lines.append(footer)
+    return "\n".join(lines)
+
+
+def events_to_json(events: list[TraceEvent]) -> str:
+    """Stable JSON array of trace events (``repro trace --json``)."""
+    return json.dumps([asdict(e) for e in events], sort_keys=True, indent=2)
 
 
 def render_bundle(
@@ -279,11 +362,17 @@ def render_bundle(
     node: str | None = None,
     limit: int = 60,
 ) -> str:
-    """Render a bundle as the existing timeline or swimlane view."""
-    from repro.metrics.trace import render_swimlanes, render_timeline
+    """Render a bundle as the timeline or swimlane view.
 
+    Every probe kind is a row here: the probe kind is the kind column and
+    the formatted fields (after the kind) are the detail.
+    """
     events = bundle_events(bundle)
-    traced = _trace_events(events, kinds=kinds, node=node)
+    traced = [
+        TraceEvent(e.at, e.node, e.kind, format_event(e)[len(e.kind) :].lstrip())
+        for e in events
+        if (kinds is None or e.kind in kinds) and (node is None or e.node == node)
+    ]
     header = (
         f"bundle: {bundle['reason']}"
         + (f" — {bundle['detail']}" if bundle.get("detail") else "")

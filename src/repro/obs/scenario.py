@@ -5,17 +5,17 @@ need the *same* short, fully seeded scenario so that their outputs are
 comparable (and, for the tests, byte-identical across runs).  This module
 is that scenario: form a group, multicast, crash the last member, recover
 it — the CLI quickstart, but with the probe bus, a flight recorder and the
-probe-derived metrics attached from the first event.
+stream rollup attached from the first event.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.harness import RaincoreCluster
+from repro.obs.agg import StreamAggregator
 from repro.obs.probe import ProbeBus, ProbeEvent
 from repro.obs.recorder import FlightRecorder
-from repro.obs.registry import MetricsRegistry, ProbeMetrics
 
 __all__ = ["ScenarioRun", "run_quickstart"]
 
@@ -27,9 +27,9 @@ class ScenarioRun:
     cluster: RaincoreCluster
     bus: ProbeBus
     #: complete probe stream in emission order (not ring-bounded)
-    events: list[ProbeEvent] = field(default_factory=list)
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-    recorder: FlightRecorder | None = None
+    events: list[ProbeEvent]
+    recorder: FlightRecorder
+    agg: StreamAggregator
 
 
 def run_quickstart(
@@ -43,16 +43,20 @@ def run_quickstart(
     """Run the quickstart scenario with full observability attached.
 
     Deterministic in ``(nodes, seed, duration, crash)``: the returned
-    event stream and metrics are byte-stable across runs with equal
+    event stream and rollup are byte-stable across runs with equal
     arguments (the determinism golden test pins this).
     """
     ids = [chr(ord("A") + i) for i in range(nodes)]
     cluster = RaincoreCluster(ids, seed=seed)
     bus = cluster.enable_probes()
-    run = ScenarioRun(cluster=cluster, bus=bus)
+    run = ScenarioRun(
+        cluster=cluster,
+        bus=bus,
+        events=[],
+        recorder=FlightRecorder(bus, capacity=recorder_capacity),
+        agg=StreamAggregator().attach(bus),
+    )
     bus.subscribe(run.events.extend)
-    run.recorder = FlightRecorder(bus, capacity=recorder_capacity)
-    ProbeMetrics(bus, run.registry)
 
     cluster.start_all()
     cluster.node(ids[0]).multicast(b"obs-quickstart")
@@ -63,5 +67,4 @@ def run_quickstart(
         cluster.run_until_converged(5.0, expected=set(ids) - {victim})
         cluster.faults.recover_node(victim)
         cluster.run_until_converged(8.0, expected=set(ids))
-    run.registry.capture_node_stats(cluster.stats)
     return run

@@ -214,7 +214,7 @@ class SpanTimeline:
                 f"  {k}: n={int(stats['count'])} p50={stats['p50']:.6f}s "
                 f"p95={stats['p95']:.6f}s max={stats['max']:.6f}s"
             )
-        shown = spans[:limit] if limit else spans
+        shown = spans[:limit]
         if shown:
             lines.append(f"{'start':>12}  {'dur':>10}  {'kind':<14} node  detail")
         for s in shown:
@@ -226,8 +226,8 @@ class SpanTimeline:
                 f"{s.start:>12.6f}  {s.duration:>10.6f}  {s.kind:<14} "
                 f"{s.node}  {detail}"
             )
-        if limit and len(spans) > limit:
-            lines.append(f"... {len(spans) - limit} more spans (raise --limit)")
+        if len(spans) > len(shown):
+            lines.append(f"... {len(spans) - len(shown)} more spans (raise --limit)")
         return "\n".join(lines)
 
 

@@ -178,10 +178,10 @@ class TelemetryCollector:
         self.frames_dropped: dict[str, int] = {}
         self.gaps = 0
         self.events_lost = 0
-        #: Live per-node view for ``repro top``: state / view / accepts.
+        #: Live per-node view for ``repro top``: state / view (token
+        #: accepts are read off the rollup).
         self.states: dict[str, str] = {}
         self.views: dict[str, tuple[Any, int]] = {}
-        self.accepts: dict[str, int] = {}
         self.port: int | None = None
         self.metrics_port: int | None = None
         self.postmortem: dict | None = None
@@ -445,18 +445,21 @@ class TelemetryCollector:
             self.states[event.node] = str(event.args[1])
         elif kind == "view.change":
             self.views[event.node] = (event.args[0], len(event.args[1]))
-        elif kind == "token.accept":
-            self.accepts[event.node] = self.accepts.get(event.node, 0) + 1
 
     def node_status(self) -> dict[str, dict[str, Any]]:
         """Per-node live status for the ``repro top`` view."""
-        nodes = sorted(set(self.states) | set(self.views) | set(self.accepts))
+        accepts = {
+            node: d["token_accepts"]
+            for node, d in self.agg.to_dict()["per_node"].items()
+            if d["token_accepts"]
+        }
+        nodes = sorted(set(self.states) | set(self.views) | set(accepts))
         return {
             node: {
                 "state": self.states.get(node, "?"),
                 "view": self.views.get(node, ("-", 0))[0],
                 "members": self.views.get(node, ("-", 0))[1],
-                "accepts": self.accepts.get(node, 0),
+                "accepts": accepts.get(node, 0),
             }
             for node in nodes
             if node != COLLECTOR_NODE

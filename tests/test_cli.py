@@ -181,6 +181,30 @@ def test_trace_quiet_suppresses_output(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--limit", "-3"],
+        ["obs", "render", "x.bundle.json", "--limit", "-1"],
+        ["obs", "timeline", "--limit", "-2"],
+        ["prof", "--aggregate"],
+    ],
+)
+def test_bad_options_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_trace_limit_zero_prints_only_the_count(capsys):
+    code, out = run_cli(capsys, "trace", "--duration", "0.1", "--limit", "0")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("... ") and lines[0].endswith(" more events")
+    assert int(lines[0].split()[1]) > 0
+
+
 def test_obs_export_quiet_still_writes_file(capsys, tmp_path):
     out_path = tmp_path / "quiet.jsonl"
     code, out = run_cli(

@@ -1,4 +1,4 @@
-"""Tests for repro.obs: probe bus, flight recorder, registry, bundles.
+"""Tests for repro.obs: probe bus, flight recorder, bundles.
 
 Covers the observability contracts the rest of the repo leans on:
 
@@ -21,7 +21,6 @@ from repro.cluster.harness import RaincoreCluster
 from repro.net.eventloop import EventLoop
 from repro.obs import (
     FlightRecorder,
-    MetricsRegistry,
     ProbeBus,
     ProbeLog,
     bundle_events,
@@ -32,8 +31,8 @@ from repro.obs import (
     load_bundle,
     render_bundle,
     render_chain,
+    rollup_json,
 )
-from repro.obs.registry import Histogram
 from repro.obs.scenario import run_quickstart
 
 
@@ -87,48 +86,6 @@ def test_recorder_close_stops_recording():
 
 
 # ----------------------------------------------------------------------
-# registry histogram math
-# ----------------------------------------------------------------------
-def test_histogram_aggregates_and_percentiles():
-    h = Histogram("A", "x", window=100)
-    for i, v in enumerate([5.0, 1.0, 3.0, 2.0, 4.0]):
-        h.observe(float(i), v)
-    assert h.count == 5
-    assert h.total == 15.0
-    assert h.mean == 3.0
-    assert (h.min, h.max) == (1.0, 5.0)
-    assert h.percentile(0.0) == 1.0
-    assert h.percentile(0.5) == 3.0
-    # since= restricts to the sim-time window, not the lifetime aggregates.
-    assert sorted(h.window_values(since=3.0)) == [2.0, 4.0]
-    s = h.summary(since=3.0)
-    assert s["count"] == 5 and s["window_count"] == 2
-    assert s["p50"] == 4.0
-
-
-def test_histogram_window_is_bounded():
-    h = Histogram("A", "x", window=8)
-    for i in range(100):
-        h.observe(float(i), float(i))
-    assert h.count == 100  # lifetime aggregates unaffected by eviction
-    assert len(h.samples) == 8
-    assert h.window_values() == [92.0, 93.0, 94.0, 95.0, 96.0, 97.0, 98.0, 99.0]
-
-
-def test_registry_exports_are_sorted_and_stable():
-    reg = MetricsRegistry()
-    reg.counter("B", "z").inc(2)
-    reg.counter("A", "y").inc()
-    reg.gauge("A", "g").set(1.5)
-    d = reg.to_dict()
-    assert list(d["counters"]) == ["A", "B"]
-    assert d["counters"]["B"]["z"] == 2
-    # Exporting twice must be byte-identical (no hidden iteration order).
-    assert reg.to_jsonl() == reg.to_jsonl()
-    assert '"metric":"z","node":"B"' in reg.to_jsonl().splitlines()[1]
-
-
-# ----------------------------------------------------------------------
 # determinism golden: the probed quickstart scenario
 # ----------------------------------------------------------------------
 def test_probe_stream_is_byte_stable_across_runs():
@@ -136,7 +93,7 @@ def test_probe_stream_is_byte_stable_across_runs():
     b = run_quickstart(nodes=3, seed=5, duration=0.5, crash=False)
     ja, jb = events_to_jsonl(a.events), events_to_jsonl(b.events)
     assert ja == jb
-    assert a.registry.to_jsonl() == b.registry.to_jsonl()
+    assert rollup_json(a.agg.to_dict()) == rollup_json(b.agg.to_dict())
 
 
 def test_probe_stream_respects_the_seed():
@@ -309,38 +266,3 @@ def test_load_bundle_accepts_v1_and_backfills_alerts(tmp_path):
     bundle = load_bundle(path)
     assert bundle["schema"] == "repro.obs.bundle/1"
     assert bundle["alerts"] == []  # one shape for downstream readers
-
-
-# ----------------------------------------------------------------------
-# registry window edges
-# ----------------------------------------------------------------------
-def test_histogram_empty_window_summary():
-    h = Histogram("A", "x", window=16)
-    assert h.window_values() == []
-    assert h.percentile(0.5) == 0.0
-    s = h.summary()
-    assert s["count"] == 0 and s["window_count"] == 0
-    assert s["min"] == 0.0 and s["max"] == 0.0
-    assert "p50" not in s  # no invented percentiles for an empty window
-
-
-def test_histogram_window_boundary_is_inclusive():
-    h = Histogram("A", "x", window=16)
-    h.observe(1.0, 10.0)
-    h.observe(2.0, 20.0)
-    h.observe(3.0, 30.0)
-    # An event exactly at the since= cut belongs to the window (at >= since).
-    assert h.window_values(since=2.0) == [20.0, 30.0]
-    assert h.window_values(since=2.0 + 1e-12) == [30.0]
-    assert h.summary(since=3.0)["window_count"] == 1
-
-
-def test_histogram_single_sample_percentiles():
-    h = Histogram("A", "x", window=16)
-    h.observe(0.5, 42.0)
-    # Every percentile of a one-sample window is that sample.
-    for q in (0.0, 0.5, 0.95, 1.0):
-        assert h.percentile(q) == 42.0
-    s = h.summary()
-    assert s["p50"] == 42.0 and s["p95"] == 42.0
-    assert s["window_count"] == 1

@@ -22,15 +22,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import RaincoreConfig
-from repro.metrics.trace import TraceRecorder
 from repro.net.eventloop import EventLoop
 from repro.obs import probe as probe_module
 from repro.obs.agg import StreamAggregator
 from repro.obs.monitor import CONTRACT_READS, ContractMonitor, paper_contract_rules
-from repro.obs.probe import JOURNAL_BOUND, ProbeBus, ProbeConsumer
-from repro.obs.prof import Profiler
+from repro.obs.probe import JOURNAL_BOUND, ProbeBus, ProbeConsumer, ProbeLog
 from repro.obs.recorder import FlightRecorder
-from repro.obs.registry import ProbeMetrics
 from repro.runtime.telemetry import TelemetryShipper, decode_frame
 
 from .monitor_reference import ReferenceMonitor
@@ -59,18 +56,6 @@ def probe(i: int, which: int) -> tuple[str, str, tuple]:
     return shapes[which % len(shapes)]
 
 
-class FakeCluster:
-    """What TraceRecorder needs of a cluster."""
-
-    def __init__(self, bus) -> None:
-        self.bus = bus
-        self.node_ids = ["A", "B"]
-        self.loop = bus.loop
-
-    def enable_probes(self):
-        return self.bus
-
-
 class Side:
     """One bus and every consumer, wired the way the stack wires them."""
 
@@ -89,9 +74,7 @@ class Side:
         self.frames: list[bytes] = []
         self.shipper = TelemetryShipper("A", self.frames.append, recorder=self.recorder)
         bus.subscribe(self.shipper.on_probe)
-        self.metrics = ProbeMetrics(bus)
-        self.profiler = Profiler().attach_bus(bus)
-        self.trace = TraceRecorder(FakeCluster(bus))
+        self.log = ProbeLog(bus)
         self.plain: list = []  # a plain callable: current once the loop returns
         bus.subscribe(self.plain.extend)
         self.late: FlightRecorder | None = None
@@ -142,12 +125,8 @@ class Side:
         if api in ("flush", "mark", "bye", "dump_ring"):
             getattr(self.shipper, api)()
             return shipped(self.frames)
-        if api == "trace":
-            return list(self.trace.events)
-        if api == "metrics":
-            return self.metrics.registry.to_dict()
-        if api == "probe_counts":
-            return dict(self.profiler.probe_counts)
+        if api == "log":
+            return rows(self.log[:])
         if api == "rollup":
             return self.agg.to_dict()
         raise AssertionError(api)
@@ -155,7 +134,7 @@ class Side:
 
 READS = [
     "snapshot", "node_events", "events_seen", "late", "evaluate", "flush",
-    "mark", "bye", "dump_ring", "trace", "metrics", "probe_counts", "rollup",
+    "mark", "bye", "dump_ring", "log", "rollup",
 ]
 
 

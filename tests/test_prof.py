@@ -150,15 +150,18 @@ def test_probe_stream_identical_with_profiler_attached():
     assert events_to_jsonl(recorded) == events_to_jsonl(reference)
 
 
-def test_attach_bus_counts_probe_kinds():
+def test_rollup_by_kind_counts_every_probe_of_a_profiled_run():
     from repro.cluster.harness import RaincoreCluster
+    from repro.obs import StreamAggregator
 
     cluster = RaincoreCluster(["A", "B", "C"], seed=3)
-    prof = Profiler().attach(cluster.loop).attach_bus(cluster.enable_probes())
+    Profiler().attach(cluster.loop)
+    agg = StreamAggregator().attach(cluster.enable_probes())
     cluster.start_all()
     cluster.run(0.5)
-    assert prof.probe_counts
-    assert sum(prof.probe_counts.values()) == cluster.probes.events_emitted
+    by_kind = agg.to_dict()["by_kind"]
+    assert by_kind
+    assert sum(by_kind.values()) == cluster.probes.events_emitted
 
 
 # ----------------------------------------------------------------------

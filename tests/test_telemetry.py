@@ -554,6 +554,29 @@ def test_postmortem_built_from_pushed_rings(tmp_path):
     assert [e["at"] for e in bundle["events"]] == [0.8, 0.9]
 
 
+def test_chaos_bundle_and_postmortem_carry_the_same_rollup(tmp_path, capsys):
+    from repro.cli import main
+
+    code = main(
+        ["chaos", "--strict", "--seed", "8", "--seconds", "15",
+         "--no-shrink", "--artifacts", str(tmp_path)]
+    )
+    capsys.readouterr()
+    assert code == 1
+    chaos = load_bundle(tmp_path / "trace-seed8.bundle.json")["metrics"]
+    pm = tmp_path / "pm.bundle.json"
+    collector, clock, _ = collected(postmortem_path=pm)
+    collector.on_datagram(probe_frame("A", 1, at=1.0), ("p", 1))
+    collector._pull_sent = True  # as if an alert had fired the pull
+    clock.now = 10.0
+    collector.flush(force=True)
+    raintap = load_bundle(pm)["metrics"]
+    assert chaos["schema"] == raintap["schema"] == 1
+    assert chaos.keys() == raintap.keys()
+    assert chaos["events"] == sum(chaos["by_kind"].values()) > 0
+    assert raintap["per_node"]["A"]["token_accepts"] == 1
+
+
 def test_free_udp_ports_are_distinct():
     ports = free_udp_ports(4)
     assert len(set(ports)) == 4

@@ -1,9 +1,9 @@
-"""Golden tests: the probe-bus-backed TraceRecorder renders byte-identically.
+"""Golden tests: the protocol trace renders byte-identically.
 
-The golden files were captured from the pre-retrofit TraceRecorder (its own
-listeners + network wiretap).  The recorder now formats probe-bus events
-instead; these tests pin the rendered timeline and swimlanes to the exact
-bytes the old implementation produced for the same seeded scenario.
+The golden files were captured from the pre-probe-bus trace recorder (its
+own listeners + network wiretap).  The trace is now ``trace_rows`` over a
+``ProbeLog``; these tests pin the rendered timeline and swimlanes to the
+exact bytes the old implementation produced for the same seeded scenario.
 """
 
 from __future__ import annotations
@@ -11,31 +11,31 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.cluster.harness import RaincoreCluster
-from repro.metrics.trace import TraceRecorder, render_swimlanes
+from repro.obs import ProbeLog, render_swimlanes, render_timeline, trace_rows
 
 DATA = Path(__file__).parent / "data"
 KINDS = {"state", "view", "token", "deliver", "shutdown"}
 
 
-def _run_scenario() -> tuple[TraceRecorder, RaincoreCluster]:
+def _run_scenario() -> tuple[ProbeLog, RaincoreCluster]:
     cluster = RaincoreCluster(["A", "B", "C"], seed=1)
-    trace = TraceRecorder(cluster)
+    log = ProbeLog(cluster.enable_probes())
     cluster.start_all()
     cluster.node("A").multicast(b"traced")
     cluster.run(0.25)
-    return trace, cluster
+    return log, cluster
 
 
 def test_timeline_matches_pre_retrofit_golden():
-    trace, _ = _run_scenario()
-    rendered = trace.render(KINDS, limit=60) + "\n"
+    log, _ = _run_scenario()
+    rendered = render_timeline(trace_rows(log, KINDS), limit=60) + "\n"
     golden = (DATA / "golden_trace_timeline_seed1.txt").read_text()
     assert rendered == golden
 
 
 def test_swimlanes_match_pre_retrofit_golden():
-    trace, cluster = _run_scenario()
-    events = trace.filter(kinds=KINDS)
-    rendered = render_swimlanes(events, cluster.node_ids, limit=60) + "\n"
+    log, cluster = _run_scenario()
+    rows = trace_rows(log, KINDS)
+    rendered = render_swimlanes(rows, cluster.node_ids, limit=60) + "\n"
     golden = (DATA / "golden_trace_swimlanes_seed1.txt").read_text()
     assert rendered == golden

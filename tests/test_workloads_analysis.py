@@ -6,12 +6,8 @@ import pytest
 
 from repro.apps.workloads import bimodal, constant, lognormal, pareto
 from repro.metrics.analysis import (
-    Stats,
-    delivery_spreads,
     duplicate_deliveries,
     prefix_consistency_violations,
-    summarize,
-    view_change_counts,
 )
 from tests.conftest import make_cluster
 
@@ -71,18 +67,6 @@ def test_bimodal_proportions():
 # ----------------------------------------------------------------------
 # analysis helpers
 # ----------------------------------------------------------------------
-def test_summarize_basic():
-    s = summarize([1.0, 2.0, 3.0, 4.0])
-    assert s.count == 4
-    assert s.mean == 2.5
-    assert s.max == 4.0
-    assert s.p50 == 3.0
-
-
-def test_summarize_empty():
-    assert summarize([]) == Stats.empty()
-
-
 def test_prefix_consistency_detects_violation():
     good = {"A": [("A", 1), ("B", 1)], "B": [("A", 1), ("B", 1)]}
     assert prefix_consistency_violations(good) == []
@@ -100,11 +84,6 @@ def test_analysis_on_live_cluster(abcd):
     for i in range(6):
         abcd.node("ABCD"[i % 4]).multicast(f"m{i}")
     abcd.run(2.0)
-    spreads = delivery_spreads(abcd)
-    assert spreads.count == 6
-    # Agreed multicast spread is bounded by ~one ring traversal.
-    assert spreads.max <= 4 * abcd.config.hop_interval + 0.01
+    assert all(len(abcd.listener(n).deliveries) == 6 for n in "ABCD")
     assert duplicate_deliveries(abcd) == {n: 0 for n in "ABCD"}
     assert prefix_consistency_violations(abcd.all_delivery_orders()) == []
-    churn = view_change_counts(abcd)
-    assert all(v >= 1 for v in churn.values())
