@@ -22,7 +22,7 @@ BASE_PORT = 40000
 
 async def main() -> None:
     fabric = UdpFabric({nid: BASE_PORT + i for i, nid in enumerate(NODE_IDS)})
-    scheduler = AsyncioScheduler(asyncio.get_event_loop(), seed=7)
+    scheduler = AsyncioScheduler(asyncio.get_running_loop(), seed=7)
     config = RaincoreConfig.tuned(ring_size=len(NODE_IDS), hop_interval=0.02)
 
     nodes, listeners = {}, {}

@@ -5,27 +5,23 @@ The session service is driver-agnostic: it consumes a scheduler (``now`` /
 ``topology`` / ``stats``).  :class:`AsyncioScheduler` and
 :class:`UdpFabric` provide real-time implementations so the identical
 protocol code that runs deterministically in the simulator also runs on
-localhost UDP — see ``examples/asyncio_udp_demo.py``.
+localhost UDP — see ``examples/asyncio_udp_demo.py``.  They are the only
+names this package exports, so importing it does not load raintap,
+:mod:`repro.obs` or :mod:`repro.spec`.
 
-On top of that sits **raintap**, the live telemetry plane
-(docs/TELEMETRY.md): :mod:`repro.runtime.telemetry` ships each worker's
-probe events over a versioned, typed binary sidecar channel (RTAP v3),
-:mod:`repro.runtime.collector` merges the per-worker streams into one
-watermarked feed and runs the wall-clock contract monitor, rollups,
-``/metrics`` exposition, capture files, and breach postmortems over it.
+**raintap**, the live telemetry plane (docs/TELEMETRY.md), lives in its
+own modules; import its names from them:
+
+* :mod:`repro.runtime.telemetry` — ``TelemetryShipper`` and ``WallClock``:
+  each worker's probe events over a versioned, typed binary sidecar channel
+  (RTAP v3).
+* :mod:`repro.runtime.collector` — ``TelemetryCollector``, ``LiveCluster``
+  and ``LiveRunResult``: the per-worker streams merged into one watermarked
+  feed, with the wall-clock contract monitor, rollups, ``/metrics``
+  exposition, capture files, and breach postmortems over it.
 """
 
-from repro.runtime.collector import LiveCluster, LiveRunResult, TelemetryCollector
 from repro.runtime.scheduler import AsyncioScheduler
-from repro.runtime.telemetry import TelemetryShipper, WallClock
 from repro.runtime.udp import UdpFabric
 
-__all__ = [
-    "AsyncioScheduler",
-    "LiveCluster",
-    "LiveRunResult",
-    "TelemetryCollector",
-    "TelemetryShipper",
-    "UdpFabric",
-    "WallClock",
-]
+__all__ = ["AsyncioScheduler", "UdpFabric"]

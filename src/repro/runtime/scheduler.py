@@ -23,8 +23,8 @@ __all__ = ["AsyncioScheduler"]
 class AsyncioScheduler:
     """Adapter exposing the simulator's scheduling interface over asyncio."""
 
-    def __init__(self, loop: asyncio.AbstractEventLoop | None = None, seed: int = 0):
-        self._loop = loop if loop is not None else asyncio.get_event_loop()
+    def __init__(self, loop: asyncio.AbstractEventLoop, seed: int = 0):
+        self._loop = loop
         self.rng = random.Random(seed)
 
     @property

@@ -40,7 +40,7 @@ def test_raincore_channel_idempotent_wrapping():
 # ----------------------------------------------------------------------
 def test_scheduler_call_later_and_cancel():
     async def scenario():
-        sched = AsyncioScheduler(asyncio.get_event_loop(), seed=3)
+        sched = AsyncioScheduler(asyncio.get_running_loop(), seed=3)
         fired = []
         sched.call_later(0.01, fired.append, "a")
         handle = sched.call_later(0.01, fired.append, "b")
@@ -53,7 +53,7 @@ def test_scheduler_call_later_and_cancel():
 
 def test_scheduler_now_advances():
     async def scenario():
-        sched = AsyncioScheduler(asyncio.get_event_loop())
+        sched = AsyncioScheduler(asyncio.get_running_loop())
         t0 = sched.now
         await asyncio.sleep(0.02)
         assert sched.now >= t0 + 0.015
@@ -63,8 +63,8 @@ def test_scheduler_now_advances():
 
 def test_scheduler_rng_seeded():
     async def scenario():
-        a = AsyncioScheduler(asyncio.get_event_loop(), seed=9)
-        b = AsyncioScheduler(asyncio.get_event_loop(), seed=9)
+        a = AsyncioScheduler(asyncio.get_running_loop(), seed=9)
+        b = AsyncioScheduler(asyncio.get_running_loop(), seed=9)
         assert [a.rng.random() for _ in range(3)] == [
             b.rng.random() for _ in range(3)
         ]
@@ -74,7 +74,7 @@ def test_scheduler_rng_seeded():
 
 def test_scheduler_call_at():
     async def scenario():
-        sched = AsyncioScheduler(asyncio.get_event_loop())
+        sched = AsyncioScheduler(asyncio.get_running_loop())
         fired = []
         sched.call_at(sched.now + 0.01, fired.append, 1)
         await asyncio.sleep(0.05)

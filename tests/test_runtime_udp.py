@@ -25,7 +25,7 @@ BASE_PORT = 39100
 
 def build(node_ids, base_port):
     fabric = UdpFabric({nid: base_port + i for i, nid in enumerate(node_ids)})
-    scheduler = AsyncioScheduler(asyncio.get_event_loop(), seed=1)
+    scheduler = AsyncioScheduler(asyncio.get_running_loop(), seed=1)
     config = RaincoreConfig.tuned(
         ring_size=len(node_ids),
         hop_interval=0.02,
