@@ -326,22 +326,48 @@ class MulticastService:
             waiting.difference_update(m.key() for m in pack.unpack())
 
     def _drain_deliverable(self) -> None:
+        """Deliver the hold queue's deliverable prefix.
+
+        With a probe attached, one ``mcast.deliver`` covers each maximal
+        run of consecutive ``msg_no``s from one origin with one ordering:
+        it is emitted when the run closes — before the first delivery that
+        does not continue it, or when the drain stops — so ``count`` only
+        counts deliveries that happened.  Every delivery of a drain shares
+        one ``now``, so expanding the runs gives back each message's
+        delivery exactly.
+        """
         hold = self._hold
         waiting = self._waiting
         node = self.node
-        me = node.node_id
         stats = node.stats
         on_deliver = node.listener.on_deliver
         now = node.loop.now
         probe = node.probe
+        run: Rider | None = None  # the open run's first message
+        run_end = 0  # the msg_no that would continue it
         while hold:
             msg = hold[0]
             if waiting and (msg.origin, msg.msg_no) in waiting:
-                return
+                break
             hold.popleft()
             stats.messages_delivered += 1
             if probe is not None:
-                probe.emit(
-                    me, "mcast.deliver", msg.origin, msg.msg_no, msg.ordering.value
-                )
+                if (
+                    run is None
+                    or msg.msg_no != run_end
+                    or msg.origin != run.origin
+                    or msg.ordering is not run.ordering
+                ):
+                    if run is not None:
+                        self._emit_run(probe, run, run_end)
+                    run = msg
+                run_end = msg.msg_no + 1
             on_deliver(Delivery(msg.origin, msg.msg_no, msg.payload, msg.ordering, now))
+        if run is not None:
+            self._emit_run(probe, run, run_end)
+
+    def _emit_run(self, probe, first: Rider, end: int) -> None:
+        probe.emit(
+            self.node.node_id, "mcast.deliver", first.origin, first.msg_no,
+            first.ordering.value, end - first.msg_no,
+        )

@@ -13,9 +13,9 @@ causal investigation starts.
 Works on anything that contains probe events:
 
 * a JSONL export (``repro obs export``, one ``event_record`` per line);
-* a diagnostic bundle (``repro.obs.bundle/1`` or ``/2``);
-* a raintap collector capture (``repro.obs.capture/1`` header line, then
-  event records with wall-clock ``at`` — docs/TELEMETRY.md);
+* a diagnostic bundle (``repro.obs.bundle/1`` to ``/3``);
+* a raintap collector capture (``repro.obs.capture/1`` or ``/2`` header
+  line, then event records with wall-clock ``at`` — docs/TELEMETRY.md);
 
 via :func:`load_events`, which sniffs the format.  The comparison is
 over canonical event records (ordinal, sim-time, node, kind, args), so
@@ -85,9 +85,12 @@ def canonical_records(events: list) -> list[dict]:
 
 
 #: Schema-prefix of raintap collector capture files (the header line's
-#: ``schema`` value).  A literal, not an import: ``repro.obs`` never
-#: imports the runtime package.
+#: ``schema`` value), and the versions this loader reads (/1's
+#: per-message delivers load as runs of one, via ``check_record``).
+#: Literals, not an import: ``repro.obs`` never imports the runtime
+#: package.
 _CAPTURE_PREFIX = "repro.obs.capture/"
+_CAPTURE_SCHEMAS = (_CAPTURE_PREFIX + "1", _CAPTURE_PREFIX + "2")
 
 
 def _capture_header(text: str) -> dict | None:
@@ -139,10 +142,10 @@ def _parse_events(path: Path, text: str) -> list[dict]:
     header = _capture_header(stripped)
     if header is not None:
         schema = str(header["schema"])
-        if schema != _CAPTURE_PREFIX + "1":
+        if schema not in _CAPTURE_SCHEMAS:
             raise ValueError(
                 f"{path}: unsupported capture schema {schema!r} "
-                f"(supported: {_CAPTURE_PREFIX}1)"
+                f"(supported: {', '.join(_CAPTURE_SCHEMAS)})"
             )
         body = stripped.split("\n", 1)
         return _load_jsonl(path, body[1] if len(body) > 1 else "",

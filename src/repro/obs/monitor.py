@@ -35,9 +35,10 @@ Design rules:
 * **Declared reads.**  ``@contract_rule`` names the probe kinds a check
   reads; the monitor files only those (plus ``node.state`` and
   ``view.change``, which feed the derived uptime and view size), so a
-  kind no rule reads — 70% of a loaded ring's stream is
-  ``mcast.deliver`` — costs one set lookup.  RC403 holds every literal
-  ``w.kinds(...)`` in a rule to its declaration.
+  kind no rule reads — ``mcast.deliver``, one event per delivery run,
+  is still a third of a loaded ring's stream — costs one set lookup.
+  RC403 holds every literal ``w.kinds(...)`` in a rule to its
+  declaration.
 * **Read-only.**  The monitor never emits probes and never touches
   protocol state; attaching it cannot change a run (its cost is
   ``obs.monitor_us_per_event`` on the benchmark ledger's
@@ -45,7 +46,7 @@ Design rules:
 
 ``repro watch`` renders the monitor's rolling status as a plain-text,
 redraw-free feed (CI-safe); chaos bundles carry fired alerts in their
-``alerts`` section (schema ``repro.obs.bundle/2``), so every failure
+``alerts`` section (since ``repro.obs.bundle/2``), so every failure
 artifact says which contract broke first.  Full walkthroughs live in
 docs/MONITORING.md.
 """

@@ -101,7 +101,8 @@ _SCHEMA: dict[str, str] = {
     "fd.false_alarm": "peer:str seq:int",
     # -- core: reliable multicast spans (origin, msg_no) --------------------
     "mcast.attach": "origin:str msg_no:int ordering:str size:int audience:int gen:str",
-    "mcast.deliver": "origin:str msg_no:int ordering:str",
+    # one deliver per run: msg_no .. msg_no + count - 1, delivered in order
+    "mcast.deliver": "origin:str msg_no:int ordering:str count:int",
     "mcast.confirm": "origin:str msg_no:int",
     # -- core: 911 recovery and join (paper §2.3) ---------------------------
     "recovery.round": "round_id:int last_seq:int peers:int",
@@ -408,7 +409,9 @@ def check_record(item: object) -> dict:
     """``item`` as an :func:`event_record`-shaped dict, fields in order.
 
     Raises ``ValueError`` naming what is missing or mistyped, so a file
-    loader can say which line or entry it came from.
+    loader can say which line or entry it came from.  A per-message
+    ``mcast.deliver`` written before delivery runs (bundle /1–/2,
+    capture /1, older exports: three fields) comes back as a run of one.
     """
     if not isinstance(item, dict):
         raise ValueError(f"cannot interpret {type(item).__name__} as a probe event")
@@ -425,7 +428,10 @@ def check_record(item: object) -> dict:
             )
     if not abs(item["at"]) <= sys.float_info.max:
         raise ValueError(f"probe event field 'at' is not finite: {item['at']!r}")
-    return {key: item[key] for key, _ in _RECORD_FIELDS}
+    record = {key: item[key] for key, _ in _RECORD_FIELDS}
+    if record["kind"] == "mcast.deliver" and len(record["args"]) == 3:
+        record["args"] = [*record["args"], 1]
+    return record
 
 
 def renumber_events(events: Iterable[ProbeEvent]) -> list[ProbeEvent]:

@@ -54,12 +54,14 @@ __all__ = [
 ]
 
 #: Bundle format identifier; bump on incompatible layout changes.
-#: /2 added the ``alerts`` section (contract-monitor Alert records).
-BUNDLE_SCHEMA = "repro.obs.bundle/2"
+#: /2 added the ``alerts`` section (contract-monitor Alert records); /3
+#: carries one ``mcast.deliver`` per delivery run (its ``count`` field).
+BUNDLE_SCHEMA = "repro.obs.bundle/3"
 
 #: Schemas :func:`load_bundle` accepts.  /1 bundles (pre-monitor) load
-#: with an empty ``alerts`` section so downstream readers see one shape.
-SUPPORTED_SCHEMAS = ("repro.obs.bundle/1", "repro.obs.bundle/2")
+#: with an empty ``alerts`` section, and /1–/2 per-message delivers load
+#: as runs of one, so downstream readers see one shape.
+SUPPORTED_SCHEMAS = ("repro.obs.bundle/1", "repro.obs.bundle/2", BUNDLE_SCHEMA)
 
 #: Sections every bundle must carry (``alerts`` is backfilled for /1),
 #: with the JSON type each must have and its name for error messages.
@@ -186,11 +188,12 @@ def load_bundle(path: str | Path) -> dict:
     """Load and validate a diagnostic bundle.
 
     Accepts every schema in :data:`SUPPORTED_SCHEMAS`; /1 bundles gain an
-    empty ``alerts`` section so downstream readers see one shape.  Every
-    failure mode — unreadable file, malformed or too deeply nested JSON,
-    foreign or unknown schema, missing or mistyped sections, malformed
-    event records — raises ``ValueError`` naming the path and the
-    problem, never a bare ``KeyError``.
+    empty ``alerts`` section and older per-message delivers become runs
+    of one (:func:`~repro.obs.probe.check_record`), so downstream readers
+    see one shape.  Every failure mode — unreadable file, malformed or too
+    deeply nested JSON, foreign or unknown schema, missing or mistyped
+    sections, malformed event records — raises ``ValueError`` naming the
+    path and the problem, never a bare ``KeyError``.
     """
     path = Path(path)
     try:
@@ -233,9 +236,10 @@ def _checked_bundle(path: Path, bundle: object) -> dict:
             )
     if not abs(bundle["at"]) <= sys.float_info.max:
         raise ValueError(f"{path}: bundle 'at' is not a finite number")
-    for i, record in enumerate(bundle["events"]):
+    events = bundle["events"]
+    for i, record in enumerate(events):
         try:
-            check_record(record)
+            events[i] = check_record(record)
         except ValueError as exc:
             raise ValueError(f"{path}: bundle event {i}: {exc}") from exc
     return bundle
@@ -265,10 +269,11 @@ def trace_rows(
     """The protocol trace of a probe stream (``repro trace``).
 
     Five probe kinds become the five trace kinds — ``node.state`` →
-    state, ``view.change`` → view, ``mcast.deliver`` → deliver,
-    ``node.shutdown`` → shutdown, and a ``transport.tx`` whose trace
-    context is a token → token — in stream order; everything else is
-    left out, as is any trace kind not in ``kinds`` (None = all five).
+    state, ``view.change`` → view, ``mcast.deliver`` → one deliver row
+    per message of the run, ``node.shutdown`` → shutdown, and a
+    ``transport.tx`` whose trace context is a token → token — in stream
+    order; everything else is left out, as is any trace kind not in
+    ``kinds`` (None = all five).
     """
     rows: list[TraceEvent] = []
     for event in events:
@@ -279,7 +284,14 @@ def trace_rows(
         elif kind == "view.change":
             row = ("view", f"v{args[0]}: {'-'.join(args[1])}")
         elif kind == "mcast.deliver":
-            row = ("deliver", f"{args[0]}#{args[1]} ({args[2]})")
+            if kinds is None or "deliver" in kinds:
+                origin, first, ordering, count = args
+                rows.extend(
+                    TraceEvent(event.at, event.node, "deliver",
+                               f"{origin}#{no} ({ordering})")
+                    for no in range(first, first + count)
+                )
+            continue
         elif kind == "node.shutdown":
             row = ("shutdown", args[0])
         elif kind == "transport.tx" and _is_token_ctx(args[4]):
@@ -401,6 +413,18 @@ def _is_token_ctx(ctx: object) -> bool:
     return isinstance(ctx, tuple) and len(ctx) == 5 and ctx[0] == "tok"
 
 
+def _span_event(e: ProbeEvent, origin: str, msg_no: int) -> ProbeEvent | None:
+    """``e`` as an event of the span ``origin#msg_no``, else None."""
+    args = e.args
+    if not e.kind.startswith("mcast.") or args[0] != origin:
+        return None
+    if e.kind != "mcast.deliver":
+        return e if args[1] == msg_no else None
+    if args[1] <= msg_no < args[1] + args[3]:
+        return ProbeEvent(e.n, e.at, e.node, e.kind, (origin, msg_no, args[2], 1))
+    return None
+
+
 def causal_chain(
     events: Iterable[ProbeEvent], origin: str, msg_no: int
 ) -> list[ProbeEvent]:
@@ -412,22 +436,19 @@ def causal_chain(
     delivery — ``transport.tx`` hops whose trace context shows piggybacked
     messages, ``token.accept`` on the receiving side, and any
     regeneration/merge the token's lineage went through in that window.
+    A delivery run that covers the span (``msg_no <= m < msg_no + count``)
+    appears as the span's own delivery: a run of one at ``msg_no``.
     """
     ordered = sorted(events, key=lambda e: e.n)
-    span = [
-        e
-        for e in ordered
-        if e.kind.startswith("mcast.") and e.args[0] == origin and e.args[1] == msg_no
-    ]
-    if not span:
+    own = [_span_event(e, origin, msg_no) for e in ordered]
+    hits = [i for i, event in enumerate(own) if event is not None]
+    if not hits:
         return []
-    start, end = span[0].n, span[-1].n
     chain: list[ProbeEvent] = []
-    for e in ordered:
-        if e.n < start or e.n > end:
-            continue
-        if e in span:
-            chain.append(e)
+    for i in range(hits[0], hits[-1] + 1):
+        e, shown = ordered[i], own[i]
+        if shown is not None:
+            chain.append(shown)
         elif e.kind == "token.accept" and e.args[3] > 0:
             chain.append(e)
         elif e.kind in ("token.regen", "token.merge"):

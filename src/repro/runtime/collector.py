@@ -24,12 +24,12 @@ canonical, time-ordered feed the simulator-era consumers expect:
 * **Prometheus-style ``/metrics``** text exposition
   (:meth:`TelemetryCollector.metrics_text`, optionally served over HTTP
   by :meth:`TelemetryCollector.serve_metrics`).
-* **Capture files**: one JSONL file, a ``repro.obs.capture/1`` header
+* **Capture files**: one JSONL file, a ``repro.obs.capture/2`` header
   line followed by released event records — readable by ``repro obs
   diff`` / ``repro obs timeline`` like any probe export.
 * **Breach postmortems**: on the first fired alert the collector sends
   every worker a ``pull``, gathers their flight-recorder rings, and cuts
-  a standard ``repro.obs.bundle/2`` with the alerts attached.
+  a standard ``repro.obs.bundle/3`` with the alerts attached.
 
 :class:`LiveCluster` at the bottom is the driver used by ``repro soak
 --procs N`` and ``repro top``: spawn N worker processes, attach the
@@ -134,8 +134,9 @@ class TelemetryCollector:
         :func:`~repro.obs.monitor.realtime_contract_rules`); empty list =
         rollups and captures only.
     clock:
-        Injectable time source (``now``/``call_later``); defaults to a
-        fresh :class:`~repro.runtime.telemetry.WallClock`.
+        Time source (``now``/``call_later``): a
+        :class:`~repro.runtime.telemetry.WallClock` on a live loop, or a
+        simulated clock in tests.
     reorder:
         Reordering allowance in seconds: events are held until every live
         source's watermark is this far past them.
@@ -144,7 +145,7 @@ class TelemetryCollector:
         ``telemetry.silent`` and excluded from the watermark.
     capture_path:
         Write released events here as a capture file (JSONL with a
-        ``repro.obs.capture/1`` header line).
+        ``repro.obs.capture/2`` header line).
     postmortem_path:
         Where the breach postmortem bundle is written (default
         ``raintap-postmortem.bundle.json`` in the working directory).
@@ -154,7 +155,7 @@ class TelemetryCollector:
         self,
         rules: list | None = None,
         *,
-        clock: WallClock | None = None,
+        clock: WallClock,
         reorder: float = 0.05,
         silence: float = 1.0,
         flush_interval: float = 0.25,
@@ -162,7 +163,7 @@ class TelemetryCollector:
         capture_path: str | Path | None = None,
         postmortem_path: str | Path | None = None,
     ) -> None:
-        self.clock = clock if clock is not None else WallClock()
+        self.clock = clock
         self.reorder = reorder
         self.silence = silence
         self.flush_interval = flush_interval

@@ -87,17 +87,20 @@ TELEMETRY_VERSION = 3
 _HEADER = struct.Struct(">4sBI")
 
 #: Schema number carried in ``hello`` frames; collectors refuse sources
-#: speaking a different probe-record schema.
-TELEMETRY_SCHEMA = 1
+#: speaking a different probe-record schema.  2: ``mcast.deliver`` is one
+#: row per delivery run (its ``count`` field).
+TELEMETRY_SCHEMA = 2
 
 #: Cap on one encoded telemetry frame (header included) — under the
 #: 65507-byte UDP payload limit with headroom for the sidecar's own use.
 MAX_FRAME_BYTES = 60_000
 
 #: Header schema of collector capture files: a JSONL file whose first
-#: line is ``{"schema": "repro.obs.capture/1", ...}`` and whose remaining
-#: lines are ``event_record`` objects with epoch-wall-clock ``at``.
-CAPTURE_SCHEMA = "repro.obs.capture/1"
+#: line is ``{"schema": "repro.obs.capture/2", ...}`` and whose remaining
+#: lines are ``event_record`` objects with epoch-wall-clock ``at``.  /2
+#: carries delivery runs; /1 files load with per-message delivers as runs
+#: of one.
+CAPTURE_SCHEMA = "repro.obs.capture/2"
 
 #: Ring-dump chunking: events per ``ring`` frame (same rows as ``probes``).
 _RING_CHUNK = 24
@@ -469,8 +472,8 @@ class WallClock:
     in real time.
     """
 
-    def __init__(self, loop: asyncio.AbstractEventLoop | None = None) -> None:
-        self._loop = loop if loop is not None else asyncio.get_event_loop()
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+        self._loop = loop
         self._offset = time.time() - self._loop.time()
 
     @property

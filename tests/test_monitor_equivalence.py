@@ -185,7 +185,7 @@ def test_unread_kinds_cost_a_tick_nothing():
     CountingEvent.reads = 0
     monitor.ingest(
         [
-            CountingEvent(i + 2, 1.0 + i * 1e-5, "n00", "mcast.deliver", ("n01", i, "agreed"))
+            CountingEvent(i + 2, 1.0 + i * 1e-5, "n00", "mcast.deliver", ("n01", i, "agreed", 1))
             for i in range(50_000)
         ]
     )

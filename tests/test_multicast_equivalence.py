@@ -7,7 +7,9 @@ TBM merges, 911-style replays of an old local copy — is driven through
 must agree on wire size, message count and every message's audience,
 pending set and confirmation, in order (so retire points are equal); at
 the end every node must have delivered the same sequence and emitted the
-same ``mcast.*`` probes, argument for argument.
+same ``mcast.*`` probes, argument for argument and at the same time —
+production's delivery runs expanded to the reference's one
+``mcast.deliver`` per message.
 """
 
 from __future__ import annotations
@@ -32,12 +34,22 @@ HOP = 0.005
 
 
 class _Probe:
-    def __init__(self) -> None:
+    """Records ``mcast.*`` probes per message: a production delivery run
+    (``count`` last) becomes one reference-shaped deliver per message."""
+
+    def __init__(self, clock) -> None:
+        self.clock = clock
         self.events: list[tuple] = []
 
     def emit(self, node: str, kind: str, *args: object) -> None:
-        if kind.startswith("mcast."):
-            self.events.append((node, kind, args))
+        if kind == "mcast.deliver" and len(args) == 4:
+            origin, first, ordering, count = args
+            self.events.extend(
+                (self.clock.now, node, kind, (origin, no, ordering))
+                for no in range(first, first + count)
+            )
+        elif kind.startswith("mcast."):
+            self.events.append((self.clock.now, node, kind, args))
 
 
 def _production_state(token: Token) -> list[tuple]:
@@ -65,8 +77,8 @@ class World:
 
     def __init__(self, production: bool, ring: tuple, config: RaincoreConfig) -> None:
         self.production = production
-        self.probe = _Probe()
         self.clock = SimpleNamespace(now=0.0)
+        self.probe = _Probe(self.clock)
         self.nodes = {
             nid: SimpleNamespace(
                 node_id=nid,

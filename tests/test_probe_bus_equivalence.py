@@ -41,8 +41,8 @@ DECLARED = {"node.state", "view.change"}.union(*(CONTRACT_READS[r.name] for r in
 def probe(i: int, which: int) -> tuple[str, str, tuple]:
     """The ``which``-th shape of conforming event, varied by ``i``."""
     shapes = [
-        ("A", "mcast.deliver", ("B", i, "agreed")),
-        ("B", "mcast.deliver", ("A", i, "safe")),
+        ("A", "mcast.deliver", ("B", i, "agreed", 1 + i % 4)),
+        ("B", "mcast.deliver", ("A", i, "safe", 1)),
         ("B", "token.accept", ("A", "A.1", i, 2)),
         ("A", "core.wakeup", ()),
         ("A", "net.send", ("A:0", "B:0", "DataFrame", 100 + i)),

@@ -447,6 +447,33 @@ def test_hello_with_wrong_schema_is_refused():
     assert collector.frames_dropped == {"bad-version": 1}
 
 
+def test_a_per_message_deliver_worker_is_refused_at_hello():
+    """Schema 1 shipped one 3-field ``mcast.deliver`` row per message: its
+    hello is refused, and such a row (built by hand: the encoder has no
+    layout for it) is a ``bad-row``, while a schema 2 run is released."""
+    collector, clock, released = collected()
+    peer = ("p", 1)
+    collector.on_datagram(
+        encode_frame({"t": "hello", "src": "A", "addr": "x", "schema": 1}), peer
+    )
+    assert collector.frames_dropped == {"bad-version": 1}
+    collector.on_datagram(
+        probe_frame("A", 1, 1.0, "mcast.deliver", ["B", 4, "agreed", 3]), peer
+    )
+    old_row = struct.pack(">dHHHqH", 1.0, 0, 1, 2, 7, 3)
+    collector.on_datagram(
+        header(raw_body("probes", ["A", "mcast.deliver", "B", "agreed"],
+                        struct.pack(">Hq", 0, 2), [old_row])),
+        peer,
+    )
+    assert collector.frames_dropped == {"bad-version": 1, "bad-row": 1}
+    clock.now = 5.0
+    collector.flush(force=True)
+    assert [e.args for e in released if e.kind == "mcast.deliver"] == [
+        ("B", 4, "agreed", 3)
+    ]
+
+
 def test_silent_source_stops_stalling_the_horizon():
     collector, clock, released = collected()
     collector.on_datagram(probe_frame("A", 1, at=0.5), ("p", 1))
@@ -501,7 +528,7 @@ def test_capture_file_has_header_then_records(tmp_path):
     asyncio.run(scenario())
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
-    assert header["schema"] == "repro.obs.capture/1"
+    assert header["schema"] == "repro.obs.capture/2"
     assert header["reorder"] == collector.reorder
     records = [json.loads(l) for l in lines[1:]]
     assert [r["n"] for r in records] == list(range(1, len(records) + 1))

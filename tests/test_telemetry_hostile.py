@@ -346,7 +346,8 @@ def emit_stream(bus: ProbeBus, count: int) -> None:
         elif i % 5 == 2:
             bus.emit(node, "transport.tx", "B", i, 0, "DataFrame", ("tok", "A.1", i, 3, False))
         else:
-            bus.emit(node, "mcast.deliver", "A", i, "agreed")
+            run = 1 + i % 3
+            bus.emit(node, "mcast.deliver", "A", i, "agreed", run)
         loop.run_for(0.001)
 
 
