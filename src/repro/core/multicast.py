@@ -30,14 +30,22 @@ it without a per-message flag.
 
 Duplicate suppression by the wire identity ``(origin, msg_no)`` makes
 delivery idempotent across 911 token regeneration, which may legitimately
-replay a recent token state.
+replay a recent token state.  A node remembers each origin's seen
+``msg_no``s as sorted, disjoint, half-open spans, not id by id.  An
+origin's packs reach a node in ``msg_no`` order, each a run of consecutive
+numbers, so a pack that starts at or past the last span's end is fresh as
+a whole: it extends that span or opens the next one.  Anything else (a
+replayed, forged or non-consecutive pack) is checked and inserted message
+by message, with the semantics of a set.  At most :data:`SEEN_SPANS`
+spans are kept per origin; past it the lowest is forgotten first.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections import deque
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.events import Delivery
 from repro.core.token import MSG_HEADER, Ordering, PiggybackedMessage, Rider, Token
@@ -50,8 +58,10 @@ __all__ = ["MulticastService", "DeferredPayload"]
 #: Default modelled payload size when the payload has no length (bytes).
 DEFAULT_PAYLOAD_SIZE = 64
 
-#: Bound on remembered message identities for duplicate suppression.
-SEEN_WINDOW = 65536
+#: Most spans of seen ``msg_no``s remembered per origin.  Traffic keeps
+#: one span per origin (a crash or partition leaves a gap or two); the cap
+#: only stops a hostile gap pattern from growing the state without bound.
+SEEN_SPANS = 1024
 
 
 class DeferredPayload:
@@ -83,14 +93,10 @@ class MulticastService:
         #: Identities of held SAFE messages not yet confirmed; the hold
         #: queue drains up to the first message named here.
         self._waiting: set[tuple[str, int]] = set()
-        #: Duplicate-suppression window: origin -> msg_nos seen, evicted a
-        #: pack at a time in arrival order once more than SEEN_WINDOW.  The
-        #: inner dicts are used as sets: a CPython dict keeps int keys at
-        #: 30-50 bytes each, where a set quadruples as it grows and swings
-        #: between 30 and 105 — eight origins' worth decides peak RSS.
-        self._seen: dict[str, dict[int, None]] = {}
-        self._seen_fifo: deque[tuple[dict[int, None], list[int]]] = deque()
-        self._seen_n = 0
+        #: Duplicate suppression: origin -> the msg_nos seen, as a flat
+        #: sorted list of half-open spans ``[start0, end0, start1, ...]``,
+        #: so ``no`` was seen iff ``bisect_right(spans, no)`` is odd.
+        self._seen: dict[str, list[int]] = {}
 
     # ------------------------------------------------------------------
     # public API (called by the application through RaincoreNode)
@@ -128,8 +134,8 @@ class MulticastService:
     def reset(self) -> None:
         """Drop queued and held messages (node restart).
 
-        The duplicate-suppression window is kept: a rejoining incarnation
-        must still ignore replays of messages it received before the crash.
+        The seen spans are kept: a rejoining incarnation must still ignore
+        replays of messages it received before the crash.
         """
         self._outbox.clear()
         self._hold.clear()
@@ -299,25 +305,26 @@ class MulticastService:
         still to come.
         """
         origin = pack.origin
-        seen = self._seen.get(origin)
-        if seen is None:
-            seen = self._seen[origin] = {}
-        fresh = [m for m in pack.unpack() if m.msg_no not in seen]
-        if not fresh:
-            return
-        nos = [m.msg_no for m in fresh]
-        seen.update(dict.fromkeys(nos))
-        fifo = self._seen_fifo
-        fifo.append((seen, nos))
-        self._seen_n += len(nos)
-        while self._seen_n > SEEN_WINDOW:
-            old_seen, old_nos = fifo.popleft()
-            for no in old_nos:
-                del old_seen[no]
-            self._seen_n -= len(old_nos)
+        first = pack.msg_no
+        msgs = pack.unpack()
+        spans = self._seen.get(origin)
+        if spans is None:
+            spans = self._seen[origin] = []
+        if (not spans or first >= spans[-1]) and _is_run(msgs, first):
+            # The usual case: the origin's next run, fresh as a whole.
+            end = first + len(msgs)
+            if spans and spans[-1] == first:
+                spans[-1] = end
+            else:
+                spans += (first, end)
+            fresh: Sequence[Rider] = msgs
+        else:
+            fresh = [m for m in msgs if _add_seen(spans, m.msg_no)]
+        if len(spans) > 2 * SEEN_SPANS:
+            del spans[: len(spans) - 2 * SEEN_SPANS]
         self._hold.extend(fresh)
         if waiting:
-            self._waiting.update((origin, no) for no in nos)
+            self._waiting.update((origin, m.msg_no) for m in fresh)
 
     def _release(self, pack: PiggybackedMessage) -> None:
         """A confirmed SAFE pack: whatever we hold of it may now deliver."""
@@ -371,3 +378,30 @@ class MulticastService:
             self.node.node_id, "mcast.deliver", first.origin, first.msg_no,
             first.ordering.value, end - first.msg_no,
         )
+
+
+def _is_run(msgs: Sequence[Rider], first: int) -> bool:
+    """Whether ``msgs`` are numbered ``first``, ``first + 1``, ... in order."""
+    for msg in msgs:
+        if msg.msg_no != first:
+            return False
+        first += 1
+    return True
+
+
+def _add_seen(spans: list[int], no: int) -> bool:
+    """Add ``no`` to ``spans``, joining neighbours; False if already seen."""
+    i = bisect_right(spans, no)
+    if i & 1:
+        return False
+    joins_lower = i > 0 and spans[i - 1] == no
+    joins_upper = i < len(spans) and spans[i] == no + 1
+    if joins_lower and joins_upper:
+        del spans[i - 1 : i + 1]
+    elif joins_lower:
+        spans[i - 1] = no + 1
+    elif joins_upper:
+        spans[i] = no
+    else:
+        spans[i:i] = (no, no + 1)
+    return True

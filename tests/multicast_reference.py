@@ -23,8 +23,12 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.events import Delivery
-from repro.core.multicast import DEFAULT_PAYLOAD_SIZE, SEEN_WINDOW, DeferredPayload
+from repro.core.multicast import DEFAULT_PAYLOAD_SIZE, DeferredPayload
 from repro.core.token import MEMBER_ENTRY, MSG_HEADER, TOKEN_HEADER, Ordering
+
+#: The model's own bound on remembered message uids, as production had it
+#: before seen ``msg_no``s became spans (no schedule here reaches it).
+SEEN_WINDOW = 65536
 
 _uid = itertools.count(1)
 
