@@ -109,7 +109,8 @@ class MulticastService:
     ) -> tuple[str, int]:
         """Queue ``payload`` for reliable multicast to the group.
 
-        The message is attached to the token on this node's next visit.
+        The message is attached to the token when it next leaves this
+        node: at the end of the current hold if this node holds it now.
         Returns the multicast identity ``(origin, msg_no)``.  ``size`` is
         the modelled wire size in bytes; defaults to ``len(payload)`` for
         sized payloads, else ``DEFAULT_PAYLOAD_SIZE``.
@@ -145,20 +146,31 @@ class MulticastService:
     # token-visit pipeline (called by RaincoreNode while EATING)
     # ------------------------------------------------------------------
     def on_token(self, token: Token) -> None:
-        """Process one token visit: receive, confirm/retire, deliver, attach.
+        """The visit's arrival half: receive, confirm/retire, deliver.
 
-        Draining *before* the attach pass guarantees that a message attached
-        this visit is ordered after — and its :class:`DeferredPayload`
-        factory observes — every delivery that precedes it in the total
-        order.  A second drain delivers this node's own fresh messages.
-        An idle visit (empty token, empty hold queue, empty outbox) does
-        nothing.
+        Runs when the token arrives.  Nothing is attached here: the outbox
+        stays open through the hold and leaves with the token
+        (:meth:`on_depart`).  An idle visit (empty token, empty hold
+        queue) does nothing.
         """
         if token.messages:
             self._receive_pass(token)
             self._retire_pass(token)
         if self._hold:
             self._drain_deliverable()
+
+    def on_depart(self, token: Token) -> None:
+        """The visit's departure half: attach the outbox, deliver own.
+
+        Runs as the hold ends, just before the token is forwarded, so a
+        message queued at any point of the hold still catches this token.
+        Nothing is delivered to the holder during its hold, so the arrival
+        half's drain is still the last delivery before the attach: a
+        message attached here is ordered after — and its
+        :class:`DeferredPayload` factory observes — every delivery that
+        precedes it in the total order.  The drain after the attach
+        delivers this node's own fresh messages.
+        """
         if self._outbox:
             self._attach_pass(token)
             self._drain_deliverable()

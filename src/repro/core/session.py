@@ -343,8 +343,8 @@ class RaincoreNode:
         self._drain_before_leave = drain
         if self.is_eating:
             if drain and self.multicast_service.outbox_depth() > 0:
-                return  # the in-progress visit (or the next) will flush
-            self._depart_with_token()
+                return  # this visit's departure (or a later one's) flushes
+            self._depart_with_token(mid_hold=True)
 
     # ------------------------------------------------------------------
     # public service API
@@ -358,7 +358,8 @@ class RaincoreNode:
         """Reliably multicast ``payload`` to the group (paper §2.6).
 
         Returns the multicast id ``(origin, msg_no)``.  The message rides
-        the token starting from this node's next visit.
+        the token from when it next leaves this node: the end of the
+        current hold if this node holds it now.
         """
         if self.state is NodeState.DOWN:
             raise RuntimeError(f"{self.node_id}: node is down")
@@ -624,7 +625,12 @@ class RaincoreNode:
         self._sync_membership(self._live_token)
 
     def _process_visit(self) -> None:
-        """The full EATING pipeline for one token visit."""
+        """The arrival side of one token visit, up to arming the hold.
+
+        The multicast pipeline is split at the hold: receive,
+        confirm/retire and deliver run here; attach and deliver-own run
+        as the hold ends, in :meth:`_forward_token`.
+        """
         loop = self.loop
         arrived = loop.now  # before any visit work: the hold is a deadline
         token = self._live_token
@@ -668,6 +674,11 @@ class RaincoreNode:
         token = self._live_token
         if token is None:  # pragma: no cover - defensive
             return
+        # The visit's departure half: whatever was queued up to now, the
+        # hold included, leaves with this token.  It attaches before a
+        # merge is initiated, so a pack's audience is the group the token
+        # leaves from.
+        self.multicast_service.on_depart(token)
         override = self.merge.maybe_initiate(token)
         if override is not None:
             self._sync_membership(token)  # merge target was added to ring
@@ -747,10 +758,18 @@ class RaincoreNode:
         # holds the seq at which we *received* it.
         self._accept_token(token)
 
-    def _depart_with_token(self) -> None:
-        """Voluntary leave while EATING: hand the ring over and stop."""
+    def _depart_with_token(self, mid_hold: bool = False) -> None:
+        """Voluntary leave while EATING: hand the ring over and stop.
+
+        ``mid_hold``: the leave lands during a visit's hold, after its
+        arrival half, so the departure half runs first and the outbox
+        leaves with the token.  A leave taken at acceptance has no visit
+        and attaches nothing.
+        """
         token = self._live_token
         assert token is not None
+        if mid_hold:
+            self.multicast_service.on_depart(token)
         successor = token.next_after(self.node_id)
         token.remove_member(self.node_id)
         if successor == self.node_id or not token.membership:

@@ -318,15 +318,17 @@ PROTOCOL_SPEC: tuple[Exchange, ...] = (
         "internal",
         "RaincoreNode._process_visit",
         delegates=("join-apply", "token-forward"),
-        doc="The EATING pipeline of one token visit: membership sync, "
-        "queued joins, multicast, mutex, then the hold timer.",
+        doc="The arrival side of one token visit: membership sync, queued "
+        "joins, the multicast arrival half (receive, confirm/retire, "
+        "deliver), mutex, then the hold timer.",
     ),
     exchange(
         "token-depart",
         "internal",
         "RaincoreNode._depart_with_token",
         transitions=("DOWN",),
-        doc="Voluntary leave while EATING: hand the ring over, stop.",
+        doc="Voluntary leave while EATING: a leave mid-hold runs the "
+        "multicast departure half first; hand the ring over, stop.",
     ),
     exchange(
         "fd-repair",
@@ -406,9 +408,10 @@ PROTOCOL_SPEC: tuple[Exchange, ...] = (
         transitions=("HUNGRY",),
         delegates=("fd-repair", "merge-initiate", "timeout-starve", "token-accept"),
         rules=(("ok", "forward"),),
-        doc="Hop-interval expiry: seq+1, snapshot a local copy, send to "
-        "the ring successor (or the merge target), arm the failure "
-        "detector.",
+        doc="Hop-interval expiry: the multicast departure half (attach, "
+        "deliver own) before any merge starts, then seq+1, snapshot a "
+        "local copy, send to the ring successor (or the merge target), "
+        "arm the failure detector.",
     ),
     exchange(
         "timeout-starve",

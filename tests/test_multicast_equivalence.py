@@ -9,7 +9,9 @@ pending set and confirmation, in order (so retire points are equal); at
 the end every node must have delivered the same sequence and emitted the
 same ``mcast.*`` probes, argument for argument and at the same time —
 production's delivery runs expanded to the reference's one
-``mcast.deliver`` per message.
+``mcast.deliver`` per message.  A production visit is its arrival half
+then its departure half, back to back: with nothing queued between them
+that is the reference's one whole visit.
 """
 
 from __future__ import annotations
@@ -139,7 +141,10 @@ class World:
         group = self._group(g)
         holder = group.holder
         self.clock.now += HOP
-        self.services[holder].on_token(group.token)
+        service = self.services[holder]
+        service.on_token(group.token)
+        if self.production:
+            service.on_depart(group.token)
         self.copies[holder] = group.token.snapshot()
         group.pos = (group.pos % len(group.token.membership)) + 1
 
