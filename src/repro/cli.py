@@ -5,35 +5,31 @@ Installed as ``raincore-repro`` (or ``python -m repro``).  Subcommands:
 * ``info`` — package overview and experiment index;
 * ``quickstart`` — form a group, multicast, crash and rejoin a member;
 * ``trace`` — print a protocol event timeline for a short run;
-* ``obs`` — probe-bus observability: live summary, JSONL export,
-  diagnostic-bundle rendering, span-timeline reconstruction, and trace
-  diff (docs/OBSERVABILITY.md, docs/MONITORING.md);
+* ``obs`` — probe-bus observability: JSONL export of the probed
+  quickstart scenario, and file readers — summary, diagnostic-bundle
+  rendering, span-timeline reconstruction, trace diff
+  (docs/OBSERVABILITY.md, docs/MONITORING.md);
 * ``prof`` — hot-path wall-clock profiler: per-callback attribution
   table and Chrome trace-event export (docs/PROFILING.md);
-* ``watch`` — run a cluster under the live contract monitor and stream
-  per-node SLO health (plain-text, redraw-free, CI-safe);
 * ``scaling`` — the Figure 3 Rainwall throughput sweep;
 * ``failover`` — the §3.2 cable-unplug experiment;
 * ``merge`` — split-brain and TBM merge walk-through;
 * ``hierarchy`` — the §5 two-plane scalability extension;
-* ``soak`` — randomized churn with invariant checks; ``--procs N`` runs
-  the REAL multi-process soak instead — N workers over localhost UDP
-  with the raintap telemetry plane, gating on clean formation and zero
-  wall-clock contract alerts (docs/TELEMETRY.md);
-* ``top`` — raintap live view: per-node state, view id and token rate of
-  a real multi-process cluster, streamed as redraw-free status lines,
-  with SIGKILL fault injection and breach postmortems;
-* ``chaos`` — seeded chaos campaigns: generated fault schedules,
-  replayable traces, automatic shrinking of failures;
+* ``top`` — raintap live view of a real multi-process cluster: per-node
+  state, view id and token rate as redraw-free status lines, SIGKILL
+  fault injection and breach postmortems, gating on clean formation and
+  zero wall-clock contract alerts (docs/TELEMETRY.md);
+* ``chaos`` — seeded chaos campaigns: generated fault schedules under the
+  contract monitor, replayable traces, automatic shrinking of failures;
 * ``lint`` — raincheck static analysis: determinism and protocol
   invariants checked before any test runs (docs/DETERMINISM.md);
 * ``bench`` — wall-clock throughput of the simulator itself, with
   optional regression gating against a committed baseline.
 
 Everything runs in simulated time — each command finishes in seconds of
-wall clock regardless of how much virtual time it covers — except ``top``
-and ``soak --procs``, which drive a real multi-process cluster and run
-for the wall-clock duration you ask for.
+wall clock regardless of how much virtual time it covers — except ``top``,
+which drives a real multi-process cluster and runs for the wall-clock
+duration you ask for.
 """
 
 from __future__ import annotations
@@ -104,19 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = obs_sub.add_parser(
         "summary",
-        help="run the probed quickstart scenario and summarize its streams",
+        help="summarize a probe export, capture or bundle by node and kind",
     )
     q.add_argument(
-        "file", nargs="?", metavar="FILE", default=None,
-        help="summarize this bundle/capture/export instead of running "
-        "the scenario (e.g. a raintap postmortem bundle)",
-    )
-    q.add_argument("--nodes", type=int, default=4)
-    q.add_argument("--seed", type=int, default=2024)
-    q.add_argument("--duration", type=float, default=1.0)
-    q.add_argument(
-        "--no-crash", action="store_true",
-        help="skip the crash/recover phase of the scenario",
+        "file", metavar="FILE",
+        help="probe export (.jsonl), raintap capture or bundle (.json)",
     )
 
     q = obs_sub.add_parser(
@@ -160,20 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
         "timeline",
         help=(
             "reconstruct the span timeline (token laps, 911 episodes, "
-            "merge windows, resync ladders) from a run or an export"
+            "merge windows, resync ladders) from a probe file"
         ),
     )
     q.add_argument(
-        "events", nargs="?", metavar="EVENTS",
-        help="probe export (.jsonl) or bundle (.json) to reconstruct from "
-        "(default: run the probed quickstart scenario)",
-    )
-    q.add_argument("--nodes", type=int, default=4)
-    q.add_argument("--seed", type=int, default=2024)
-    q.add_argument("--duration", type=float, default=1.0)
-    q.add_argument(
-        "--no-crash", action="store_true",
-        help="skip the crash/recover phase of the scenario",
+        "events", metavar="EVENTS",
+        help="probe export (.jsonl), raintap capture or bundle (.json) to "
+        "reconstruct from",
     )
     q.add_argument("--limit", type=_count, default=40)
     q.add_argument(
@@ -211,49 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--quiet", action="store_true",
             help="suppress informational output; exit code only (CI use)",
         )
-
-    p = sub.add_parser(
-        "watch",
-        help="live contract monitor: per-node SLO health during a run",
-    )
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--seconds", type=float, default=8.0, help="virtual run length")
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--segments", type=int, default=1)
-    p.add_argument(
-        "--report-every", type=float, default=1.0, metavar="S",
-        help="virtual seconds between status lines (default 1.0)",
-    )
-    p.add_argument(
-        "--spike-at", type=float, default=None, metavar="T",
-        help="inject delay spikes at virtual time T (known-bad demo/CI case)",
-    )
-    p.add_argument("--spike-prob", type=float, default=1.0)
-    p.add_argument("--spike-extra", type=float, default=0.035, metavar="S",
-                   help="extra one-way delay per spiked packet (default 0.035)")
-    p.add_argument(
-        "--blackout-at", type=float, default=None, metavar="T",
-        help="inject an ack blackout at virtual time T",
-    )
-    p.add_argument("--blackout-src", default=None, metavar="NODE")
-    p.add_argument("--blackout-dst", default=None, metavar="NODE")
-    p.add_argument("--blackout-duration", type=float, default=2.0)
-    p.add_argument(
-        "--detection-bound", type=float, default=None, metavar="S",
-        help="fd-latency bound (default: derived from the transport config)",
-    )
-    p.add_argument(
-        "--fail-on-alerts", action="store_true",
-        help="exit 1 if any contract alert fired (CI clean gate)",
-    )
-    p.add_argument(
-        "--expect-alerts", action="store_true",
-        help="exit 1 if NO contract alert fired (CI known-bad gate)",
-    )
-    p.add_argument(
-        "--quiet", action="store_true",
-        help="only print fired alerts and the final summary",
-    )
 
     p = sub.add_parser(
         "prof",
@@ -308,39 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", type=int, default=3)
     p.add_argument("--group-size", type=int, default=3)
     p.add_argument("--seed", type=int, default=4)
-
-    p = sub.add_parser("soak", help="randomized churn with invariant checks")
-    p.add_argument("--nodes", type=int, default=8)
-    p.add_argument("--duration", type=float, default=20.0)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument(
-        "--procs", type=int, default=None, metavar="N",
-        help="run a REAL soak instead: N worker processes over localhost "
-        "UDP, probes shipped to the raintap collector, wall-clock contract "
-        "monitor gating on zero alerts (docs/TELEMETRY.md)",
-    )
-    p.add_argument(
-        "--seconds", type=float, default=5.0,
-        help="wall-clock run length of the --procs soak",
-    )
-    p.add_argument("--hop-interval", type=float, default=0.02)
-    p.add_argument(
-        "--kill", metavar="NODE@T[,NODE@T]", default=None,
-        help="SIGKILL NODE T wall seconds after start (with --procs)",
-    )
-    p.add_argument(
-        "--capture", metavar="FILE.jsonl", default=None,
-        help="write the merged probe feed as a capture file (--procs)",
-    )
-    p.add_argument(
-        "--postmortem", metavar="FILE.json", default=None,
-        help="where the breach postmortem bundle is written (--procs)",
-    )
-    p.add_argument(
-        "--expect-alerts", action="store_true",
-        help="with --procs: invert the gate — exit 0 only if at least one "
-        "alert fired and a postmortem bundle was cut (fault-injection CI)",
-    )
 
     p = sub.add_parser(
         "top",
@@ -505,29 +410,28 @@ def cmd_info(args) -> int:
 
 
 def cmd_quickstart(args) -> int:
-    from repro.cluster.harness import RaincoreCluster
+    from repro.obs.scenario import run_quickstart
 
-    ids = [chr(ord("A") + i) for i in range(args.nodes)]
-    cluster = RaincoreCluster(ids, seed=args.seed)
-    cluster.start_all()
-    print(f"group formed: {'-'.join(cluster.node(ids[0]).members)}")
-    cluster.node(ids[0]).multicast(b"hello")
-    cluster.run(1.0)
-    delivered = sum(
-        1 for nid in ids if cluster.listener(nid).deliveries
-    )
+    run = run_quickstart(nodes=args.nodes, seed=args.seed)
+    cluster = run.cluster
+    ids = cluster.node_ids
+    first, victim = ids[0], ids[-1]
+    views = [
+        e.args[1]
+        for e in run.events
+        if e.kind == "view.change" and e.node == first
+    ]
+    formed = next(v for v in views if len(v) == len(ids))
+    print(f"group formed: {'-'.join(formed)}")
+    delivered = sum(1 for nid in ids if cluster.listener(nid).deliveries)
     print(f"multicast delivered at {delivered}/{len(ids)} nodes")
-    victim = ids[-1]
-    cluster.faults.crash_node(victim)
-    cluster.run_until_converged(5.0, expected=set(ids) - {victim})
-    print(f"{victim} crashed; membership now {cluster.node(ids[0]).members}")
-    cluster.faults.recover_node(victim)
-    ok = cluster.run_until_converged(8.0, expected=set(ids))
-    print(f"{victim} rejoined via 911: {cluster.node(ids[0]).members}")
-    print(
-        f"task switches/node: {cluster.stats.per_node('task_switches')}"
-    )
-    return 0 if ok else 1
+    after = views[views.index(formed):]
+    crashed = next((v for v in after if victim not in v), None)
+    if crashed is not None:
+        print(f"{victim} crashed; membership now {crashed}")
+        print(f"{victim} rejoined via 911: {cluster.node(first).members}")
+    print(f"task switches/node: {cluster.stats.per_node('task_switches')}")
+    return 0 if cluster.converged(set(ids)) else 1
 
 
 def cmd_trace(args) -> int:
@@ -599,23 +503,13 @@ def cmd_obs(args) -> int:
     if args.obs_command == "timeline":
         import json as _json
 
-        from repro.obs import load_events, reconstruct_spans
+        from repro.obs import event_from_record, load_events, reconstruct_spans
 
-        if args.events:
-            try:
-                events = load_events(args.events)
-            except ValueError as exc:
-                return _cli_error(str(exc))
-        else:
-            from repro.obs.scenario import run_quickstart
-
-            events = run_quickstart(
-                nodes=args.nodes,
-                seed=args.seed,
-                duration=args.duration,
-                crash=not args.no_crash,
-            ).events
-        timeline = reconstruct_spans(events)
+        try:
+            records = load_events(args.events)
+        except ValueError as exc:
+            return _cli_error(str(exc))
+        timeline = reconstruct_spans(event_from_record(r) for r in records)
         if args.out:
             text = "\n".join(
                 _json.dumps(r, sort_keys=True, separators=(",", ":"))
@@ -670,7 +564,7 @@ def cmd_obs(args) -> int:
             print(divergence.describe())
         return 0 if divergence is None else 1
 
-    if args.obs_command == "summary" and args.file:
+    if args.obs_command == "summary":
         from repro.obs import load_bundle, load_events, render_alerts
 
         try:
@@ -718,6 +612,8 @@ def cmd_obs(args) -> int:
             print(render_alerts(bundle["alerts"]))
         return 0
 
+    # export
+    from repro.obs import events_to_jsonl, rollup_json
     from repro.obs.scenario import run_quickstart
 
     run = run_quickstart(
@@ -726,145 +622,24 @@ def cmd_obs(args) -> int:
         duration=args.duration,
         crash=not args.no_crash,
     )
-    if args.obs_command == "export":
-        from repro.obs import events_to_jsonl, rollup_json
-
-        text = (
-            rollup_json(run.agg.to_dict())
-            if args.metrics
-            else events_to_jsonl(run.events)
-        )
-        if args.out:
-            try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-            except OSError as exc:
-                return _cli_error(f"cannot write {args.out}: {exc}")
-            if not quiet:
-                print(
-                    f"{'metrics' if args.metrics else 'events'} "
-                    f"written to {args.out}"
-                )
-        else:
-            print(text)
-        return 0
-
-    # summary
-    if quiet:
-        return 0
-    by_kind: dict[str, int] = {}
-    by_node: dict[str, int] = {}
-    for e in run.events:
-        by_kind[e.kind] = by_kind.get(e.kind, 0) + 1
-        by_node[e.node] = by_node.get(e.node, 0) + 1
-    print(
-        f"quickstart scenario: nodes={args.nodes} seed={args.seed} "
-        f"duration={args.duration:g} (virtual {run.cluster.loop.now:.3f}s)"
+    text = (
+        rollup_json(run.agg.to_dict())
+        if args.metrics
+        else events_to_jsonl(run.events)
     )
-    print(f"probe events: {run.bus.events_emitted}")
-    print("by node: " + "  ".join(f"{n}={c}" for n, c in sorted(by_node.items())))
-    print("by kind:")
-    for kind, count in sorted(by_kind.items(), key=lambda kv: (-kv[1], kv[0])):
-        print(f"  {kind:<20} {count}")
-    print("token inter-arrival (per node):")
-    for node, d in run.agg.to_dict()["per_node"].items():
-        gap = d["token_gap"]
-        if gap["count"]:
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _cli_error(f"cannot write {args.out}: {exc}")
+        if not quiet:
             print(
-                f"  {node}: n={gap['count']} "
-                f"mean={gap['total'] / gap['count'] * 1e3:.2f}ms "
-                f"max={gap['max'] * 1e3:.2f}ms"
+                f"{'metrics' if args.metrics else 'events'} "
+                f"written to {args.out}"
             )
-    return 0
-
-
-def cmd_watch(args) -> int:
-    from repro.cluster.harness import RaincoreCluster
-    from repro.core.config import RaincoreConfig
-    from repro.obs import ContractMonitor, paper_contract_rules, render_alerts
-
-    ids = [f"n{i:02d}" for i in range(args.nodes)]
-    config = RaincoreConfig.tuned(ring_size=args.nodes)
-    cluster = RaincoreCluster(
-        ids, seed=args.seed, segments=args.segments, config=config
-    )
-    bus = cluster.enable_probes()
-    rules = paper_contract_rules(
-        config,
-        args.nodes,
-        segments=args.segments,
-        detection_bound=args.detection_bound,
-    )
-    monitor = ContractMonitor(bus, rules)
-    cluster.start_all()
-    monitor.start()
-    if not args.quiet:
-        print(
-            f"watching {args.nodes} nodes (seed={args.seed}, "
-            f"segments={args.segments}) under {len(rules)} contract rules "
-            f"for {args.seconds:g} virtual seconds"
-        )
-    if args.spike_at is not None:
-        cluster.loop.call_later(
-            args.spike_at,
-            cluster.faults.set_delay_spikes,
-            args.spike_prob,
-            args.spike_extra,
-        )
-        if not args.quiet:
-            print(
-                f"will inject delay spikes at t+{args.spike_at:g}s "
-                f"(prob={args.spike_prob:g}, extra={args.spike_extra:g}s)"
-            )
-    if args.blackout_at is not None:
-
-        def blackout() -> None:
-            # Default: silence the acks for some live token-forward edge —
-            # the receiver (src of the acks) is the ring successor of its
-            # forwarder (dst), resolved at injection time since ring order
-            # is seed-dependent.
-            src, dst = args.blackout_src, args.blackout_dst
-            if src is None or dst is None:
-                ring = cluster.node(ids[0]).members
-                if len(ring) < 2:
-                    ring = tuple(ids)
-                dst = dst if dst is not None else ring[0]
-                if src is None:
-                    src = ring[(ring.index(dst) + 1) % len(ring)]
-            print(
-                f"injecting ack blackout {src} -> {dst} "
-                f"for {args.blackout_duration:g}s"
-            )
-            cluster.faults.ack_blackout(src, dst, args.blackout_duration)
-
-        cluster.loop.call_later(args.blackout_at, blackout)
-        if not args.quiet:
-            print(f"will inject an ack blackout at t+{args.blackout_at:g}s")
-
-    seen_alerts = 0
-
-    def report() -> None:
-        nonlocal seen_alerts
-        fresh = monitor.alerts[seen_alerts:]
-        seen_alerts = len(monitor.alerts)
-        for alert in fresh:
-            print("ALERT " + alert.describe())
-        if not args.quiet:
-            print(monitor.status_line())
-        cluster.loop.call_later(args.report_every, report)
-
-    cluster.loop.call_later(args.report_every, report)
-    cluster.run(args.seconds)
-    monitor.evaluate()
-    monitor.stop()
-    for alert in monitor.alerts[seen_alerts:]:
-        print("ALERT " + alert.describe())
-    print(render_alerts(monitor.alerts))
-    if args.expect_alerts and not monitor.alerts:
-        print("expected at least one contract alert; none fired")
-        return 1
-    if args.fail_on_alerts and monitor.alerts:
-        return 1
+    else:
+        print(text)
     return 0
 
 
@@ -991,116 +766,42 @@ def _parse_kill_spec(spec: str | None) -> dict[str, float]:
     return kills
 
 
-def _run_live(args, *, on_line) -> "object":
-    """Run a LiveCluster from parsed top/soak args (shared driver)."""
+def cmd_top(args) -> int:
     import asyncio
 
     from repro.runtime.collector import LiveCluster
 
-    cluster = LiveCluster(
-        args.procs,
-        seconds=args.seconds,
-        hop_interval=args.hop_interval,
-        kill_at=_parse_kill_spec(args.kill),
-        capture_path=args.capture,
-        postmortem_path=args.postmortem,
-        metrics_port=getattr(args, "metrics_port", None),
-        report_every=getattr(args, "every", 1.0),
-        on_line=on_line,
-    )
-    return asyncio.run(cluster.run())
-
-
-def _live_verdict(args, result, *, quiet: bool = False) -> int:
-    """Shared top/soak exit-code logic over a LiveRunResult."""
-    if not quiet:
-        print(
-            f"live cluster: {args.procs} procs, {args.seconds:g}s, "
-            f"formed={result.formed}, events={result.events_released}, "
-            f"alerts={len(result.alerts)}, killed={result.killed or 'none'}"
-        )
-        for alert in result.alerts:
-            print("  " + alert.describe())
-        if result.capture_path:
-            print(f"capture: {result.capture_path}")
-        if result.postmortem_path:
-            print(f"postmortem bundle: {result.postmortem_path}")
-    if getattr(args, "expect_alerts", False):
-        ok = bool(result.alerts) and result.postmortem_path is not None
-        if not quiet:
-            print(f"expected alerts: {'fired' if ok else 'MISSING'}")
-        return 0 if ok else 1
-    return 0 if result.clean else 1
-
-
-def cmd_top(args) -> int:
     try:
-        _parse_kill_spec(args.kill)
+        cluster = LiveCluster(
+            args.procs,
+            seconds=args.seconds,
+            hop_interval=args.hop_interval,
+            kill_at=_parse_kill_spec(args.kill),
+            capture_path=args.capture,
+            postmortem_path=args.postmortem,
+            metrics_port=args.metrics_port,
+            report_every=args.every,
+            on_line=print,
+        )
     except ValueError as exc:
         return _cli_error(str(exc))
-    result = _run_live(args, on_line=print)
-    return _live_verdict(args, result)
-
-
-def cmd_soak(args) -> int:
-    from repro.cluster.harness import RaincoreCluster
-    from repro.core.config import RaincoreConfig
-    from repro.metrics.analysis import duplicate_deliveries
-
-    if args.procs is not None:
-        # the real thing: N OS processes over UDP, raintap plane attached
-        if args.procs < 2:
-            return _cli_error(f"--procs must be >= 2, got {args.procs}")
-        try:
-            _parse_kill_spec(args.kill)
-        except ValueError as exc:
-            return _cli_error(str(exc))
-        args.every = 1.0
-        result = _run_live(args, on_line=print)
-        if not result.metrics_text.strip():
-            print("soak: /metrics exposition came back empty")
-        rc = _live_verdict(args, result)
-        verdict = "clean" if rc == 0 else "FAILED"
-        print(f"soak --procs: {verdict}")
-        return rc
-
-    ids = [f"n{i:02d}" for i in range(args.nodes)]
-    cluster = RaincoreCluster(
-        ids, seed=args.seed, config=RaincoreConfig.tuned(ring_size=args.nodes)
-    )
-    cluster.start_all(form_time=30.0)
-    rng = cluster.loop.rng
-    rounds = int(args.duration)
-    sent = 0
-    for r in range(rounds):
-        for _ in range(2):
-            origin = ids[rng.randrange(args.nodes)]
-            if cluster.node(origin).state.value != "down":
-                cluster.node(origin).multicast(f"bg-{sent}")
-                sent += 1
-        roll = rng.random()
-        live = [x.node_id for x in cluster.live_nodes()]
-        if roll < 0.15 and len(live) > args.nodes // 2:
-            cluster.faults.crash_node(live[rng.randrange(len(live))])
-        elif roll < 0.30:
-            down = [x for x in ids if x not in live]
-            if down:
-                cluster.faults.recover_node(down[rng.randrange(len(down))])
-        elif roll < 0.40:
-            cluster.faults.lose_token()
-        cluster.run(1.0)
-    for nid in ids:
-        if cluster.node(nid).state.value == "down":
-            cluster.faults.recover_node(nid)
-    ok = cluster.run_until_converged(60.0, expected=set(ids))
-    dupes = sum(duplicate_deliveries(cluster).values())
+    result = asyncio.run(cluster.run())
     print(
-        f"soak: {rounds}s virtual churn on {args.nodes} nodes, {sent} multicasts"
+        f"live cluster: {args.procs} procs, {args.seconds:g}s, "
+        f"formed={result.formed}, events={result.events_released}, "
+        f"alerts={len(result.alerts)}, killed={result.killed or 'none'}"
     )
-    print(f"converged after quiescence: {ok}; duplicate deliveries: {dupes}")
-    regens = sum(cluster.node(nid).recovery.regenerations for nid in ids)
-    print(f"token regenerations during run: {regens}")
-    return 0 if ok and dupes == 0 else 1
+    for alert in result.alerts:
+        print("  " + alert.describe())
+    if result.capture_path:
+        print(f"capture: {result.capture_path}")
+    if result.postmortem_path:
+        print(f"postmortem bundle: {result.postmortem_path}")
+    if args.expect_alerts:
+        ok = bool(result.alerts) and result.postmortem_path is not None
+        print(f"expected alerts: {'fired' if ok else 'MISSING'}")
+        return 0 if ok else 1
+    return 0 if result.clean else 1
 
 
 def cmd_chaos(args) -> int:
@@ -1359,12 +1060,10 @@ _COMMANDS = {
     "trace": cmd_trace,
     "obs": cmd_obs,
     "prof": cmd_prof,
-    "watch": cmd_watch,
     "scaling": cmd_scaling,
     "failover": cmd_failover,
     "merge": cmd_merge,
     "hierarchy": cmd_hierarchy,
-    "soak": cmd_soak,
     "top": cmd_top,
     "chaos": cmd_chaos,
     "lint": cmd_lint,

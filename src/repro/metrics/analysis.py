@@ -1,6 +1,6 @@
 """Post-run analysis helpers over cluster observations.
 
-The chaos engine, ``repro soak`` and the tests check the same two
+The chaos engine and the tests check the same two
 properties of :class:`~repro.core.events.RecordingListener` data — agreed
 order across nodes and no duplicate delivery.  This module is the shared,
 public home for those checks so downstream users analyze their own

@@ -110,13 +110,10 @@ class DatagramNetwork:
         self.probe = None
         # Optional wiretap for tests/tracing: called for every send attempt.
         self.trace: Callable[[Datagram, bool], None] | None = None
-        # Optional selective filter: return False to drop a packet.  This is
-        # the surgical fault-injection hook (e.g. "drop only the ACKs from B
-        # to A for 300 ms" — the scenario that manufactures failure-detector
-        # false alarms deterministically).  Prefer the stacked add_filter /
-        # remove_filter API (surfaced as FaultInjector.drop_matching), which
-        # composes; this single-slot attribute is kept for direct wiring.
-        self.filter: Callable[[Datagram], bool] | None = None
+        # Selective drop filters (add_filter / remove_filter, surfaced as
+        # FaultInjector.drop_matching): the surgical fault-injection hook,
+        # e.g. "drop only the ACKs from B to A for 300 ms" — the scenario
+        # that manufactures failure-detector false alarms deterministically.
         self._filters: dict[int, Callable[[Datagram], bool]] = {}
         self._filter_ids = 0
         # Trunk exchange (repro.parallel): packets sent on a segment in
@@ -152,15 +149,12 @@ class DatagramNetwork:
         self._filters.pop(handle, None)
 
     def clear_filters(self) -> None:
-        """Remove every stacked filter (the legacy ``filter`` slot too)."""
+        """Remove every stacked filter."""
         self._filters.clear()
-        self.filter = None
 
     def _filtered_out(self, packet: Datagram) -> bool:
-        if self.filter is None and not self._filters:
+        if not self._filters:
             return False
-        if self.filter is not None and not self.filter(packet):
-            return True
         return any(not pred(packet) for pred in self._filters.values())
 
     # ------------------------------------------------------------------

@@ -44,9 +44,9 @@ Design rules:
   ``obs.monitor_us_per_event`` on the benchmark ledger's
   ``sim_ring_observed``).
 
-``repro watch`` renders the monitor's rolling status as a plain-text,
-redraw-free feed (CI-safe); chaos bundles carry fired alerts in their
-``alerts`` section (since ``repro.obs.bundle/2``), so every failure
+Every ``repro chaos`` run carries the monitor (``--fail-on-alerts``
+gates on it) and ``repro top`` runs it live over a real cluster; chaos
+bundles carry fired alerts in their ``alerts`` section (since ``repro.obs.bundle/2``), so every failure
 artifact says which contract broke first.  Full walkthroughs live in
 docs/MONITORING.md.
 """
@@ -729,8 +729,6 @@ class ContractMonitor(ProbeConsumer):
         self._breached_since: dict[tuple[str, str], float] = {}
         #: breaches currently latched as alerts (cleared when healthy again)
         self._latched: set[tuple[str, str]] = set()
-        #: last evaluation per (rule, node): (value, bound, breached)
-        self._last: dict[tuple[str, str], tuple[float | None, float | None, bool]] = {}
         self._timer = None
         self._running = False
         self._feeds: list[ProbeBus] = []
@@ -888,10 +886,8 @@ class ContractMonitor(ProbeConsumer):
                 if breach is None:
                     self._breached_since.pop(key, None)
                     self._latched.discard(key)
-                    self._last[key] = (None, None, False)
                     continue
                 value, bound, detail = breach
-                self._last[key] = (value, bound, True)
                 since = self._breached_since.setdefault(key, now)
                 if key in self._latched:
                     continue
@@ -917,35 +913,6 @@ class ContractMonitor(ProbeConsumer):
     def alert_records(self) -> list[dict]:
         """All fired alerts as JSON-safe records (bundle ``alerts`` form)."""
         return [a.record() for a in self.alerts]
-
-    def status_line(self, now: float | None = None) -> str:
-        """One redraw-free health line for the ``repro watch`` feed.
-
-        ``t=<sim>s  <ok|ALERT>  <node>:<state> ...`` where a node's state
-        is ``ok`` or the comma-joined names of its currently-breached
-        rules; cluster-scope breaches show under the ``*`` pseudo-node.
-        """
-        if now is None:
-            now = self.loop.now
-        nodes = sorted(self._tracks)
-        marks: list[str] = []
-        any_breach = False
-        for node in nodes + ["*"]:
-            breached = sorted(
-                rule_name
-                for (rule_name, rule_node), (_, _, bad) in self._last.items()
-                if rule_node == node and bad
-            )
-            if node == "*" and not breached:
-                continue
-            if breached:
-                any_breach = True
-                marks.append(f"{node}:{','.join(breached)}")
-            else:
-                marks.append(f"{node}:ok")
-        flag = "ALERT" if any_breach or self.alerts else "ok   "
-        body = "  ".join(marks) if marks else "(no nodes probed yet)"
-        return f"t={now:8.2f}s  {flag}  {body}  alerts={len(self.alerts)}"
 
 
 def render_alerts(alerts: list[Alert] | list[dict]) -> str:

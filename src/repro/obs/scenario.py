@@ -1,11 +1,11 @@
 """The shared observability quickstart scenario.
 
-``repro obs summary`` / ``repro obs export`` and the determinism tests all
+``repro quickstart`` / ``repro obs export`` and the determinism tests all
 need the *same* short, fully seeded scenario so that their outputs are
 comparable (and, for the tests, byte-identical across runs).  This module
 is that scenario: form a group, multicast, crash the last member, recover
-it — the CLI quickstart, but with the probe bus, a flight recorder and the
-stream rollup attached from the first event.
+it — with the probe bus, a flight recorder and the stream rollup attached
+from the first event.
 """
 
 from __future__ import annotations

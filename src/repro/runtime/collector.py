@@ -31,9 +31,8 @@ canonical, time-ordered feed the simulator-era consumers expect:
   every worker a ``pull``, gathers their flight-recorder rings, and cuts
   a standard ``repro.obs.bundle/3`` with the alerts attached.
 
-:class:`LiveCluster` at the bottom is the driver used by ``repro soak
---procs N`` and ``repro top``: spawn N worker processes, attach the
-collector, watch, gate.
+:class:`LiveCluster` at the bottom is what ``repro top`` runs: spawn N
+worker processes, attach the collector, watch, gate.
 """
 
 from __future__ import annotations
@@ -600,7 +599,7 @@ class TelemetryCollector:
 
 
 # ----------------------------------------------------------------------
-# the multi-process driver (repro soak --procs N, repro top)
+# the multi-process cluster run (repro top)
 # ----------------------------------------------------------------------
 @dataclass
 class LiveRunResult:
@@ -618,7 +617,7 @@ class LiveRunResult:
 
     @property
     def clean(self) -> bool:
-        """The soak gate: formed, zero alerts, live metrics, clean exits."""
+        """The run gate: formed, zero alerts, live metrics, clean exits."""
         return (
             self.formed
             and not self.alerts

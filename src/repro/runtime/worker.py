@@ -10,7 +10,7 @@ probe bus and ships every probe event to a raintap collector
 (:mod:`repro.runtime.collector`) over the sidecar channel, keeping a
 flight-recorder ring to answer breach-time ``pull`` requests.
 
-Usage (normally spawned by ``repro soak --procs N``, ``repro top``,
+Usage (normally spawned by ``repro top``,
 ``examples/multiprocess_demo.py`` or the tests)::
 
     python -m repro.runtime.worker --node A --port 42000 \

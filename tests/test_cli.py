@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import argparse
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -69,16 +74,6 @@ def test_scaling_small(capsys):
     code, out = run_cli(capsys, "scaling", "--nodes", "1", "2")
     assert code == 0
     assert "2.0" in out  # ~2x scaling appears in the table
-
-
-@pytest.mark.slow
-def test_soak_short(capsys):
-    code, out = run_cli(
-        capsys, "soak", "--nodes", "5", "--duration", "8", "--seed", "3"
-    )
-    assert code == 0
-    assert "converged after quiescence: True" in out
-    assert "duplicate deliveries: 0" in out
 
 
 def test_trace_swimlanes(capsys):
@@ -186,7 +181,9 @@ def test_trace_quiet_suppresses_output(capsys):
     [
         ["trace", "--limit", "-3"],
         ["obs", "render", "x.bundle.json", "--limit", "-1"],
-        ["obs", "timeline", "--limit", "-2"],
+        ["obs", "timeline", "x.jsonl", "--limit", "-2"],
+        ["obs", "timeline"],
+        ["obs", "summary"],
         ["prof", "--aggregate"],
     ],
 )
@@ -225,64 +222,105 @@ def test_obs_export_quiet_still_writes_file(capsys, tmp_path):
     assert out_path.read_text().strip()
 
 
+def test_obs_timeline_reads_an_export(capsys, tmp_path):
+    """``obs timeline FILE`` rebuilds exactly the spans of the run that was
+    exported, so ``--check`` over the file is the paper-bounds gate."""
+    from repro.obs import reconstruct_spans
+    from repro.obs.scenario import run_quickstart
+
+    path = tmp_path / "default.jsonl"
+    code, _ = run_cli(capsys, "obs", "export", "--out", str(path))
+    assert code == 0
+    code, out = run_cli(capsys, "obs", "timeline", str(path), "--check")
+    assert code == 0
+    expected = reconstruct_spans(run_quickstart().events)
+    assert out.startswith(expected.render() + "\n")
+    assert "bounds check: 0 breach(es)" in out
+
+    spans = tmp_path / "spans.jsonl"
+    code, _ = run_cli(capsys, "obs", "timeline", str(path), "--out", str(spans))
+    assert code == 0
+    rows = [json.loads(line) for line in spans.read_text().splitlines()]
+    assert rows == expected.to_records()
+
+
+def test_obs_summary_reads_an_export(capsys, tmp_path):
+    path = export_probes(capsys, tmp_path / "a.jsonl", seed=5)
+    code, out = run_cli(capsys, "obs", "summary", str(path))
+    assert code == 0
+    assert out.startswith(f"capture {path}: ")
+    assert "by kind:" in out and "token.accept" in out
+
+
 # ----------------------------------------------------------------------
-# watch: the live contract-monitor view
+# chaos: the contract-monitor gates on simulated fault runs
 # ----------------------------------------------------------------------
-def test_watch_clean_run_gates_green(capsys):
+def spike_trace(tmp_path):
+    """The known-bad schedule: from t=2 every packet is 35 ms late, which
+    slows the ring below the token-rate floor without partitioning it."""
+    from repro.chaos import ChaosParams, FaultOp, Schedule
+
+    schedule = Schedule(
+        params=ChaosParams(nodes=4, seconds=6.0, seed=11, segments=1),
+        ops=[FaultOp(at=2.0, kind="spike", args=("net0", 1.0, 0.035))],
+    )
+    path = tmp_path / "spike.json"
+    path.write_text(schedule.to_json())
+    return path
+
+
+def test_chaos_clean_run_gates_green(capsys, tmp_path):
     code, out = run_cli(
-        capsys,
-        "watch",
-        "--seconds",
-        "5",
-        "--seed",
-        "11",
-        "--fail-on-alerts",
+        capsys, "chaos", "--nodes", "4", "--seconds", "10", "--seed", "11",
+        "--fail-on-alerts", "--artifacts", str(tmp_path),
     )
     assert code == 0
-    assert "no contract alerts" in out
-    assert "t=" in out  # the periodic status feed ran
-    assert "ALERT" not in out
+    assert "clean" in out
+    assert "contract alert" not in out
 
 
-def test_watch_known_bad_spike_schedule_fires(capsys):
+def test_chaos_replay_spike_schedule_fires_token_rate(capsys, tmp_path):
     code, out = run_cli(
-        capsys,
-        "watch",
-        "--seconds",
-        "6",
-        "--seed",
-        "11",
-        "--spike-at",
-        "2",
-        "--expect-alerts",
+        capsys, "chaos", "--replay", str(spike_trace(tmp_path)),
+        "--artifacts", str(tmp_path),
     )
-    assert code == 0  # --expect-alerts inverts the gate
-    assert "ALERT" in out
+    assert code == 0  # alerts alone do not fail a run
+    assert "contract alert(s):" in out
     assert "token-rate" in out
 
 
-def test_watch_fail_on_alerts_exits_one(capsys):
+def test_chaos_replay_spike_fail_on_alerts_exits_one(capsys, tmp_path):
     code, out = run_cli(
-        capsys,
-        "watch",
-        "--seconds",
-        "6",
-        "--seed",
-        "11",
-        "--spike-at",
-        "2",
-        "--fail-on-alerts",
+        capsys, "chaos", "--replay", str(spike_trace(tmp_path)),
+        "--fail-on-alerts", "--artifacts", str(tmp_path),
     )
     assert code == 1
-    assert "ALERT" in out
+    assert "failing: contract alerts fired (--fail-on-alerts)" in out
 
 
-def test_watch_expect_alerts_on_clean_run_exits_one(capsys):
-    code, out = run_cli(
-        capsys, "watch", "--seconds", "4", "--seed", "11", "--expect-alerts"
-    )
-    assert code == 1
-    assert "expected at least one contract alert" in out
+# ----------------------------------------------------------------------
+# top: bad input is a usage error before any worker spawns
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["top", "--procs", "1"], "need at least 2 worker processes"),
+        (
+            ["top", "--procs", "2", "--kill", "n09@0.5"],
+            "kill targets not in the cluster",
+        ),
+        (["top", "--kill", "n02"], "--kill takes NODE@T"),
+        (["top", "--kill", "n02@soon"], "is not a number"),
+    ],
+    ids=["one-proc", "kill-outside-cluster", "kill-without-time", "kill-time-nan"],
+)
+def test_top_bad_input_exits_two(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
 
 
 def test_chaos_replay_missing_trace_exits_two(capsys, tmp_path):
@@ -299,3 +337,41 @@ def test_chaos_replay_malformed_trace_exits_two(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2
     assert "is not a chaos trace" in captured.err
+
+
+# ----------------------------------------------------------------------
+# drift: the docs name only commands the parser has
+# ----------------------------------------------------------------------
+ROOT = Path(__file__).resolve().parent.parent
+_COMMAND = re.compile(r"(?<!from )\brepro ([a-z][a-z-]*)(?: ([a-z][a-z-]*))?")
+
+
+def _documented_commands():
+    """``(file, cmd, sub)`` for every ``repro <cmd> [<sub>]`` in the
+    current docs: README.md, docs/*.md and the verification notes
+    (``SKILL.md``).  History files (FINDINGS.md, the changelogs, the
+    roadmap) record commands that no longer exist and are not read."""
+    docs = [ROOT / "README.md", *sorted(ROOT.glob(".*/skills/*/SKILL.md"))]
+    docs += [p for p in sorted((ROOT / "docs").glob("*.md")) if p.name != "FINDINGS.md"]
+    for path in docs:
+        for m in _COMMAND.finditer(path.read_text()):
+            yield path.relative_to(ROOT), m.group(1), m.group(2)
+
+
+def _subcommands(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def test_docs_name_only_existing_subcommands():
+    commands = _subcommands(build_parser())
+    seen = set()
+    for path, cmd, sub in _documented_commands():
+        seen.add(cmd)
+        assert cmd in commands, f"{path} names `repro {cmd}`, which is gone"
+        nested = _subcommands(commands[cmd])
+        if nested and sub is not None:
+            assert sub in nested, f"{path} names `repro {cmd} {sub}`, which is gone"
+    assert {"chaos", "top", "obs"} <= seen

@@ -46,18 +46,6 @@ def test_drop_rules_stack_and_clear(abcd):
     assert abcd.run_until_converged(10.0, expected=set("ABCD"))
 
 
-def test_stacked_filters_coexist_with_legacy_slot(abcd):
-    """The legacy single-filter slot and the stacked rules both apply."""
-    abcd.network.filter = lambda p: True  # legacy: keep everything
-    handle = abcd.faults.drop_matching(lambda p: True)  # stacked: drop all
-    before = abcd.network.packets_delivered
-    abcd.run(0.2)
-    assert abcd.network.packets_delivered == before
-    abcd.faults.stop_dropping(handle)
-    abcd.network.filter = None
-    assert abcd.run_until_converged(20.0, expected=set("ABCD"))
-
-
 # ----------------------------------------------------------------------
 # lose_token and its in-flight blind spot
 # ----------------------------------------------------------------------

@@ -58,9 +58,6 @@ def test_clean_run_fires_zero_alerts():
     cluster.run(5.0)
     monitor.evaluate()
     assert monitor.alerts == [], render_alerts(monitor.alerts)
-    line = monitor.status_line()
-    assert "ok" in line and "ALERT" not in line
-    assert line.startswith("t=")
 
 
 def test_clean_crash_and_recover_fires_zero_alerts():
@@ -93,7 +90,6 @@ def test_delay_spikes_collapse_token_rate():
     worst = rate_alerts[0]
     assert worst.severity == "critical"
     assert worst.value < worst.bound  # observed visits/s under the floor
-    assert "ALERT" in monitor.status_line()
 
 
 def test_ack_blackout_breaks_fd_latency_bound():

@@ -9,8 +9,9 @@ node that has seen the newer one, where the stale branch dies; the
 wrongly-removed node rejoins via 911 (a failure-detector false alarm,
 paper §2.3).
 
-These tests manufacture the scenario deterministically with the datagram
-layer's selective filter and verify the healing end to end.
+These tests manufacture the scenario deterministically with the canned
+``FaultInjector.ack_blackout`` drop rule and verify the healing end to
+end.
 """
 
 import pytest
@@ -19,25 +20,6 @@ from repro.transport.messages import AckFrame
 from tests.conftest import make_cluster
 
 pytestmark = pytest.mark.integration
-
-
-def ack_blackout(cluster, src_node, dst_node, duration):
-    """Drop ACK frames from ``src_node`` to ``dst_node`` for ``duration``."""
-    topo = cluster.topology
-
-    def drop_acks(packet):
-        frame = packet.payload
-        if not isinstance(frame, AckFrame):
-            return True
-        return not (
-            topo.owner_of(packet.src) == src_node
-            and topo.owner_of(packet.dst) == dst_node
-        )
-
-    cluster.network.filter = drop_acks
-    cluster.loop.call_later(
-        duration, lambda: setattr(cluster.network, "filter", None)
-    )
 
 
 def run_split_scenario(seed):
@@ -50,7 +32,7 @@ def run_split_scenario(seed):
     blackout = (
         cluster.config.transport.failure_detection_bound(1) * 3
     )
-    ack_blackout(cluster, "B", "A", blackout)
+    cluster.faults.ack_blackout("B", "A", blackout)
     for i in range(4):
         cluster.node("ABCD"[i]).multicast(f"mid-{i}")
     cluster.run(blackout + 1.0)
@@ -92,7 +74,7 @@ def test_ack_blackout_single_token_after_heal():
 
 
 def test_filter_hook_is_surgical():
-    """The filter drops exactly what it matches, nothing else."""
+    """A drop rule drops exactly what it matches, nothing else."""
     cluster = make_cluster("AB")
     cluster.start_all()
     dropped = []
@@ -100,13 +82,13 @@ def test_filter_hook_is_surgical():
     def spy(packet):
         if isinstance(packet.payload, AckFrame):
             dropped.append(packet)
-            return False
-        return True
+            return True
+        return False
 
     before = cluster.network.packets_dropped
-    cluster.network.filter = spy
+    handle = cluster.faults.drop_matching(spy)
     cluster.run(0.2)
-    cluster.network.filter = None
+    cluster.faults.stop_dropping(handle)
     assert dropped  # acks were flowing and got dropped
     assert cluster.network.packets_dropped >= before + len(dropped)
     # The ring survives ack loss alone (tokens kept arriving, dedup+re-ack
