@@ -40,6 +40,7 @@ Op kinds and their arguments:
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass, field
@@ -176,12 +177,17 @@ class ChaosParams:
     def __post_init__(self) -> None:
         if self.nodes < 2:
             raise ValueError("chaos needs at least two nodes")
-        if self.seconds <= 0.0:
-            raise ValueError("seconds must be positive")
+        if not 0.0 < self.seconds < math.inf:
+            # The chained comparison also rejects NaN.
+            raise ValueError(
+                f"seconds must be positive and finite, got {self.seconds}"
+            )
         if self.segments < 1:
             raise ValueError("need at least one segment")
-        if self.intensity < 0.0:
-            raise ValueError("intensity must be non-negative")
+        if not 0.0 <= self.intensity < math.inf:
+            raise ValueError(
+                f"intensity must be non-negative and finite, got {self.intensity}"
+            )
 
     def to_obj(self) -> dict:
         return {

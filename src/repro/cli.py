@@ -35,6 +35,7 @@ duration you ask for.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 __all__ = ["main", "build_parser"]
@@ -318,12 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--fail-on-alerts", action="store_true",
         help="exit nonzero if any contract-monitor alert fired (CI clean gate)",
-    )
-    p.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="run the sharded multi-ring chaos campaign on the lockstep "
-        "engine instead of the single-ring schedules (uses --seconds, "
-        "--seed, --campaign; other knobs are ignored)",
     )
 
     p = sub.add_parser(
@@ -650,15 +645,17 @@ def cmd_prof(args) -> int:
     from repro.obs import StreamAggregator, render_rollup
     from repro.obs.prof import Profiler
 
-    schedule = Schedule.generate(
-        ChaosParams(
+    try:
+        params = ChaosParams(
             nodes=args.nodes,
             seconds=args.seconds,
             seed=args.seed,
             segments=args.segments,
             intensity=args.intensity,
         )
-    )
+    except ValueError as exc:
+        return _cli_error(str(exc))
+    schedule = Schedule.generate(params)
     profiler = Profiler(timeline_limit=args.timeline_limit, label="chaos")
     aggregator = StreamAggregator()
 
@@ -805,37 +802,14 @@ def cmd_top(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    from repro.chaos import ChaosEngine, Schedule, run_campaign, shrink_schedule
-
-    if args.shards is not None:
-        from repro.parallel.campaign import run_sharded_campaign
-
-        if args.shards < 1:
-            return _cli_error(f"--shards must be >= 1, got {args.shards}")
-        failed = 0
-        alerted = 0
-        for i in range(args.campaign):
-            seed = args.seed + i
-            print(f"--- sharded campaign seed={seed} shards={args.shards} ---")
-            result = run_sharded_campaign(
-                seed, args.shards, seconds=args.seconds, log=print
-            )
-            alerted += len(result.alerts)
-            if result.ok:
-                print(
-                    f"clean ({result.result.events} events, "
-                    f"{result.result.epochs} epochs)"
-                )
-            else:
-                failed += 1
-                for alert in result.alerts:
-                    print(f"ALERT: {alert}")
-        if failed:
-            print(f"{failed}/{args.campaign} sharded campaigns alerted")
-        if alerted and args.fail_on_alerts:
-            print("failing: campaign alerts fired (--fail-on-alerts)")
-            return 1
-        return 0
+    from repro.chaos import (
+        ChaosEngine,
+        ChaosParams,
+        FaultOp,
+        Schedule,
+        run_campaign,
+        shrink_schedule,
+    )
 
     if args.replay:
         try:
@@ -891,30 +865,37 @@ def cmd_chaos(args) -> int:
                 print(f"  t={op.at:<10g} {op.kind} {list(op.args)}")
         return 1
 
-    if args.partition:
-        from repro.chaos import ChaosParams, FaultOp
+    try:
+        params = ChaosParams(
+            nodes=args.nodes,
+            seconds=args.seconds,
+            seed=args.seed,
+            segments=args.segments,
+            intensity=args.intensity,
+            strict=args.strict,
+        )
+    except ValueError as exc:
+        return _cli_error(str(exc))
 
+    if args.partition:
         try:
             spec, _, rest = args.partition.partition(":")
             isolated = tuple(n for n in spec.split(",") if n)
             duration_s, _, at_s = rest.partition(":")
             duration = float(duration_s)
             at = float(at_s) if at_s else 2.0
-            if not isolated or duration <= 0.0 or at < 0.0:
-                raise ValueError("empty node list or non-positive time")
+            finite = 0.0 < duration < math.inf and 0.0 <= at < math.inf
+            if not isolated or not finite:
+                raise ValueError(
+                    "empty node list, or a time out of range or not finite"
+                )
         except ValueError as exc:
             return _cli_error(
                 f"bad --partition spec {args.partition!r} "
                 f"(want NODES:DURATION[:AT]): {exc}"
             )
         schedule = Schedule(
-            params=ChaosParams(
-                nodes=args.nodes,
-                seconds=args.seconds,
-                seed=args.seed,
-                segments=args.segments,
-                strict=args.strict,
-            ),
+            params=params,
             ops=[FaultOp(at=at, kind="long_partition", args=(isolated, duration))],
         )
         if args.print_trace:
@@ -938,21 +919,7 @@ def cmd_chaos(args) -> int:
         return 1
 
     if args.print_trace:
-        from repro.chaos import ChaosParams
-
-        print(
-            Schedule.generate(
-                ChaosParams(
-                    nodes=args.nodes,
-                    seconds=args.seconds,
-                    seed=args.seed,
-                    segments=args.segments,
-                    intensity=args.intensity,
-                    strict=args.strict,
-                )
-            ).to_json(),
-            end="",
-        )
+        print(Schedule.generate(params).to_json(), end="")
     campaign = run_campaign(
         args.nodes,
         args.seconds,

@@ -2,7 +2,7 @@
 
 The determinism contract of this reproduction (all randomness from a seeded
 ``EventLoop.rng``, no wall clock outside ``repro.perf``, replay-identical
-``(time, priority, seq)`` ordering) and the session protocol's structural
+``(time, seq)`` ordering) and the session protocol's structural
 invariants (exhaustive message dispatch, scheduling primitives contained in
 ``repro.net``/``repro.runtime``, hot-path allocation hygiene) are enforced
 *statically*, before any test runs — a lightweight take on the session-type

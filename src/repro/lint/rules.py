@@ -333,9 +333,9 @@ def check_heapq_containment(ctx: FileContext) -> Iterator[FileFinding]:
             yield (
                 node.lineno,
                 node.col_offset,
-                "event ordering is owned by EventLoop's (time, priority, "
-                "seq) heap; schedule through the loop instead of building "
-                "a private heapq here",
+                "event ordering is owned by EventLoop's (time, seq) heap; "
+                "schedule through the loop instead of building a private "
+                "heapq here",
             )
 
 

@@ -26,20 +26,7 @@ from repro.net.eventloop import EventLoop
 from repro.net.stats import StatsRegistry
 from repro.net.topology import Topology
 
-__all__ = [
-    "Datagram",
-    "DatagramNetwork",
-    "PacketHandler",
-    "TrunkExchange",
-    "TRUNK_DELIVERY_PRIORITY",
-]
-
-#: Event-loop priority of trunk (inter-shard) deliveries.  Strictly after
-#: every same-instant local event, in *all* execution modes — this is what
-#: makes the relative order of a trunk arrival and a local timer at one
-#: virtual instant independent of how shards are placed onto workers
-#: (docs/PARALLEL.md, determinism contract).
-TRUNK_DELIVERY_PRIORITY = 1
+__all__ = ["Datagram", "DatagramNetwork", "PacketHandler"]
 
 
 class Datagram:
@@ -66,18 +53,6 @@ class PacketHandler(Protocol):
     """Callback signature for datagram arrival at a bound address."""
 
     def __call__(self, packet: Datagram) -> None: ...  # pragma: no cover
-
-
-class TrunkExchange(Protocol):
-    """Sink for packets sent on trunk (cut) segments.
-
-    The sharded simulator (:mod:`repro.parallel`) installs one via
-    :meth:`DatagramNetwork.set_exchange`; it buffers each packet with its
-    arrival time and re-injects it — possibly in another worker process —
-    at the next epoch boundary via :meth:`DatagramNetwork.deliver_trunk`.
-    """
-
-    def submit(self, packet: Datagram, when: float) -> None: ...  # pragma: no cover
 
 
 class DatagramNetwork:
@@ -116,11 +91,6 @@ class DatagramNetwork:
         # that manufactures failure-detector false alarms deterministically.
         self._filters: dict[int, Callable[[Datagram], bool]] = {}
         self._filter_ids = 0
-        # Trunk exchange (repro.parallel): packets sent on a segment in
-        # self._trunk are handed to self._exchange instead of being
-        # scheduled locally.  None/empty means the classic direct path.
-        self._exchange: TrunkExchange | None = None
-        self._trunk: frozenset[str] = frozenset()
         # (src, dst) -> (topology.version, sender stats, deliverable, segment,
         # receiver stats).  Reachability and the shared-segment scan are pure
         # functions of the topology, which bumps ``version`` on every mutation
@@ -160,27 +130,6 @@ class DatagramNetwork:
     # ------------------------------------------------------------------
     # binding
     # ------------------------------------------------------------------
-    def set_exchange(
-        self, exchange: TrunkExchange | None, trunk_segments: frozenset[str]
-    ) -> None:
-        """Route sends on ``trunk_segments`` through ``exchange``.
-
-        Every named segment must be deterministic (no loss/jitter/spike/
-        duplication/burst): trunk arrival times must be a pure function of
-        send time so cross-shard batches replay identically regardless of
-        worker placement.  Pass ``None`` to restore the direct path.
-        """
-        if exchange is not None:
-            for name in sorted(trunk_segments):
-                seg = self.topology.segment(name)
-                if not seg.is_deterministic():
-                    raise ValueError(
-                        f"trunk segment {name!r} has adversity knobs enabled; "
-                        "cut segments must be deterministic (docs/PARALLEL.md)"
-                    )
-        self._exchange = exchange
-        self._trunk = frozenset(trunk_segments) if exchange is not None else frozenset()
-
     def bind(self, address: str, handler: PacketHandler) -> None:
         """Attach a receive handler to a NIC address (like a UDP socket)."""
         # Rebinding is allowed: a restarted node re-binds its addresses.
@@ -241,20 +190,7 @@ class DatagramNetwork:
             self._drop(packet, "filtered")
             return
         seg = route[3]
-        if self._exchange is not None and seg.name in self._trunk:
-            # Trunk path: deterministic latency (set_exchange validated the
-            # segment), canonical epoch-batched delivery.  The exchange
-            # re-injects via deliver_trunk at the next epoch boundary —
-            # possibly in another worker process.
-            if self.trace is not None:
-                self.trace(packet, True)
-            self._exchange.submit(packet, self.loop.now + seg.latency)
-            return
-        # Per-segment RNG stream when seeded (sharded workloads), else the
-        # loop-global stream (classic single-loop workloads).
-        rng = seg.rng
-        if rng is None:
-            rng = self.loop.rng
+        rng = self.loop.rng
         if seg.loss > 0.0 and rng.random() < seg.loss:
             self._drop(packet, "loss")
             return
@@ -287,26 +223,6 @@ class DatagramNetwork:
                     size,
                 )
             self.loop.call_later(twin_delay, self._deliver, packet)
-
-    def deliver_trunk(self, packet: Datagram, when: float) -> None:
-        """Schedule one exchange-delivered trunk packet for arrival.
-
-        Called by the shard exchange at an epoch boundary, in canonical
-        batch order; ``TRUNK_DELIVERY_PRIORITY`` plus the loop's FIFO tie
-        sequence preserves exactly that order among same-instant arrivals.
-
-        ``when`` is clamped to the loop's current time: the epoch boundary
-        ``(k+1)*E`` can land one ulp above an exact ``send + latency`` sum,
-        and that sub-ulp slip must not count as scheduling in the past.
-        The clamp is identical in every engine mode (all flush at the same
-        boundary floats), so it cannot perturb shard-count invariance.
-        """
-        now = self.loop.now
-        if when < now:
-            when = now
-        self.loop.call_at(
-            when, self._deliver, packet, priority=TRUNK_DELIVERY_PRIORITY
-        )
 
     def _drop(self, packet: Datagram, where: str = "net") -> None:
         self.packets_dropped += 1

@@ -6,7 +6,7 @@ callbacks scheduled on one :class:`EventLoop`.
 
 Determinism rules
 -----------------
-* Events fire in ``(time, priority, sequence)`` order.  The monotonically
+* Events fire in ``(time, sequence)`` order.  The monotonically
   increasing sequence number breaks ties between events scheduled for the
   same instant, so two runs with the same seed replay identically.
 * All randomness used by the simulation (packet loss draws, workload
@@ -31,7 +31,7 @@ so there is no clock object to reach through.  Time never flows backwards —
 
 Hot-path layout
 ---------------
-The heap stores ``(when, priority, seq, handle)`` tuples rather than bare
+The heap stores ``(when, seq, handle)`` tuples rather than bare
 handles, so every sift comparison is a C-level tuple comparison instead of a
 Python ``__lt__`` call — at ~10 comparisons per push/pop this is the single
 largest cost of the loop.  ``run_until`` examines the heap head directly and
@@ -56,18 +56,16 @@ __all__ = ["EventLoop", "TimerHandle"]
 class TimerHandle:
     """A cancellable reference to one scheduled callback."""
 
-    __slots__ = ("when", "priority", "seq", "callback", "args", "cancelled")
+    __slots__ = ("when", "seq", "callback", "args", "cancelled")
 
     def __init__(
         self,
         when: float,
-        priority: int,
         seq: int,
         callback: Callable[..., None],
         args: tuple[Any, ...],
     ) -> None:
         self.when = when
-        self.priority = priority
         self.seq = seq
         self.callback = callback
         self.args = args
@@ -101,8 +99,8 @@ class EventLoop:
         #: per dispatched event; everyone else reads it.
         self.now = float(start)
         self.rng = random.Random(seed)
-        # Heap entries: (when, priority, seq, handle).
-        self._heap: list[tuple[float, int, int, TimerHandle]] = []
+        # Heap entries: (when, seq, handle).
+        self._heap: list[tuple[float, int, TimerHandle]] = []
         self._seq = itertools.count()
         self._events_processed = 0
         #: Optional hot-path profiler (repro.obs.prof.Profiler) — the same
@@ -125,17 +123,12 @@ class EventLoop:
         return self._events_processed
 
     def call_at(
-        self,
-        when: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = 0,
+        self, when: float, callback: Callable[..., None], *args: Any
     ) -> TimerHandle:
         """Schedule ``callback(*args)`` at absolute virtual time ``when``.
 
-        ``when`` must be finite and may not be in the past.  Lower
-        ``priority`` values fire first among events scheduled for the same
-        instant.
+        ``when`` must be finite and may not be in the past.  Events
+        scheduled for the same instant fire in scheduling order.
         """
         if not math.isfinite(when):
             # A NaN heap key silently corrupts sift ordering (every
@@ -145,16 +138,12 @@ class EventLoop:
         if when < self.now:
             raise ValueError(f"cannot schedule in the past: {when} < now={self.now}")
         seq = next(self._seq)
-        handle = TimerHandle(when, priority, seq, callback, args)
-        heapq.heappush(self._heap, (when, priority, seq, handle))
+        handle = TimerHandle(when, seq, callback, args)
+        heapq.heappush(self._heap, (when, seq, handle))
         return handle
 
     def call_later(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = 0,
+        self, delay: float, callback: Callable[..., None], *args: Any
     ) -> TimerHandle:
         """Schedule ``callback(*args)`` after ``delay`` seconds."""
         if not delay >= 0.0 or delay == math.inf:
@@ -164,8 +153,8 @@ class EventLoop:
         # Inlined call_at: delay >= 0 means when >= now by construction.
         when = self.now + delay
         seq = next(self._seq)
-        handle = TimerHandle(when, priority, seq, callback, args)
-        heapq.heappush(self._heap, (when, priority, seq, handle))
+        handle = TimerHandle(when, seq, callback, args)
+        heapq.heappush(self._heap, (when, seq, handle))
         return handle
 
     # ------------------------------------------------------------------
@@ -174,7 +163,7 @@ class EventLoop:
     def _pop_live(self) -> TimerHandle | None:
         heap = self._heap
         while heap:
-            handle = heapq.heappop(heap)[3]
+            handle = heapq.heappop(heap)[2]
             if not handle.cancelled:
                 return handle
         return None
@@ -182,7 +171,7 @@ class EventLoop:
     def peek_time(self) -> float | None:
         """Virtual time of the next live event, or ``None`` if idle."""
         heap = self._heap
-        while heap and heap[0][3].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
 
@@ -196,7 +185,7 @@ class EventLoop:
         heap = self._heap
         prof = self.profile
         while heap:
-            when, _, _, handle = heapq.heappop(heap)
+            when, _, handle = heapq.heappop(heap)
             if handle.cancelled:
                 continue
             self.now = when
@@ -222,6 +211,9 @@ class EventLoop:
         Returns the number of events executed.  ``max_events`` guards
         against run-away protocol loops in tests.
         """
+        if math.isnan(deadline):
+            # ``when > deadline`` is never true: the run would not stop.
+            raise ValueError(f"deadline must not be NaN, got {deadline}")
         executed = 0
         heap = self._heap
         pop = heapq.heappop
@@ -231,7 +223,7 @@ class EventLoop:
         try:
             while heap:
                 entry = heap[0]
-                handle = entry[3]
+                handle = entry[2]
                 if handle.cancelled:
                     pop(heap)
                     continue
@@ -262,63 +254,10 @@ class EventLoop:
         self._drain()
         return executed
 
-    def run_epoch(self, end: float, max_events: int | None = None) -> int:
-        """Run all events *strictly before* virtual time ``end``.
-
-        This is the lockstep primitive of the sharded simulator
-        (:mod:`repro.parallel`): epoch *k* owns the half-open interval
-        ``[k*E, (k+1)*E)``, so an event timestamped exactly at the epoch
-        boundary belongs to the *next* epoch — it must not run until the
-        cross-shard batches for that boundary have been injected.  The
-        clock is left exactly at ``end`` so epoch-boundary injections may
-        schedule events at ``end`` itself (``call_at(end, ...)`` is legal
-        once ``now == end``).  Returns the number of events executed.
-        """
-        if end < self.now:
-            raise ValueError(f"epoch end {end} is before now={self.now}")
-        executed = 0
-        heap = self._heap
-        pop = heapq.heappop
-        prof = self.profile
-        if prof is not None:
-            prof.begin_run(epoch=True)
-        try:
-            while heap:
-                entry = heap[0]
-                handle = entry[3]
-                if handle.cancelled:
-                    pop(heap)
-                    continue
-                when = entry[0]
-                if when >= end:
-                    break
-                if max_events is not None and executed >= max_events:
-                    raise RuntimeError(
-                        f"run_epoch exceeded max_events={max_events} before {end}"
-                    )
-                pop(heap)
-                self.now = when
-                self._events_processed += 1
-                if prof is None:
-                    handle.callback(*handle.args)
-                else:
-                    t0 = prof.clock()
-                    handle.callback(*handle.args)
-                    prof.account(
-                        handle.callback, t0, prof.clock(), len(heap), when
-                    )
-                executed += 1
-        finally:
-            if prof is not None:
-                prof.end_run()
-        if end > self.now:
-            self.now = end
-        self._drain()
-        return executed
-
     def run_for(self, duration: float, max_events: int | None = None) -> int:
         """Run events for ``duration`` seconds of virtual time."""
-        if duration < 0.0:
+        if not duration >= 0.0:
+            # The inverted comparison also rejects NaN.
             raise ValueError(f"duration must be non-negative, got {duration}")
         return self.run_until(self.now + duration, max_events=max_events)
 

@@ -17,31 +17,18 @@ redundant segments — to make partitions less likely.  This module models:
 * **Partitions** — named splits of a segment into isolated halves
   (split-brain injection for the §2.4 merge protocol).
 
-All random draws (loss, jitter) use the event loop's seeded RNG, so faulty
+Every per-packet random draw (loss, burst, jitter, spike, duplication) is
+made by the datagram layer from the event loop's one seeded RNG, so faulty
 runs replay deterministically.
 """
 
 from __future__ import annotations
 
-import hashlib
-import random
 from dataclasses import dataclass, field
 
 from repro.net.adversity import GilbertElliott
 
-__all__ = ["Segment", "NodeSite", "Topology", "derive_rng_seed"]
-
-
-def derive_rng_seed(seed: int, name: str) -> int:
-    """Derive a per-entity RNG seed from a run seed and a stable name.
-
-    Uses SHA-256 rather than ``hash()`` (which is salted per process) so
-    every shard worker process derives the identical stream — the
-    foundation of the sharded simulator's cross-process determinism
-    (docs/PARALLEL.md).
-    """
-    digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+__all__ = ["Segment", "NodeSite", "Topology"]
 
 
 @dataclass
@@ -71,14 +58,6 @@ class Segment:
     spike_extra: float = 0.0  #: extra one-way delay of a spiked packet
     burst: GilbertElliott | None = None  #: correlated (burst) loss channel
     attached: set[str] = field(default_factory=set)  #: NIC addresses on segment
-    #: Optional dedicated RNG stream for this segment's per-packet draws.
-    #: When set, the datagram layer draws loss/jitter/spike/duplication from
-    #: it instead of the loop-global RNG, making the draw sequence a function
-    #: of this segment's own packet order alone — the property that lets the
-    #: sharded simulator (repro.parallel) replay byte-identically regardless
-    #: of how segments are grouped onto workers.  Seed via
-    #: :meth:`Topology.seed_segment_rngs`.
-    rng: random.Random | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("loss", "duplicate", "spike_prob"):
@@ -94,22 +73,6 @@ class Segment:
         self.spike_prob = 0.0
         self.spike_extra = 0.0
         self.burst = None
-
-    def is_deterministic(self) -> bool:
-        """True when no per-packet RNG draw can ever happen on this segment.
-
-        A deterministic segment delivers every packet after exactly
-        ``latency`` seconds.  Only such segments may be cut by the shard
-        partitioner: a cross-shard draw would couple the shards' RNG
-        streams and break shard-count-invariant replay.
-        """
-        return (
-            self.loss == 0.0
-            and self.jitter == 0.0
-            and self.duplicate == 0.0
-            and self.spike_prob == 0.0
-            and self.burst is None
-        )
 
 
 @dataclass
@@ -194,70 +157,6 @@ class Topology:
             if address in seg.attached:
                 return seg
         raise KeyError(f"address {address!r} not attached to any segment")
-
-    def nodes_on_segment(self, name: str) -> tuple[str, ...]:
-        """Sorted node ids with at least one NIC on segment ``name``."""
-        seg = self._segments[name]
-        return tuple(sorted({self._addr_owner[addr] for addr in seg.attached}))
-
-    # ------------------------------------------------------------------
-    # partitioning primitives (consumed by repro.parallel)
-    # ------------------------------------------------------------------
-    def seed_segment_rngs(self, seed: int) -> None:
-        """Give every segment its own RNG stream derived from ``seed``.
-
-        Streams are keyed by segment *name* (sorted order, SHA-256
-        derivation), so two processes building the same topology with the
-        same seed hold identical streams — see :func:`derive_rng_seed`.
-        """
-        for name in sorted(self._segments):
-            self._segments[name].rng = random.Random(derive_rng_seed(seed, name))
-
-    def connected_components(
-        self, exclude_segments: tuple[str, ...] = ()
-    ) -> tuple[tuple[str, ...], ...]:
-        """Node components under the segment graph minus ``exclude_segments``.
-
-        Two nodes are connected when they share a segment not listed in
-        ``exclude_segments``.  Components and their members are sorted, so
-        the result is deterministic and identical across processes.  Nodes
-        attached to no remaining segment form singleton components.
-        """
-        parent: dict[str, str] = {node_id: node_id for node_id in self._sites}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        excluded = set(exclude_segments)
-        for name in sorted(self._segments):
-            if name in excluded:
-                continue
-            members = self.nodes_on_segment(name)
-            for other in members[1:]:
-                ra, rb = find(members[0]), find(other)
-                if ra != rb:
-                    # Union by lexicographic root for determinism.
-                    lo, hi = (ra, rb) if ra < rb else (rb, ra)
-                    parent[hi] = lo
-        groups: dict[str, list[str]] = {}
-        for node_id in sorted(self._sites):
-            groups.setdefault(find(node_id), []).append(node_id)
-        return tuple(tuple(groups[root]) for root in sorted(groups))
-
-    def min_cut_latency(self, segment_names: tuple[str, ...]) -> float:
-        """Minimum one-way latency over the named (cut) segments.
-
-        This is the sharded simulator's *lookahead bound*: a packet sent on
-        any cut segment during epoch ``k`` cannot arrive before epoch
-        ``k+1`` when the epoch length is this value, so each shard can run
-        an epoch to completion without seeing remote events.
-        """
-        if not segment_names:
-            raise ValueError("no cut segments: min_cut_latency is undefined")
-        return min(self._segments[name].latency for name in segment_names)
 
     # ------------------------------------------------------------------
     # fault injection

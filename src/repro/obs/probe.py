@@ -63,7 +63,6 @@ __all__ = [
     "event_from_record",
     "check_record",
     "events_to_jsonl",
-    "renumber_events",
 ]
 
 #: The probe schema, declared once: kind -> ``"field:type ..."``.  Types:
@@ -432,19 +431,6 @@ def check_record(item: object) -> dict:
     if record["kind"] == "mcast.deliver" and len(record["args"]) == 3:
         record["args"] = [*record["args"], 1]
     return record
-
-
-def renumber_events(events: Iterable[ProbeEvent]) -> list[ProbeEvent]:
-    """Reassign ordinals 1..N in the given order, keeping all else intact.
-
-    Used when canonicalizing a re-sorted stream: ``n`` is a per-bus
-    emission counter, so a stream put into canonical order must be
-    renumbered to stay byte-stable (see repro.parallel.coordinator).
-    """
-    return [
-        ProbeEvent(i + 1, e.at, e.node, e.kind, e.args)
-        for i, e in enumerate(events)
-    ]
 
 
 def events_to_jsonl(events: Iterable[ProbeEvent]) -> str:

@@ -34,7 +34,7 @@ Outputs
   (``chrome://tracing`` / Perfetto loadable), one complete ``"X"`` event
   per dispatched callback, bounded by ``timeline_limit``.
 * :meth:`Profiler.to_dict` — JSON-safe summary of everything accounted
-  (``repro prof --json``), per-epoch wall durations included.
+  (``repro prof --json``).
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class Profiler:
         "label",
         "events",
         "run_wall",
-        "epoch_walls",
         "heap_depth_max",
         "heap_depth_sum",
         "timeline_truncated",
@@ -92,7 +91,6 @@ class Profiler:
         "_origin",
         "_run_depth",
         "_run_t0",
-        "_run_is_epoch",
     )
 
     def __init__(self, timeline_limit: int = 50_000, label: str = "sim") -> None:
@@ -100,10 +98,8 @@ class Profiler:
         self.label = label
         #: Callbacks dispatched while attached.
         self.events = 0
-        #: Total wall seconds spent inside run_until/run_epoch/step calls.
+        #: Total wall seconds spent inside run_until/step calls.
         self.run_wall = 0.0
-        #: Wall seconds of each run_epoch call (lockstep-epoch runs).
-        self.epoch_walls: list[float] = []
         self.heap_depth_max = 0
         self.heap_depth_sum = 0
         self.timeline_truncated = False
@@ -114,7 +110,6 @@ class Profiler:
         self._origin: float | None = None
         self._run_depth = 0
         self._run_t0 = 0.0
-        self._run_is_epoch = False
 
     # ------------------------------------------------------------------
     # wiring
@@ -131,12 +126,11 @@ class Profiler:
     # ------------------------------------------------------------------
     # accounting (called from the EventLoop dispatch hot path)
     # ------------------------------------------------------------------
-    def begin_run(self, epoch: bool = False) -> None:
+    def begin_run(self) -> None:
         """Bracket entry of a run loop; nests (step() inside run_until is
         impossible today, but reentrancy is cheap to tolerate)."""
         if self._run_depth == 0:
             self._run_t0 = self.clock()
-            self._run_is_epoch = epoch
             if self._origin is None:
                 self._origin = self._run_t0
         self._run_depth += 1
@@ -144,10 +138,7 @@ class Profiler:
     def end_run(self) -> None:
         self._run_depth -= 1
         if self._run_depth == 0:
-            wall = self.clock() - self._run_t0
-            self.run_wall += wall
-            if self._run_is_epoch:
-                self.epoch_walls.append(wall)
+            self.run_wall += self.clock() - self._run_t0
 
     def account(
         self,
@@ -324,7 +315,6 @@ class Profiler:
             "coverage": self.coverage(),
             "heap_depth_max": self.heap_depth_max,
             "heap_depth_mean": self.heap_depth_mean,
-            "epoch_walls_s": list(self.epoch_walls),
             "callbacks": self.table(),
             "timeline_truncated": self.timeline_truncated,
         }

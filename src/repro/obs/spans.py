@@ -498,7 +498,7 @@ def _resync_ladders(events: list[ProbeEvent]) -> list[Span]:
 
 
 def reconstruct_spans(events: Iterable[ProbeEvent]) -> SpanTimeline:
-    """Fold a probe stream (any source: sim, sharded merge, real UDP) into
+    """Fold a probe stream (any source: sim, export, real UDP) into
     a :class:`SpanTimeline`.  Events are sorted by ``(at, n)`` first, so
     unsorted inputs are fine."""
     ordered = sorted(events, key=lambda e: (e.at, e.n))

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import socket
 import sys
 from dataclasses import dataclass, field
@@ -655,6 +656,8 @@ class LiveCluster:
     ) -> None:
         if procs < 2:
             raise ValueError("need at least 2 worker processes for a ring")
+        if not 0.0 < seconds < math.inf:
+            raise ValueError(f"seconds must be positive and finite, got {seconds}")
         self.ids = [f"n{i:02d}" for i in range(procs)]
         self.seconds = seconds
         self.hop_interval = hop_interval

@@ -32,17 +32,11 @@ class AsyncioScheduler:
         """Monotonic seconds, the asyncio loop's clock."""
         return self._loop.time()
 
-    def call_later(
-        self, delay: float, callback: Callable[..., None], *args: Any, priority: int = 0
-    ):
-        """Schedule ``callback(*args)``; returns a handle with ``cancel()``.
-
-        ``priority`` is accepted for interface compatibility and ignored —
-        wall-clock time does not produce exact ties.
-        """
+    def call_later(self, delay: float, callback: Callable[..., None], *args: Any):
+        """Schedule ``callback(*args)``; returns a handle with ``cancel()``."""
         return self._loop.call_later(delay, callback, *args)
 
-    def call_at(self, when: float, callback: Callable[..., None], *args: Any, priority: int = 0):
+    def call_at(self, when: float, callback: Callable[..., None], *args: Any):
         """Schedule at absolute loop time ``when``; a deadline already past
         runs on the loop's next turn (the token hold relies on that)."""
         return self._loop.call_at(when, callback, *args)

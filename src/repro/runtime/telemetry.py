@@ -480,12 +480,8 @@ class WallClock:
     def now(self) -> float:
         return self._loop.time() + self._offset
 
-    def call_later(
-        self, delay: float, callback: Callable[..., None], *args: Any,
-        priority: int = 0,
-    ):
-        """Schedule ``callback(*args)``; ``priority`` accepted and ignored
-        (wall time does not produce exact ties)."""
+    def call_later(self, delay: float, callback: Callable[..., None], *args: Any):
+        """Schedule ``callback(*args)`` ``delay`` wall seconds from now."""
         return self._loop.call_later(delay, callback, *args)
 
 

@@ -193,6 +193,40 @@ def test_bad_options_exit_two(capsys, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["chaos", "--seconds", "nan"], "seconds must be positive and finite"),
+        (["chaos", "--seconds", "inf"], "seconds must be positive and finite"),
+        (["chaos", "--seconds", "-3"], "seconds must be positive and finite"),
+        (
+            ["chaos", "--seconds", "nan", "--print-trace"],
+            "seconds must be positive and finite",
+        ),
+        (
+            ["chaos", "--seconds", "inf", "--partition", "n00:1"],
+            "seconds must be positive and finite",
+        ),
+        (["chaos", "--intensity", "nan"], "intensity must be non-negative"),
+        (["chaos", "--intensity", "inf"], "intensity must be non-negative"),
+        (["chaos", "--partition", "n00:nan"], "bad --partition spec"),
+        (["chaos", "--partition", "n00:5:inf"], "bad --partition spec"),
+        (["prof", "--seconds", "nan"], "seconds must be positive and finite"),
+        (["prof", "--seconds", "inf", "--json"], "seconds must be positive and finite"),
+    ],
+)
+def test_non_finite_run_inputs_exit_two(capsys, argv, message):
+    # Regression: NaN and inf passed the ``<= 0`` / ``< 0`` checks and then
+    # crashed (or, for NaN seconds, never stopped) the simulation; each
+    # must be refused before the run starts.
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
 def test_trace_limit_zero_prints_only_the_count(capsys):
     code, out = run_cli(capsys, "trace", "--duration", "0.1", "--limit", "0")
     assert code == 0
@@ -311,8 +345,15 @@ def test_chaos_replay_spike_fail_on_alerts_exits_one(capsys, tmp_path):
         ),
         (["top", "--kill", "n02"], "--kill takes NODE@T"),
         (["top", "--kill", "n02@soon"], "is not a number"),
+        (["top", "--procs", "2", "--seconds", "nan"], "seconds must be positive"),
     ],
-    ids=["one-proc", "kill-outside-cluster", "kill-without-time", "kill-time-nan"],
+    ids=[
+        "one-proc",
+        "kill-outside-cluster",
+        "kill-without-time",
+        "kill-time-nan",
+        "seconds-nan",
+    ],
 )
 def test_top_bad_input_exits_two(capsys, argv, message):
     code = main(argv)
@@ -340,22 +381,32 @@ def test_chaos_replay_malformed_trace_exits_two(capsys, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# drift: the docs name only commands the parser has
+# drift: the docs name only commands and options the parser has
 # ----------------------------------------------------------------------
 ROOT = Path(__file__).resolve().parent.parent
 _COMMAND = re.compile(r"(?<!from )\brepro ([a-z][a-z-]*)(?: ([a-z][a-z-]*))?")
+# A command line ends at a closing backtick, a line end that is not a
+# ``\`` continuation, or a shell separator.
+_LINE_END = re.compile(r"`|(?<!\\)\n|&&|\|\||[|;]")
+_FLAG = re.compile(r"(?:^|\s)(--[a-z][a-z0-9-]*)")
 
 
 def _documented_commands():
-    """``(file, cmd, sub)`` for every ``repro <cmd> [<sub>]`` in the
-    current docs: README.md, docs/*.md and the verification notes
-    (``SKILL.md``).  History files (FINDINGS.md, the changelogs, the
+    """``(file, cmd, sub, tail)`` for every ``repro <cmd> [<sub>]`` in the
+    current docs: README.md, CONTRIBUTING.md, docs/*.md, the verification
+    notes (``SKILL.md``) and the CI workflow.  ``tail`` is the rest of that
+    command line.  History files (FINDINGS.md, the changelogs, the
     roadmap) record commands that no longer exist and are not read."""
-    docs = [ROOT / "README.md", *sorted(ROOT.glob(".*/skills/*/SKILL.md"))]
+    docs = [ROOT / "README.md", ROOT / "CONTRIBUTING.md"]
+    docs += sorted(ROOT.glob(".*/skills/*/SKILL.md"))
     docs += [p for p in sorted((ROOT / "docs").glob("*.md")) if p.name != "FINDINGS.md"]
+    docs.append(ROOT / ".github" / "workflows" / "ci.yml")
     for path in docs:
-        for m in _COMMAND.finditer(path.read_text()):
-            yield path.relative_to(ROOT), m.group(1), m.group(2)
+        text = path.read_text()
+        for m in _COMMAND.finditer(text):
+            end = _LINE_END.search(text, m.end(1))
+            tail = text[m.end(1) : end.start() if end else len(text)]
+            yield path.relative_to(ROOT), m.group(1), m.group(2), tail
 
 
 def _subcommands(parser):
@@ -368,10 +419,18 @@ def _subcommands(parser):
 def test_docs_name_only_existing_subcommands():
     commands = _subcommands(build_parser())
     seen = set()
-    for path, cmd, sub in _documented_commands():
+    for path, cmd, sub, tail in _documented_commands():
         seen.add(cmd)
         assert cmd in commands, f"{path} names `repro {cmd}`, which is gone"
-        nested = _subcommands(commands[cmd])
+        parser = commands[cmd]
+        nested = _subcommands(parser)
         if nested and sub is not None:
             assert sub in nested, f"{path} names `repro {cmd} {sub}`, which is gone"
+            parser = nested[sub]
+            tail = tail.split(sub, 1)[1]
+        for flag in _FLAG.findall(tail):
+            assert flag in parser._option_string_actions, (
+                f"{path} names `repro {cmd}{f' {sub}' if nested and sub else ''} "
+                f"{flag}`, which is not an option"
+            )
     assert {"chaos", "top", "obs"} <= seen

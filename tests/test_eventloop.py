@@ -24,15 +24,6 @@ def test_same_time_events_fire_in_schedule_order():
     assert fired == list(range(10))
 
 
-def test_priority_breaks_same_time_ties():
-    loop = EventLoop()
-    fired = []
-    loop.call_later(1.0, fired.append, "low", priority=5)
-    loop.call_later(1.0, fired.append, "high", priority=-5)
-    loop.run_until_idle()
-    assert fired == ["high", "low"]
-
-
 def test_clock_advances_to_event_time():
     loop = EventLoop()
     seen = []
@@ -163,37 +154,22 @@ def test_non_finite_delay_rejected():
             loop.call_later(bad, lambda: None)
 
 
-def test_run_epoch_strict_boundary():
-    # run_epoch owns [now, end): an event exactly at the boundary must NOT
-    # run, and must fire first thing in the next epoch.
+def test_nan_deadline_rejected():
+    # Regression: ``when > deadline`` is always False for a NaN deadline,
+    # so a self-rescheduling timer used to run unbounded under run_until.
     loop = EventLoop()
     fired = []
-    loop.call_at(0.5, fired.append, "inside")
-    loop.call_at(1.0, fired.append, "edge")
-    assert loop.run_epoch(1.0) == 1
-    assert fired == ["inside"]
-    assert loop.now == 1.0
-    assert loop.run_epoch(2.0) == 1
-    assert fired == ["inside", "edge"]
 
+    def tick() -> None:
+        fired.append(loop.now)
+        loop.call_later(0.01, tick)
 
-def test_run_epoch_rejects_past_end():
-    loop = EventLoop()
-    loop.run_epoch(1.0)
+    loop.call_later(0.01, tick)
     with pytest.raises(ValueError):
-        loop.run_epoch(0.5)
-
-
-def test_run_epoch_allows_scheduling_at_boundary():
-    # After run_epoch(end) the clock sits at end with the boundary event
-    # still pending; call_at(end) from outside must be legal (the exchange
-    # injects arrivals exactly at epoch boundaries).
-    loop = EventLoop()
-    fired = []
-    loop.run_epoch(1.0)
-    loop.call_at(1.0, fired.append, "injected")
-    loop.run_epoch(2.0)
-    assert fired == ["injected"]
+        loop.run_until(float("nan"))
+    with pytest.raises(ValueError):
+        loop.run_for(float("nan"))
+    assert fired == [] and loop.now == 0.0
 
 
 # -- the clock (the loop is its only owner; ``now`` is a plain attribute) --
@@ -229,8 +205,6 @@ def test_time_cannot_flow_backwards():
     loop = EventLoop(start=10.0)
     loop.run_until(9.999)  # a deadline in the past leaves the clock alone
     assert loop.now == 10.0
-    with pytest.raises(ValueError):
-        loop.run_epoch(9.999)
     with pytest.raises(ValueError):
         loop.call_at(9.999, lambda: None)
     assert loop.now == 10.0

@@ -65,7 +65,7 @@ class ScriptedLoop:
         self.visits = []  # one Visit per hold armed, in arming order
         self.forwards = 0  # forward timers that have run
 
-    def call_at(self, when, callback, *args, priority=0):
+    def call_at(self, when, callback, *args):
         handle = _Handle(when, callback, args)
         if getattr(callback, "__func__", None) is RaincoreNode._forward_token:
             node_id = callback.__self__.node_id
@@ -74,7 +74,7 @@ class ScriptedLoop:
         bisect.insort(self._timers, (when, next(self._seq), handle))
         return handle
 
-    def call_later(self, delay, callback, *args, priority=0):
+    def call_later(self, delay, callback, *args):
         if not delay >= 0.0:  # EventLoop's contract; asyncio is laxer
             raise ValueError(f"delay must be non-negative, got {delay}")
         return self.call_at(self.now + delay, callback, *args)

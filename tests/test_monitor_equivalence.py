@@ -38,7 +38,7 @@ def ev(n, at, node, kind, *args):
 class StubClock:
     now = 0.0
 
-    def call_later(self, delay, callback, *args, priority=0):  # pragma: no cover
+    def call_later(self, delay, callback, *args):  # pragma: no cover
         raise AssertionError("replayed monitors are driven by hand")
 
 

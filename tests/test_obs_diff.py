@@ -275,30 +275,3 @@ def test_plain_jsonl_export_still_rejects_torn_tail(tmp_path):
     path.write_text((REC % (1, "0.5")) + "\n" + (REC % (2, "0.6"))[:20])
     with pytest.raises(ValueError, match=r"export\.jsonl:2: not JSON"):
         load_events(path)
-
-
-# ----------------------------------------------------------------------
-# renumber_events: canonical ordinals for merged streams
-# ----------------------------------------------------------------------
-def test_renumber_assigns_ordinals_in_given_order():
-    from repro.obs.probe import ProbeEvent, renumber_events
-
-    # Equal-timestamp ties: renumbering must keep the caller's order
-    # verbatim (the canonical merge order is (at, node, kind, n) — the
-    # renumberer itself never re-sorts).
-    events = [
-        ProbeEvent(7, 0.5, "B", "core.wakeup", ()),  # raincheck: disable=RC402 -- synthetic ties with chosen ordinals
-        ProbeEvent(3, 0.5, "A", "core.wakeup", ()),  # raincheck: disable=RC402 -- synthetic ties with chosen ordinals
-        ProbeEvent(9, 0.5, "A", "node.shutdown", ("leave",)),  # raincheck: disable=RC402 -- synthetic ties with chosen ordinals
-    ]
-    renumbered = renumber_events(events)
-    assert [e.n for e in renumbered] == [1, 2, 3]
-    assert [(e.at, e.node, e.kind, e.args) for e in renumbered] == [
-        (e.at, e.node, e.kind, e.args) for e in events
-    ]
-    # Renumbering is idempotent: a second pass changes no record.
-    twice = renumber_events(renumbered)
-    assert [event_record(e) for e in twice] == [
-        event_record(e) for e in renumbered
-    ]
-    assert renumber_events([]) == []

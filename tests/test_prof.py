@@ -203,39 +203,10 @@ def test_timeline_zero_disables_retention():
     assert prof.timeline_truncated is False
 
 
-# ----------------------------------------------------------------------
-# epoch walls (lockstep-epoch harness)
-# ----------------------------------------------------------------------
-def test_run_epoch_walls_recorded():
-    prof = Profiler()
-    loop = EventLoop(seed=1)
-    prof.attach(loop)
-    for i in range(10):
-        loop.call_later(i * 0.01, lambda: None)
-    loop.run_epoch(0.05)
-    loop.run_epoch(0.2)
-    assert len(prof.epoch_walls) == 2
-    assert abs(sum(prof.epoch_walls) - prof.run_wall) < 1e-9
-
-
-def test_serial_parallel_run_collects_profile():
-    from repro.parallel import ParallelSimulator
-
-    prof = Profiler(label="harness")
-    sim = ParallelSimulator("multi_ring", seed=7, params={"rings": 2, "ring_size": 3})
-    result = sim.run(0.5, prepare=lambda instance: prof.attach(instance.loop))
-    profile = prof.to_dict()
-    assert profile["label"] == "harness"
-    assert profile["events"] > 0
-    assert len(profile["epoch_walls_s"]) == result.epochs
-
-
 def test_profile_off_is_default():
     loop = EventLoop(seed=1)
     assert loop.profile is None
-    from repro.parallel import ParallelSimulator
-
     seen = []
-    sim = ParallelSimulator("multi_ring", seed=7, params={"rings": 2, "ring_size": 3})
-    sim.run(0.2, prepare=lambda instance: seen.append(instance.loop.profile))
+    loop.call_later(0.1, lambda: seen.append(loop.profile))
+    loop.run_until(0.2)
     assert seen == [None]

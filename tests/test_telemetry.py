@@ -54,7 +54,7 @@ class FakeClock:
         self.now = now
         self.scheduled = []
 
-    def call_later(self, delay, callback, *args, priority=0):
+    def call_later(self, delay, callback, *args):
         self.scheduled.append((delay, callback))
 
         class _Handle:
