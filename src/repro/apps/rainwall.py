@@ -46,7 +46,6 @@ from repro.apps.firewall import ALLOW_WEB_POLICY, Firewall, Rule
 from repro.apps.traffic import Flow, TrafficEngine
 from repro.apps.vip import ArpSubnet, VirtualIPManager
 from repro.cluster.harness import RaincoreCluster
-from repro.core.config import RaincoreConfig
 from repro.core.events import SessionListener, ensure_composite
 from repro.core.resources import CriticalResource
 from repro.core.states import NodeState
@@ -55,21 +54,20 @@ from repro.net.stats import CpuModel
 
 __all__ = ["RainwallConfig", "RainwallCluster", "RainwallNode"]
 
+#: Seconds between a gateway's shared load-table refreshes.
+LOAD_PUBLISH_INTERVAL = 0.100
+#: Seconds between client-retry scans for blackholed connections.
+REPAIR_INTERVAL = 0.025
+
 
 @dataclass
 class RainwallConfig:
     """Rainwall deployment knobs (defaults match the Fig. 3 testbed scale)."""
 
     vips: list[str] = field(default_factory=lambda: ["10.1.0.1", "10.1.0.2"])
-    gateway_capacity_bps: float = 95e6  #: measured single-gateway rate
     rules: list[Rule] = field(default_factory=lambda: list(ALLOW_WEB_POLICY))
     arrival_rate: float = 200.0  #: connections per second
     flow_size: float = 500_000.0  #: bytes per download
-    traffic_tick: float = 0.010
-    load_publish_interval: float = 0.100  #: shared load-table refresh
-    repair_interval: float = 0.025  #: packet-engine connection fail-over scan
-    arp_refresh_latency: float = 0.010
-    monitor_nic: bool = True  #: NIC as a critical resource (paper §3.2)
 
 
 class RainwallNode(SessionListener):
@@ -93,7 +91,7 @@ class RainwallNode(SessionListener):
 
     def _arm(self) -> None:
         self._publish_timer = self.node.loop.call_later(
-            self.cluster.config.load_publish_interval, self._publish
+            LOAD_PUBLISH_INTERVAL, self._publish
         )
 
     def _publish(self) -> None:
@@ -133,20 +131,11 @@ class RainwallCluster:
         *,
         seed: int = 0,
         config: RainwallConfig | None = None,
-        raincore_config: RaincoreConfig | None = None,
     ) -> None:
         self.config = config if config is not None else RainwallConfig()
-        self.raincore = RaincoreCluster(
-            node_ids,
-            seed=seed,
-            config=(
-                raincore_config
-                if raincore_config is not None
-                else RaincoreConfig.tuned(ring_size=len(node_ids))
-            ),
-        )
+        self.raincore = RaincoreCluster(node_ids, seed=seed)
         self.loop = self.raincore.loop
-        self.subnet = ArpSubnet(refresh_latency=self.config.arp_refresh_latency)
+        self.subnet = ArpSubnet()
         self.shared: dict[str, SharedDict] = {}
         self.vip_managers: dict[str, VirtualIPManager] = {}
         self.conntrack: dict[str, ConnectionTable] = {}
@@ -157,7 +146,6 @@ class RainwallCluster:
             self.config.vips,
             arrival_rate=self.config.arrival_rate,
             flow_size=self.config.flow_size,
-            tick=self.config.traffic_tick,
         )
         self.engine.on_complete = self._on_flow_complete
         for node_id in node_ids:
@@ -171,16 +159,15 @@ class RainwallCluster:
                 node, on_assignment=self._apply_assignment
             )
             self.agents[node_id] = RainwallNode(self, node_id)
-            self.engine.add_gateway(node_id, self.config.gateway_capacity_bps)
-            if self.config.monitor_nic:
-                addr = self.raincore.topology.addresses_of(node_id)[0]
-                node.monitor.add(
-                    CriticalResource(
-                        "external-nic",
-                        lambda a=addr: self.raincore.topology.nic_up(a),
-                        poll_interval=0.050,
-                    )
+            self.engine.add_gateway(node_id)
+            addr = self.raincore.topology.addresses_of(node_id)[0]
+            node.monitor.add(
+                CriticalResource(
+                    "external-nic",
+                    lambda a=addr: self.raincore.topology.nic_up(a),
+                    poll_interval=0.050,
                 )
+            )
         self._repair_timer = None
 
     # ------------------------------------------------------------------
@@ -279,9 +266,7 @@ class RainwallCluster:
     # client retry loop (models TCP SYN retransmission, not the cluster)
     # ------------------------------------------------------------------
     def _arm_repair(self) -> None:
-        self._repair_timer = self.loop.call_later(
-            self.config.repair_interval, self._retry_clients
-        )
+        self._repair_timer = self.loop.call_later(REPAIR_INTERVAL, self._retry_clients)
 
     def _retry_clients(self) -> None:
         live = self.raincore.live_nodes()

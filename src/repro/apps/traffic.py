@@ -133,7 +133,9 @@ class TrafficEngine:
     # ------------------------------------------------------------------
     # setup
     # ------------------------------------------------------------------
-    def add_gateway(self, node_id: str, capacity_bps: float = 95e6) -> GatewayPort:
+    def add_gateway(
+        self, node_id: str, capacity_bps: float = GatewayPort.capacity_bps
+    ) -> GatewayPort:
         port = GatewayPort(node_id, capacity_bps)
         self.gateways[node_id] = port
         return port

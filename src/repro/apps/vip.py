@@ -21,7 +21,7 @@ Implementation
 * When a node observes in the replicated table that it gained a VIP, it
   installs it and sends a **gratuitous ARP** on the subnet; MAC addresses
   never move (paper: "MAC addresses are never moved and remain unique").
-  :class:`ArpSubnet` models the subnet's ARP caches with a configurable
+  :class:`ArpSubnet` models the subnet's ARP caches with a fixed
   refresh latency, which is part of the measured fail-over time.
 """
 
@@ -35,16 +35,19 @@ from repro.data.shared_dict import DictOp, SharedDict
 
 __all__ = ["ArpSubnet", "VirtualIPManager", "compute_assignment"]
 
+#: Seconds routers and hosts take to honour a gratuitous ARP (cache update
+#: plus switch re-learning).
+ARP_REFRESH_LATENCY = 0.010
+
 
 @dataclass
 class ArpSubnet:
     """The subnet's collective ARP view: which MAC answers for each VIP.
 
-    ``refresh_latency`` models how long routers/hosts take to honour a
-    gratuitous ARP (cache update + switch re-learning).
+    A gratuitous ARP takes effect :data:`ARP_REFRESH_LATENCY` after it is
+    announced.
     """
 
-    refresh_latency: float = 0.010
     table: dict[str, str] = field(default_factory=dict)  # vip -> node id
     history: list[tuple[float, str, str]] = field(default_factory=list)
 
@@ -56,7 +59,7 @@ class ArpSubnet:
         def apply():
             self.table[vip] = node_id
 
-        loop.call_later(self.refresh_latency, apply)
+        loop.call_later(ARP_REFRESH_LATENCY, apply)
 
     def resolve(self, vip: str) -> str | None:
         """Where the subnet currently believes ``vip`` lives."""

@@ -11,7 +11,6 @@ from repro.core.session import RaincoreNode
 from repro.net.datagram import DatagramNetwork
 from repro.net.eventloop import EventLoop
 from repro.net.topology import Topology, build_switched_cluster
-from repro.transport.reliable import TransportConfig
 
 __all__ = ["RaincoreChannel", "BaselineCluster", "build_baseline_cluster"]
 
@@ -57,22 +56,15 @@ class BaselineCluster:
         node_ids: list[str],
         *,
         seed: int = 0,
-        latency: float = 100e-6,
-        jitter: float = 20e-6,
         loss: float = 0.0,
-        transport_config: TransportConfig | None = None,
     ) -> None:
         self.node_ids = list(node_ids)
         self.loop = EventLoop(seed=seed)
         self.topology = Topology()
-        build_switched_cluster(
-            self.topology, self.node_ids, latency=latency, jitter=jitter, loss=loss
-        )
+        build_switched_cluster(self.topology, self.node_ids, loss=loss)
         self.network = DatagramNetwork(self.loop, self.topology)
         self.nodes: dict[str, BaselineNode] = {
-            nid: node_cls(
-                nid, self.loop, self.network, self.node_ids, transport_config
-            )
+            nid: node_cls(nid, self.loop, self.network, self.node_ids)
             for nid in self.node_ids
         }
 

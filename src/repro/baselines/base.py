@@ -15,7 +15,7 @@ from typing import Callable
 from repro.net.datagram import DatagramNetwork
 from repro.net.eventloop import EventLoop
 from repro.net.stats import NodeStats
-from repro.transport.reliable import ReliableUnicast, TransportConfig
+from repro.transport.reliable import ReliableUnicast
 
 __all__ = ["GroupChannel", "BaselineNode", "DeliverCallback"]
 
@@ -51,7 +51,6 @@ class BaselineNode(GroupChannel):
         loop: EventLoop,
         network: DatagramNetwork,
         members: list[str],
-        transport_config: TransportConfig | None = None,
     ) -> None:
         if node_id not in members:
             raise ValueError(f"{node_id!r} must be in the member list")
@@ -60,7 +59,7 @@ class BaselineNode(GroupChannel):
         self.members = list(members)
         self.peers = [m for m in members if m != node_id]
         self.stats: NodeStats = network.stats.for_node(node_id)
-        self.transport = ReliableUnicast(node_id, loop, network, transport_config)
+        self.transport = ReliableUnicast(node_id, loop, network)
         self.transport.set_receiver(self._receive)
         self.transport.start()
         self._deliver: DeliverCallback | None = None

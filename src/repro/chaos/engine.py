@@ -48,6 +48,17 @@ from repro.obs import (
 
 __all__ = ["ChaosEngine", "RunResult", "CampaignResult", "run_campaign"]
 
+#: Virtual seconds allowed for reconvergence after the fault window.
+QUIESCE_BUDGET = 60.0
+#: Extra virtual seconds after convergence for replicated state to finish
+#: propagating before the final checks.
+SETTLE = 3.0
+#: Invariant sampling period, virtual seconds.
+MONITOR_INTERVAL = 0.002
+#: Period of the background load: one multicast per tick, one replicated
+#: write every other tick.
+BACKGROUND_TICK = 0.25
+
 
 @dataclass
 class RunResult:
@@ -77,58 +88,28 @@ class ChaosEngine:
     ----------
     schedule:
         The plan to run (generated or loaded from a trace).
-    quiesce_budget:
-        Virtual seconds allowed for reconvergence after the fault window.
-    settle:
-        Extra virtual seconds after convergence for replicated state to
-        finish propagating before the final checks.
-    monitor_interval:
-        Invariant sampling period.
-    double_token_allowance:
-        Permitted cumulative double-token seconds (non-strict runs).  False
-        alarms and ack blackouts legitimately create short duplicate
-        windows that the seq guard heals; unbounded growth is the bug.
-        Defaults to ``max(1.0, 5%% of the fault window)``.
-    background_tick:
-        Period of the background load: one multicast per tick, one
-        replicated write every other tick.
-    recorder_capacity:
-        Flight-recorder ring size per node; the diagnostic bundle built
-        for a failing run carries at most this many recent events/node.
     instrument:
         Optional callback ``instrument(cluster, bus)`` invoked once the
         cluster is built and its probe bus enabled, before formation.
         The ``repro prof`` CLI uses it to attach a wall-clock profiler
         and a streaming aggregator to the standard chaos workload; any
         observational attachment (recorder, extra monitors) fits here.
+
+    A non-strict run may spend ``max(1.0, 5% of the fault window)``
+    cumulative seconds with two tokens: false alarms and ack blackouts
+    legitimately create short duplicate windows that the seq guard heals;
+    unbounded growth is the bug.
     """
 
     def __init__(
         self,
         schedule: Schedule,
         *,
-        quiesce_budget: float = 60.0,
-        settle: float = 3.0,
-        monitor_interval: float = 0.002,
-        double_token_allowance: float | None = None,
-        background_tick: float = 0.25,
-        recorder_capacity: int = 512,
         instrument: Callable | None = None,
     ) -> None:
         self.schedule = schedule
         self.instrument = instrument
-        self.quiesce_budget = quiesce_budget
-        self.settle = settle
-        self.monitor_interval = monitor_interval
-        self.recorder_capacity = recorder_capacity
-        params = schedule.params
-        self.double_token_allowance = (
-            double_token_allowance
-            if double_token_allowance is not None
-            else max(1.0, 0.05 * params.seconds)
-        )
-        self.background_tick = background_tick
-        self.ids = node_names(params.nodes)
+        self.ids = node_names(schedule.params.nodes)
         self._sent = 0
         self._writes = 0
         self._ops_applied = 0
@@ -148,7 +129,7 @@ class ChaosEngine:
         bus = cluster.enable_probes()
         if self.instrument is not None:
             self.instrument(cluster, bus)
-        recorder = FlightRecorder(bus, capacity=self.recorder_capacity)
+        recorder = FlightRecorder(bus)
         agg = StreamAggregator().attach(bus)
         dicts = {nid: SharedDict(cluster.node(nid)) for nid in self.ids}
         # Contract monitor: the paper's SLO bounds, derived from the same
@@ -166,7 +147,7 @@ class ChaosEngine:
         cluster.start_all(form_time=30.0 + params.nodes)
         contract.start()
         monitor = InvariantMonitor(
-            cluster, interval=self.monitor_interval, strict=params.strict
+            cluster, interval=MONITOR_INTERVAL, strict=params.strict
         )
         # Snapshot the rings the moment the *first* violation is flagged —
         # by the end of quiescence the interesting events would have been
@@ -253,9 +234,9 @@ class ChaosEngine:
                         f"k{self._writes % 16}", self._writes
                     )
                     self._writes += 1
-            cluster.loop.call_later(self.background_tick, tick)
+            cluster.loop.call_later(BACKGROUND_TICK, tick)
 
-        cluster.loop.call_later(self.background_tick, tick)
+        cluster.loop.call_later(BACKGROUND_TICK, tick)
 
     # ------------------------------------------------------------------
     # fault op application
@@ -350,9 +331,9 @@ class ChaosEngine:
             if cluster.node(nid).state is NodeState.DOWN:
                 cluster.faults.recover_node(nid)
         converged = cluster.run_until_converged(
-            self.quiesce_budget, expected=set(self.ids)
+            QUIESCE_BUDGET, expected=set(self.ids)
         )
-        cluster.run(self.settle)
+        cluster.run(SETTLE)
         return converged
 
     def _check(
@@ -371,11 +352,12 @@ class ChaosEngine:
                 f"{len(monitor.violations)} violations; first at "
                 f"t={first.at:.3f}: {first.detail}",
             )
-        if monitor.double_token_time > self.double_token_allowance:
+        allowance = max(1.0, 0.05 * self.schedule.params.seconds)
+        if monitor.double_token_time > allowance:
             return (
                 "double-token-time",
                 f"{monitor.double_token_time:.3f}s exceeds allowance "
-                f"{self.double_token_allowance:.3f}s",
+                f"{allowance:.3f}s",
             )
         dupes = {n: d for n, d in duplicate_deliveries(cluster).items() if d}
         if dupes:
@@ -474,9 +456,7 @@ def run_campaign(
     strict: bool = False,
     artifacts_dir: str | None = None,
     shrink: bool = True,
-    max_shrink_tests: int = 48,
     log: Callable[[str], None] | None = None,
-    **engine_opts,
 ) -> CampaignResult:
     """Run ``campaign`` schedules with seeds ``seed, seed+1, ...``.
 
@@ -500,7 +480,7 @@ def run_campaign(
             f"run {k + 1}/{campaign}: seed={params.seed} "
             f"ops={len(schedule.ops)} window={seconds:g}s"
         )
-        result = ChaosEngine(schedule, **engine_opts).run()
+        result = ChaosEngine(schedule).run()
         out.results.append(result)
         if result.alerts:
             say(f"  {len(result.alerts)} contract alert(s) fired")
@@ -526,8 +506,8 @@ def run_campaign(
             say("  shrinking ...")
             minimal, tests = shrink_schedule(
                 schedule,
-                lambda s: not ChaosEngine(s, **engine_opts).run().ok,
-                max_tests=max_shrink_tests,
+                lambda s: not ChaosEngine(s).run().ok,
+                max_tests=48,
             )
             out.shrunk[k] = (minimal, tests)
             say(
@@ -545,7 +525,7 @@ def run_campaign(
                 # Re-run the minimal schedule once more for its own bundle:
                 # the shrinker's predicate runs discard results, and the
                 # minimized failure is the one worth reading.
-                min_result = ChaosEngine(minimal, **engine_opts).run()
+                min_result = ChaosEngine(minimal).run()
                 if min_result.bundle is not None:
                     path = _write_artifact(
                         artifacts_dir,

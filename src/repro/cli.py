@@ -49,6 +49,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    """argparse type for a node, group or run count: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="raincore-repro",
@@ -62,11 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="package overview and experiment index")
 
     p = sub.add_parser("quickstart", help="group formation, multicast, crash, rejoin")
-    p.add_argument("--nodes", type=int, default=4)
+    p.add_argument("--nodes", type=_positive, default=4)
     p.add_argument("--seed", type=int, default=2024)
 
     p = sub.add_parser("trace", help="print a protocol event timeline")
-    p.add_argument("--nodes", type=int, default=3)
+    p.add_argument("--nodes", type=_positive, default=3)
     p.add_argument("--duration", type=float, default=0.25)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--limit", type=_count, default=60)
@@ -112,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         "export",
         help="run the probed quickstart scenario and export JSONL streams",
     )
-    q.add_argument("--nodes", type=int, default=4)
+    q.add_argument("--nodes", type=_positive, default=4)
     q.add_argument("--seed", type=int, default=2024)
     q.add_argument("--duration", type=float, default=1.0)
     q.add_argument(
@@ -234,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("scaling", help="Figure 3: Rainwall throughput sweep")
-    p.add_argument("--nodes", type=int, nargs="+", default=[1, 2, 4])
+    p.add_argument("--nodes", type=_positive, nargs="+", default=[1, 2, 4])
     p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("failover", help="the 2-second cable-unplug experiment")
@@ -244,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=5)
 
     p = sub.add_parser("hierarchy", help="two-plane hierarchical demo (§5)")
-    p.add_argument("--groups", type=int, default=3)
-    p.add_argument("--group-size", type=int, default=3)
+    p.add_argument("--groups", type=_positive, default=3)
+    p.add_argument("--group-size", type=_positive, default=3)
     p.add_argument("--seed", type=int, default=4)
 
     p = sub.add_parser(
@@ -283,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seconds", type=float, default=30.0, help="fault window (virtual s)")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(
-        "--campaign", type=int, default=1, metavar="N",
+        "--campaign", type=_positive, default=1, metavar="N",
         help="run N schedules with seeds seed, seed+1, ...",
     )
     p.add_argument("--segments", type=int, default=2)

@@ -19,7 +19,7 @@ from repro.core.session import RaincoreNode
 from repro.core.states import NodeState
 from repro.net.datagram import DatagramNetwork
 from repro.net.eventloop import EventLoop
-from repro.net.topology import Topology, build_switched_cluster
+from repro.net.topology import Segment, Topology, build_switched_cluster
 
 __all__ = ["RaincoreCluster", "ClusterNode"]
 
@@ -52,11 +52,11 @@ class RaincoreCluster:
     config:
         Shared protocol config; defaults to
         :meth:`RaincoreConfig.tuned` for the cluster size.
-    loss, latency:
-        Per-segment packet loss probability and one-way latency.
-    auto_eligible:
-        When True (default) every node's Eligible Membership is the full
-        node list, so healed partitions re-merge automatically (paper §2.4).
+    loss:
+        Per-segment packet loss probability.
+
+    Every node's Eligible Membership is the full node list, so healed
+    partitions re-merge automatically (paper §2.4).
     """
 
     def __init__(
@@ -67,9 +67,7 @@ class RaincoreCluster:
         segments: int = 1,
         config: RaincoreConfig | None = None,
         loss: float = 0.0,
-        latency: float = 100e-6,
-        jitter: float = 20e-6,
-        auto_eligible: bool = True,
+        jitter: float = Segment.jitter,
     ) -> None:
         if not node_ids:
             raise ValueError("cluster needs at least one node")
@@ -83,7 +81,6 @@ class RaincoreCluster:
             self.node_ids,
             segments=segments,
             loss=loss,
-            latency=latency,
             jitter=jitter,
         )
         self.network = DatagramNetwork(self.loop, self.topology)
@@ -93,14 +90,12 @@ class RaincoreCluster:
             else RaincoreConfig.tuned(ring_size=len(node_ids))
         )
         self.nodes: dict[str, ClusterNode] = {}
-        self._auto_eligible = auto_eligible
         for node_id in self.node_ids:
             listener = RecordingListener()
             node = RaincoreNode(
                 node_id, self.loop, self.network, self.config, listener
             )
-            if auto_eligible:
-                node.set_eligible(self.node_ids)
+            node.set_eligible(self.node_ids)
             self.nodes[node_id] = ClusterNode(node, listener, addr_map[node_id])
         self.faults = FaultInjector(self)
         # Probe bus (repro.obs): None until enable_probes() opts in, so the
@@ -242,9 +237,8 @@ class RaincoreCluster:
             node.transport.probe = self.probes
         self.node_ids.append(node_id)
         self.nodes[node_id] = ClusterNode(node, listener, addresses)
-        if self._auto_eligible:
-            for cn in self.nodes.values():
-                cn.node.set_eligible(self.node_ids)
+        for cn in self.nodes.values():
+            cn.node.set_eligible(self.node_ids)
         if start:
             pool = contacts if contacts is not None else [
                 n.node_id for n in self.live_nodes() if n.node_id != node_id

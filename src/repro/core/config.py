@@ -70,13 +70,6 @@ class RaincoreConfig:
     resync_segment_ops:
         Ops per log segment.  A segment seals (and is acknowledged around
         the ring) once it holds this many ops; pruning is segment-granular.
-    resync_quarantine_after:
-        Consecutive failed resyncs (continuation-point snapshot fallbacks
-        with no certified ack in between) a peer is allowed before it is
-        quarantined from the view with a structured reason.
-    resync_quarantine_backoff:
-        Seconds a quarantined peer is refused re-admission (911 joins and
-        BODYODOR merges are ignored) before the quarantine lifts.
     transport:
         Timing for the underlying Raincore Transport Service.
     """
@@ -90,8 +83,6 @@ class RaincoreConfig:
     max_token_bytes: int = 60_000  #: within a jumbo UDP datagram
     resync_window_bytes: int = 65_536
     resync_segment_ops: int = 32
-    resync_quarantine_after: int = 3
-    resync_quarantine_backoff: float = 5.0
     transport: TransportConfig = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -114,10 +105,6 @@ class RaincoreConfig:
             raise ValueError("resync_window_bytes must be non-negative")
         if self.resync_segment_ops < 1:
             raise ValueError("resync_segment_ops must be at least 1")
-        if self.resync_quarantine_after < 1:
-            raise ValueError("resync_quarantine_after must be at least 1")
-        if self.resync_quarantine_backoff <= 0:
-            raise ValueError("resync_quarantine_backoff must be positive")
 
     @classmethod
     def tuned(

@@ -23,7 +23,7 @@ from typing import Any, Callable
 from repro.net.datagram import DatagramNetwork
 from repro.net.eventloop import EventLoop
 from repro.transport.messages import session_message
-from repro.transport.reliable import ReliableUnicast, TransportConfig
+from repro.transport.reliable import ReliableUnicast
 
 __all__ = ["OpenGroupMessage", "OpenGroupAck", "OpenGroupClient"]
 
@@ -71,7 +71,6 @@ class OpenGroupClient:
         network: DatagramNetwork,
         contacts: list[str],
         *,
-        transport_config: TransportConfig | None = None,
         ack_timeout: float = 0.5,
         max_attempts: int | None = None,
     ) -> None:
@@ -84,7 +83,7 @@ class OpenGroupClient:
         self.max_attempts = (
             max_attempts if max_attempts is not None else 2 * len(contacts)
         )
-        self.transport = ReliableUnicast(node_id, loop, network, transport_config)
+        self.transport = ReliableUnicast(node_id, loop, network)
         self.transport.set_receiver(self._receive)
         self.transport.start()
         self._msg_no = itertools.count(1)

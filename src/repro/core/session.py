@@ -67,7 +67,11 @@ from repro.net.datagram import DatagramNetwork
 from repro.net.eventloop import EventLoop, TimerHandle
 from repro.transport.reliable import ReliableUnicast
 
-__all__ = ["RaincoreNode"]
+__all__ = ["QUARANTINE_BACKOFF", "RaincoreNode"]
+
+#: Seconds a quarantined peer is refused re-admission (its 911 joins and
+#: BODYODOR merge beacons are ignored) before the quarantine lifts.
+QUARANTINE_BACKOFF = 5.0
 
 
 class RaincoreNode:
@@ -381,7 +385,7 @@ class RaincoreNode:
         Called by the resync degradation ladder when a peer repeatedly
         fails state transfer: the peer is removed from the ring on this
         node's next token visit, and its 911 joins and BODYODOR merge
-        beacons are ignored until ``resync_quarantine_backoff`` elapses.
+        beacons are ignored until :data:`QUARANTINE_BACKOFF` elapses.
         Quarantining beats the alternative — a peer that can never resync
         re-entering the view forever, stalling convergence and bloating
         every member's retransmit and catch-up state.
@@ -392,9 +396,7 @@ class RaincoreNode:
         probe = self.probe
         if probe is not None:
             probe.emit(self.node_id, "resync.quarantine", peer, reason, True)
-        self.loop.call_later(
-            self.config.resync_quarantine_backoff, self._lift_quarantine, peer
-        )
+        self.loop.call_later(QUARANTINE_BACKOFF, self._lift_quarantine, peer)
 
     def _lift_quarantine(self, peer: str) -> None:
         if self.quarantined.pop(peer, None) is None:

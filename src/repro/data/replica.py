@@ -80,10 +80,14 @@ from repro.data.resync import (
 )
 from repro.transport.messages import stream_message
 
-__all__ = ["ReplicaBase", "SyncRequest"]
+__all__ = ["QUARANTINE_AFTER", "ReplicaBase", "SyncRequest"]
 
 #: Fruitless sync requests before a minimum-id member self-declares.
 SELF_DECLARE_AFTER = 3
+
+#: Consecutive failed resyncs (continuation-point snapshot fallbacks with no
+#: certified ack in between) a peer is allowed before it is quarantined.
+QUARANTINE_AFTER = 3
 
 #: Growth-snapshot deferral, in units of ``join_retry``: long enough for a
 #: joiner's first SyncRequest (one ``join_retry`` after its view change) or
@@ -357,7 +361,7 @@ class ReplicaBase(SessionListener):
         # Out of window, or a divergent history (split-brain survivor).
         strikes = self._strikes.get(peer, 0) + 1
         self._strikes[peer] = strikes
-        if strikes > node.config.resync_quarantine_after:
+        if strikes > QUARANTINE_AFTER:
             self._pending_growth.discard(peer)
             node.quarantine_peer(peer, "resync-failed-repeatedly")
             return

@@ -33,8 +33,10 @@ class HierarchicalCluster:
     groups:
         List of member-id lists, one per sub-group.  Ids must be globally
         unique; group leadership goes to the lowest live id in each group.
-    seed, latency, jitter, loss:
-        Simulated network parameters (one switched segment).
+    seed:
+        Event-loop RNG seed; the network is one switched segment with
+        :class:`~repro.net.topology.Segment`'s default latency and jitter
+        and no loss.
     hop_interval:
         Token hold time, used for both planes.
     """
@@ -44,9 +46,6 @@ class HierarchicalCluster:
         groups: list[list[str]],
         *,
         seed: int = 0,
-        latency: float = 100e-6,
-        jitter: float = 20e-6,
-        loss: float = 0.0,
         hop_interval: float = 0.010,
     ) -> None:
         if not groups or any(not g for g in groups):
@@ -61,9 +60,7 @@ class HierarchicalCluster:
         self.machine_ids = flat
         self.loop = EventLoop(seed=seed)
         self.topology = Topology()
-        self.topology.add_segment(
-            Segment("net0", latency=latency, jitter=jitter, loss=loss)
-        )
+        self.topology.add_segment(Segment("net0"))
         self.network = DatagramNetwork(self.loop, self.topology)
 
         top_ids = [nid + TOP_SUFFIX for nid in flat]

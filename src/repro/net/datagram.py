@@ -66,16 +66,14 @@ class DatagramNetwork:
         Mutable topology consulted *at send time* for reachability and at
         delivery time for destination liveness (a node that crashes while a
         packet is in flight does not receive it).
-    stats:
-        Registry charged with per-node packet/byte counters.
+
+    ``stats`` is the registry charged with per-node packet/byte counters.
     """
 
-    def __init__(
-        self, loop: EventLoop, topology: Topology, stats: StatsRegistry | None = None
-    ) -> None:
+    def __init__(self, loop: EventLoop, topology: Topology) -> None:
         self.loop = loop
         self.topology = topology
-        self.stats = stats if stats is not None else StatsRegistry()
+        self.stats = StatsRegistry()
         self._handlers: dict[str, PacketHandler] = {}
         self.packets_dropped = 0
         self.packets_delivered = 0

@@ -36,11 +36,11 @@ class Segment:
     """One switched LAN segment.
 
     Parameters mirror what the protocols can observe: propagation latency
-    (plus uniform jitter) and independent per-packet loss probability.
-    ``capacity_mbps`` is metadata consumed by the flow-level traffic model
-    (paper §4.1's 100 Mbps Fast Ethernet arithmetic); the datagram layer
-    itself does not rate-limit protocol packets, whose bandwidth is
-    negligible by design.
+    (plus uniform jitter) and independent per-packet loss probability.  A
+    segment has no bandwidth: the datagram layer does not rate-limit
+    protocol packets, whose bandwidth is negligible by design, and the
+    paper's 100 Mbps Fast Ethernet NICs appear only in the flow-level
+    traffic model (``GatewayPort.capacity_bps`` in :mod:`repro.apps.traffic`).
 
     The adversity knobs (``duplicate``, ``spike_prob``/``spike_extra``,
     ``burst``) default to off, preserving the paper's benign-LAN model;
@@ -52,7 +52,6 @@ class Segment:
     latency: float = 100e-6  #: one-way propagation delay in seconds
     jitter: float = 20e-6  #: uniform extra delay in [0, jitter)
     loss: float = 0.0  #: independent per-packet drop probability
-    capacity_mbps: float = 100.0  #: Fast Ethernet per the paper's testbed
     duplicate: float = 0.0  #: probability a delivered packet arrives twice
     spike_prob: float = 0.0  #: probability of a delay spike per packet
     spike_extra: float = 0.0  #: extra one-way delay of a spiked packet
@@ -285,10 +284,9 @@ def build_switched_cluster(
     node_ids: list[str],
     *,
     segments: int = 1,
-    latency: float = 100e-6,
-    jitter: float = 20e-6,
+    latency: float = Segment.latency,
+    jitter: float = Segment.jitter,
     loss: float = 0.0,
-    capacity_mbps: float = 100.0,
 ) -> dict[str, list[str]]:
     """Convenience builder: ``segments`` redundant switched LANs, one NIC per
     node per segment.  Returns node id → address list.
@@ -299,13 +297,7 @@ def build_switched_cluster(
         raise ValueError("need at least one segment")
     for k in range(segments):
         topology.add_segment(
-            Segment(
-                name=f"net{k}",
-                latency=latency,
-                jitter=jitter,
-                loss=loss,
-                capacity_mbps=capacity_mbps,
-            )
+            Segment(name=f"net{k}", latency=latency, jitter=jitter, loss=loss)
         )
     addresses: dict[str, list[str]] = {}
     for node_id in node_ids:

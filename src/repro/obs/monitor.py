@@ -76,7 +76,15 @@ __all__ = [
     "paper_contract_rules",
     "realtime_contract_rules",
     "render_alerts",
+    "SILENCE_TIMEOUT",
 ]
+
+#: Seconds a telemetry source may ship nothing (no events, no heartbeat
+#: marks) before the collector reports it ``telemetry.silent``.
+SILENCE_TIMEOUT = 1.0
+
+#: Virtual seconds between contract evaluations.
+TICK_INTERVAL = 0.25
 
 #: Node states (``node.state`` probes) in which a node is a ring member
 #: owed token visits.  STARVING counts: it is the distress state a stalled
@@ -626,42 +634,35 @@ def paper_contract_rules(
     ]
 
 
-def realtime_contract_rules(
-    config: "RaincoreConfig",
-    n_nodes: int,
-    *,
-    segments: int = 1,
-    silence_timeout: float = 1.0,
-    **overrides,
-) -> list[RuleSpec]:
+def realtime_contract_rules(config: "RaincoreConfig", n_nodes: int) -> list[RuleSpec]:
     """The paper rule set retuned for a wall-clock multi-process cluster.
 
     Same bounds, looser tolerances: on real sockets the OS scheduler —
     not the simulator — decides when timers fire, so a loaded CI runner
     legitimately jitters hop timing by tens of percent.  The sim-time
-    defaults would page on noise; these defaults page on collapse.  Adds
+    defaults would page on noise; these tolerances page on collapse.  Adds
     the ``telemetry-liveness`` rule, which only makes sense when probes
     cross a process boundary: a silent source is a dead worker.
-
-    Keyword overrides pass straight through to
-    :func:`paper_contract_rules` (e.g. ``detection_bound=...``).
     """
-    overrides.setdefault("rate_tolerance", 0.7)
-    overrides.setdefault("wakeup_epsilon", 2.0)
-    overrides.setdefault("wakeup_slack", 30.0)
-    overrides.setdefault("detection_tolerance", 1.0)
-    overrides.setdefault("window", 1.5)
-    overrides.setdefault("for_duration", 1.0)
-    rules = paper_contract_rules(config, n_nodes, segments=segments, **overrides)
+    rules = paper_contract_rules(
+        config,
+        n_nodes,
+        rate_tolerance=0.7,
+        wakeup_epsilon=2.0,
+        wakeup_slack=30.0,
+        detection_tolerance=1.0,
+        window=1.5,
+        for_duration=1.0,
+    )
     rules.append(
         RuleSpec(
             name="telemetry-liveness",
             summary="every registered probe source keeps shipping",
-            window=max(2.0 * silence_timeout, 2.0),
+            window=2.0 * SILENCE_TIMEOUT,
             severity="critical",
             for_duration=0.0,  # a silent worker is already the incident
             scope="cluster",
-            params={"silence_timeout": silence_timeout},
+            params={"silence": SILENCE_TIMEOUT},
         )
     )
     return rules
@@ -685,8 +686,8 @@ class ContractMonitor(ProbeConsumer):
 
     Subscribes to the bus, files each event of a kind in :attr:`reads`
     under its (kind, node) in a time-sorted series bounded by the longest
-    rule window, and ticks on the event loop every ``interval`` virtual
-    seconds.  At each tick (which drains the bus first) every rule is
+    rule window, and ticks on the event loop every :data:`TICK_INTERVAL`
+    virtual seconds.  At each tick (which drains the bus first) every rule is
     evaluated per scope over the series it asks for — a kind no rule
     reads is never filed; breaches must persist ``for_duration`` before
     they latch an :class:`Alert` (re-armed after the breach clears).
@@ -701,11 +702,8 @@ class ContractMonitor(ProbeConsumer):
         bus: ProbeBus | None,
         rules: list[RuleSpec],
         *,
-        interval: float = 0.25,
         clock=None,
     ) -> None:
-        if interval <= 0.0:
-            raise ValueError("interval must be positive")
         if bus is None and clock is None:
             raise ValueError("need a bus or an explicit clock")
         self.bus = bus
@@ -717,7 +715,6 @@ class ContractMonitor(ProbeConsumer):
         #: The kinds this monitor files: its rules' declared reads plus the
         #: two that drive the derived uptime and view size.
         self.reads = _TRACKED.union(*(CONTRACT_READS[r.name] for r in self.rules))
-        self.interval = interval
         self.alerts: list[Alert] = []
         self.ticks = 0
         self.started_at: float | None = None
@@ -820,7 +817,7 @@ class ContractMonitor(ProbeConsumer):
             self.bus.unsubscribe(self._on_event)
 
     def _schedule(self) -> None:
-        self._timer = self.loop.call_later(self.interval, self._tick)
+        self._timer = self.loop.call_later(TICK_INTERVAL, self._tick)
 
     def _tick(self) -> None:
         if not self._running:

@@ -38,7 +38,6 @@ def run_quickstart(
     duration: float = 1.0,
     *,
     crash: bool = True,
-    recorder_capacity: int = 512,
 ) -> ScenarioRun:
     """Run the quickstart scenario with full observability attached.
 
@@ -53,7 +52,7 @@ def run_quickstart(
         cluster=cluster,
         bus=bus,
         events=[],
-        recorder=FlightRecorder(bus, capacity=recorder_capacity),
+        recorder=FlightRecorder(bus),
         agg=StreamAggregator().attach(bus),
     )
     bus.subscribe(run.events.extend)

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.obs.monitor import ContractMonitor, realtime_contract_rules
+from repro.obs.monitor import SILENCE_TIMEOUT, ContractMonitor, realtime_contract_rules
 from repro.obs.agg import StreamAggregator
 from repro.obs.probe import PROBE_CATALOG, ProbeEvent, event_from_record
 from repro.obs.recorder import build_bundle, dump_bundle
@@ -68,6 +68,15 @@ __all__ = [
 
 #: Collector-origin events carry this pseudo node id in the merged feed.
 COLLECTOR_NODE = "collector"
+
+#: Reordering allowance in seconds: an event is held until every live
+#: source's watermark is this far past it.
+REORDER_ALLOWANCE = 0.05
+#: Seconds between watermark flushes.
+FLUSH_PERIOD = 0.25
+#: Seconds after the first ``pull`` before the postmortem is cut with
+#: whatever flight-recorder rings have arrived.
+RING_PULL_WAIT = 1.5
 
 
 def _record(row: tuple) -> dict:
@@ -137,12 +146,6 @@ class TelemetryCollector:
         Time source (``now``/``call_later``): a
         :class:`~repro.runtime.telemetry.WallClock` on a live loop, or a
         simulated clock in tests.
-    reorder:
-        Reordering allowance in seconds: events are held until every live
-        source's watermark is this far past them.
-    silence:
-        Seconds without any frame after which a source is declared
-        ``telemetry.silent`` and excluded from the watermark.
     capture_path:
         Write released events here as a capture file (JSONL with a
         ``repro.obs.capture/2`` header line).
@@ -156,18 +159,10 @@ class TelemetryCollector:
         rules: list | None = None,
         *,
         clock: WallClock,
-        reorder: float = 0.05,
-        silence: float = 1.0,
-        flush_interval: float = 0.25,
-        ring_wait: float = 1.5,
         capture_path: str | Path | None = None,
         postmortem_path: str | Path | None = None,
     ) -> None:
         self.clock = clock
-        self.reorder = reorder
-        self.silence = silence
-        self.flush_interval = flush_interval
-        self.ring_wait = ring_wait
         self.monitor = ContractMonitor(None, rules or [], clock=self.clock)
         self.agg = StreamAggregator()
         #: Extra consumers of the released feed: ``fn(batch)``, one call
@@ -222,8 +217,8 @@ class TelemetryCollector:
             header = {
                 "schema": CAPTURE_SCHEMA,
                 "t0": self.clock.now,
-                "reorder": self.reorder,
-                "silence": self.silence,
+                "reorder": REORDER_ALLOWANCE,
+                "silence": SILENCE_TIMEOUT,
             }
             self._capture.write(
                 json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
@@ -262,7 +257,7 @@ class TelemetryCollector:
         if self._running:
             return
         self._running = True
-        self._timer = self.clock.call_later(self.flush_interval, self._tick)
+        self._timer = self.clock.call_later(FLUSH_PERIOD, self._tick)
 
     def close(self) -> None:
         """Stop flushing and release the socket/capture/HTTP resources."""
@@ -284,7 +279,7 @@ class TelemetryCollector:
         if not self._running:
             return
         self.flush()
-        self._timer = self.clock.call_later(self.flush_interval, self._tick)
+        self._timer = self.clock.call_later(FLUSH_PERIOD, self._tick)
 
     # ------------------------------------------------------------------
     # frame ingestion
@@ -387,14 +382,14 @@ class TelemetryCollector:
             if not s.closed and not s.silent
         ]
         horizon = min(marks) if marks else now
-        return min(horizon, now) - self.reorder
+        return min(horizon, now) - REORDER_ALLOWANCE
 
     def _check_silence(self, now: float) -> None:
         for s in self.sources.values():
             if s.closed or s.silent:
                 continue
             quiet = now - s.last_heard
-            if quiet > self.silence:
+            if quiet > SILENCE_TIMEOUT:
                 s.silent = True
                 self._emit("telemetry.silent", s.node, round(quiet, 3))
 
@@ -485,7 +480,7 @@ class TelemetryCollector:
             return
         if fired and not self._pull_sent:
             self._pull_sent = True
-            self._pull_due = now + self.ring_wait
+            self._pull_due = now + RING_PULL_WAIT
             self.request_rings()
         if not self._pull_sent:
             return
@@ -650,7 +645,6 @@ class LiveCluster:
         capture_path: str | Path | None = None,
         postmortem_path: str | Path | None = None,
         metrics_port: int | None = None,
-        silence: float = 1.0,
         report_every: float = 1.0,
         on_line: Callable[[str], None] | None = None,
     ) -> None:
@@ -668,7 +662,6 @@ class LiveCluster:
         self.capture_path = capture_path
         self.postmortem_path = postmortem_path
         self.metrics_port = metrics_port
-        self.silence = silence
         self.report_every = report_every
         self.on_line = on_line
         self.collector: TelemetryCollector | None = None
@@ -729,13 +722,9 @@ class LiveCluster:
         config = RaincoreConfig.tuned(
             ring_size=len(self.ids), hop_interval=self.hop_interval
         )
-        rules = realtime_contract_rules(
-            config, len(self.ids), silence_timeout=self.silence
-        )
         collector = TelemetryCollector(
-            rules,
+            realtime_contract_rules(config, len(self.ids)),
             clock=clock,
-            silence=self.silence,
             capture_path=self.capture_path,
             postmortem_path=self.postmortem_path,
         )
@@ -802,7 +791,7 @@ class LiveCluster:
             }
         finally:
             # drain in-flight frames, then force-release and finalize
-            await asyncio.sleep(max(0.3, 3 * collector.reorder))
+            await asyncio.sleep(0.3)
             collector.flush(force=True)
             self._report_alerts()
             metrics = collector.metrics_text()

@@ -185,10 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry", default=None, metavar="HOST:PORT",
         help="ship probe events to a raintap collector at this address",
     )
-    parser.add_argument(
-        "--ring-capacity", type=int, default=512,
-        help="flight-recorder ring size per node (with --telemetry)",
-    )
     return parser
 
 
@@ -220,7 +216,7 @@ async def run_worker(args) -> int:
         from repro.obs import FlightRecorder, ProbeBus
 
         bus = ProbeBus(scheduler)
-        recorder = FlightRecorder(bus, capacity=args.ring_capacity)
+        recorder = FlightRecorder(bus)
         protocol = _Sidecar()
         sidecar, _ = await loop.create_datagram_endpoint(
             lambda: protocol, remote_addr=(host, tport)

@@ -185,6 +185,14 @@ def test_trace_quiet_suppresses_output(capsys):
         ["obs", "timeline"],
         ["obs", "summary"],
         ["prof", "--aggregate"],
+        ["chaos", "--campaign", "0"],
+        ["chaos", "--campaign", "-2", "--fail-on-alerts"],
+        ["trace", "--nodes", "0"],
+        ["quickstart", "--nodes", "0"],
+        ["obs", "export", "--nodes", "0"],
+        ["hierarchy", "--groups", "0"],
+        ["hierarchy", "--group-size", "0"],
+        ["scaling", "--nodes", "2", "0"],
     ],
 )
 def test_bad_options_exit_two(capsys, argv):

@@ -26,7 +26,9 @@ import pytest
 
 from repro.cluster.harness import RaincoreCluster
 from repro.core.config import RaincoreConfig
+from repro.core.session import QUARANTINE_BACKOFF
 from repro.data import SharedDict, resync
+from repro.data.replica import QUARANTINE_AFTER
 from repro.data.resync import (
     GENESIS_DIGEST,
     ContinuationPoint,
@@ -244,8 +246,8 @@ def test_window_disabled_quarantines_immediately_and_lifts():
         ("resync-window-disabled", True)
     ]
     assert not [e for e in events if e.kind == "resync.delta"]
-    # The quarantine lifts after the configured backoff.
-    c.run(c.config.resync_quarantine_backoff + 1.0)
+    # The quarantine lifts after the fixed backoff.
+    c.run(QUARANTINE_BACKOFF + 1.0)
     assert "Z" not in c.node("A").quarantined
     lifted = [
         e
@@ -257,7 +259,7 @@ def test_window_disabled_quarantines_immediately_and_lifts():
 
 def test_repeated_fallbacks_quarantine_with_structured_reason():
     c, dicts, events = ladder_cluster()
-    allowed = c.config.resync_quarantine_after
+    allowed = QUARANTINE_AFTER
     # Uncertifiable position, over and over, with no certified ack in
     # between: `allowed` snapshot fallbacks, then the ladder's last rung.
     for _ in range(allowed + 1):
@@ -562,3 +564,28 @@ def test_resync_probe_stream_is_byte_identical_across_same_seed_runs():
     first, second = one_run(), one_run()
     assert "resync.prune" in first
     assert first == second
+
+
+# ----------------------------------------------------------------------
+# docs drift: RESYNC.md's knob table names only what exists
+# ----------------------------------------------------------------------
+def test_resync_doc_table_names_live_fields_and_constants():
+    import importlib
+    import re
+    from pathlib import Path
+
+    doc = Path(__file__).resolve().parent.parent / "docs" / "RESYNC.md"
+    rows = re.findall(
+        r"^\| `(\w+)` \| `([\w.]+)` \| ([^|]+) \|", doc.read_text(), re.M
+    )
+    assert {name for name, _, _ in rows} >= {"QUARANTINE_AFTER", "resync_window_bytes"}
+    fields = {f.name: f.default for f in dataclasses.fields(RaincoreConfig)}
+    for name, where, value in rows:
+        if where == "RaincoreConfig":
+            assert name in fields, f"{name} is not a RaincoreConfig field"
+            actual = fields[name]
+        else:
+            module = importlib.import_module(where)
+            assert hasattr(module, name), f"{where} has no constant {name}"
+            actual = getattr(module, name)
+        assert float(value) == actual, f"{name}: documented {value}, is {actual}"

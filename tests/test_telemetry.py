@@ -13,8 +13,13 @@ import pytest
 
 from repro.net.eventloop import EventLoop
 from repro.obs import FlightRecorder, ProbeBus
+from repro.obs.monitor import SILENCE_TIMEOUT
 from repro.obs.recorder import load_bundle
-from repro.runtime.collector import TelemetryCollector, free_udp_ports
+from repro.runtime.collector import (
+    REORDER_ALLOWANCE,
+    TelemetryCollector,
+    free_udp_ports,
+)
 from repro.runtime.telemetry import (
     _PROBE_BATCH,
     FRAME_FIELDS,
@@ -529,7 +534,8 @@ def test_capture_file_has_header_then_records(tmp_path):
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
     assert header["schema"] == "repro.obs.capture/2"
-    assert header["reorder"] == collector.reorder
+    assert header["reorder"] == REORDER_ALLOWANCE
+    assert header["silence"] == SILENCE_TIMEOUT
     records = [json.loads(l) for l in lines[1:]]
     assert [r["n"] for r in records] == list(range(1, len(records) + 1))
     assert records[0]["kind"] == "token.accept" and records[0]["at"] == 1.0

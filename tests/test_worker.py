@@ -73,7 +73,6 @@ def test_parser_accepts_telemetry_address():
          "--telemetry", "127.0.0.1:41999"]
     )
     assert args.telemetry == "127.0.0.1:41999"
-    assert args.ring_capacity == 512
 
 
 # ----------------------------------------------------------------------
