@@ -43,12 +43,12 @@ spans are kept per origin; past it the lowest is forgotten first.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.events import Delivery
 from repro.core.token import MSG_HEADER, Ordering, PiggybackedMessage, Rider, Token
+from repro.transport.spans import add_seen as _add_seen
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.session import RaincoreNode
@@ -398,22 +398,4 @@ def _is_run(msgs: Sequence[Rider], first: int) -> bool:
         if msg.msg_no != first:
             return False
         first += 1
-    return True
-
-
-def _add_seen(spans: list[int], no: int) -> bool:
-    """Add ``no`` to ``spans``, joining neighbours; False if already seen."""
-    i = bisect_right(spans, no)
-    if i & 1:
-        return False
-    joins_lower = i > 0 and spans[i - 1] == no
-    joins_upper = i < len(spans) and spans[i] == no + 1
-    if joins_lower and joins_upper:
-        del spans[i - 1 : i + 1]
-    elif joins_lower:
-        spans[i - 1] = no + 1
-    elif joins_upper:
-        spans[i] = no
-    else:
-        spans[i:i] = (no, no + 1)
     return True

@@ -324,19 +324,23 @@ class RecoveryProtocol:
         joiner — the paper's "It then sends the TOKEN to the new node."
         """
         me = self.node.node_id
-        for joiner in self.pending_joins:
-            if joiner != me and not token.has_member(joiner):
-                token.insert_after(me, joiner)
-        self.pending_joins.clear()
+        if self.pending_joins:
+            for joiner in self.pending_joins:
+                if joiner != me and not token.has_member(joiner):
+                    token.insert_after(me, joiner)
+            self.pending_joins.clear()
         # Quarantine eviction: a peer the resync ladder gave up on is
         # removed from the ring here, on the same visit joins apply.
-        for peer in sorted(self.node.quarantined):
-            if peer != me and token.has_member(peer):
-                token.remove_member(peer)
+        quarantined = self.node.quarantined
+        if quarantined:
+            for peer in sorted(quarantined):
+                if peer != me and token.has_member(peer):
+                    token.remove_member(peer)
 
     def cancel_timers(self) -> None:
         """Token arrived or node shut down: stop all recovery activity."""
-        self._abort_round()
+        if self._active_round is not None or self._round_timer is not None:
+            self._abort_round()  # (nothing awaits replies outside a round)
         if self._join_timer is not None:
             self._join_timer.cancel()
             self._join_timer = None

@@ -50,6 +50,7 @@ switches per second for a token doing L roundtrips per second.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable
 
 from repro.core.config import RaincoreConfig
@@ -59,7 +60,7 @@ from repro.core.multicast import MulticastService
 from repro.core.mutex import MutexService
 from repro.core.recovery import RecoveryProtocol
 from repro.core.resources import ResourceMonitor
-from repro.core.states import VALID_TRANSITIONS, NodeState
+from repro.core.states import NodeState
 from repro.core.token import Ordering, Token
 from repro.core.opengroup import OpenGroupAck, OpenGroupMessage
 from repro.core.wire import BodyOdor, NineOneOne, NineOneOneReply
@@ -123,6 +124,7 @@ class RaincoreNode:
         "_announced_view",
         "_hungry_timer",
         "_hungry_due",
+        "_hungry_key",
         "_forward_timer",
         "_hold_debt",
         "_epoch",
@@ -170,8 +172,10 @@ class RaincoreNode:
         self._members: tuple[str, ...] = ()
         self._announced_view: tuple[str, ...] | None = None
         # The HUNGRY deadline is lazy (see _arm_hungry_timer): the deadline
-        # itself, and the one handle that may be armed on its behalf.
+        # itself, its loop ordering key, and the one handle that may be
+        # armed on its behalf.
         self._hungry_due: float | None = None
+        self._hungry_key = -1
         self._hungry_timer: TimerHandle | None = None
         self._forward_timer: TimerHandle | None = None
         # How late this node's own clock and work made its last forward,
@@ -413,7 +417,7 @@ class RaincoreNode:
         old = self.state
         if old is new:
             return
-        if new not in VALID_TRANSITIONS[old]:
+        if new not in old.successors:
             raise AssertionError(
                 f"{self.node_id}: illegal transition {old.value} -> {new.value}"
             )
@@ -426,17 +430,22 @@ class RaincoreNode:
     def _arm_hungry_timer(self) -> None:
         """Start (or restart) the HUNGRY deadline: ``hungry_timeout`` from now.
 
-        Lazy: the deadline is a float, and at most one handle is armed for
-        it.  A handle that fires before the deadline re-arms itself at the
-        deadline; accepting the token clears the deadline and leaves the
-        handle to fire as a no-op.  So a token that keeps coming back costs
-        no heap entry per hop, and STARVING still begins at exactly the
-        instant a cancel-and-re-arm timer would have fired.
+        Lazy: the deadline is a float and the loop ordering key reserved
+        now, and at most one handle is armed for it.  A handle armed for an
+        older deadline re-arms itself at the current one, with its key;
+        accepting the token clears the deadline and leaves the handle to
+        fire as a no-op.  So a token that keeps coming back costs no heap
+        entry per hop, and STARVING still begins at exactly the instant, and
+        in exactly the order among same-instant events, that a
+        cancel-and-re-arm timer would have fired.
         """
         loop = self.loop
         due = self._hungry_due = loop.now + self.config.hungry_timeout
+        key = self._hungry_key = loop.reserve_key()
         if self._hungry_timer is None:
-            self._hungry_timer = loop.call_at(due, self._on_hungry_timeout, self._epoch)
+            self._hungry_timer = loop.call_at_key(
+                due, key, self._on_hungry_timeout, self._epoch, key
+            )
 
     def _cancel_timer(self, attr: str) -> None:
         timer = getattr(self, attr)
@@ -444,17 +453,19 @@ class RaincoreNode:
             timer.cancel()
             setattr(self, attr, None)
 
-    def _on_hungry_timeout(self, epoch: int) -> None:
+    def _on_hungry_timeout(self, epoch: int, key: int) -> None:
         if epoch != self._epoch:
             return
         self._hungry_timer = None
         due = self._hungry_due
         if due is None:
             return  # the token came back; nothing to wait for
-        loop = self.loop
-        if due > loop.now:
+        if key != self._hungry_key:
             # The deadline moved on since this handle was armed.
-            self._hungry_timer = loop.call_at(due, self._on_hungry_timeout, epoch)
+            key = self._hungry_key
+            self._hungry_timer = self.loop.call_at_key(
+                due, key, self._on_hungry_timeout, epoch, key
+            )
             return
         self._hungry_due = None
         if self.state is not NodeState.HUNGRY:
@@ -673,6 +684,7 @@ class RaincoreNode:
     def _forward_token(self, epoch: int, due: float) -> None:
         if epoch != self._epoch or self.state is not NodeState.EATING:
             return
+        self._forward_timer = None  # this handle, firing: nothing to cancel
         token = self._live_token
         if token is None:  # pragma: no cover - defensive
             return
@@ -725,9 +737,7 @@ class RaincoreNode:
             # a dead neighbour (paper §2.2).
             probe.emit(self.node_id, "fd.arm", target, seq)
         self.transport.send(
-            target,
-            sent,
-            on_result=lambda ok, t=target, s=seq: self._on_forward_result(t, s, ok),
+            target, sent, on_result=partial(self._on_forward_result, target, seq)
         )
 
     def _on_forward_result(self, target: str, seq: int, ok: bool) -> None:

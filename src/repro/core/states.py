@@ -26,6 +26,12 @@ class NodeState(enum.Enum):
     STARVING = "starving"  #: HUNGRY timeout expired, running 911 protocol
     DOWN = "down"  #: crashed or shut down
 
+    #: The states this one may move to, derived from
+    #: :data:`VALID_TRANSITIONS` below.  ``new in old.successors`` compares
+    #: by identity; a dict or set lookup would hash the member through the
+    #: Python-level ``Enum.__hash__``, twice per transition on the hop path.
+    successors: tuple["NodeState", ...]
+
 
 #: Legal state transitions; the session layer asserts against this map so a
 #: protocol bug that corrupts the lifecycle fails loudly in tests.
@@ -45,3 +51,7 @@ VALID_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
     ),
     NodeState.DOWN: frozenset({NodeState.JOINING}),
 }
+
+for _state, _allowed in VALID_TRANSITIONS.items():
+    _state.successors = tuple(s for s in NodeState if s in _allowed)
+del _state, _allowed

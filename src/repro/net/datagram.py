@@ -16,10 +16,18 @@ simulated cluster:
 
 Every send/receive is charged to :class:`~repro.net.stats.NodeStats` so the
 benchmarks can report packet and byte overheads per protocol.
+
+A packet in flight is a plain ``(when, seq, None, self._deliver, packet)`` entry
+on the event loop's heap, not a :class:`~repro.net.eventloop.TimerHandle`:
+nothing ever cancels an arrival, so it needs no handle.  Its ``seq`` is
+drawn at send time, exactly where ``call_later`` would draw it, so the
+dispatch order is the one a handle would give.
 """
 
 from __future__ import annotations
 
+import math
+from heapq import heappush
 from typing import Any, Callable, Protocol
 
 from repro.net.eventloop import EventLoop
@@ -174,21 +182,24 @@ class DatagramNetwork:
         route = self._routes.get((src, dst))
         if route is None or route[0] != self.topology.version:
             route = self._route(src, dst)
-        route[1].packet_sent(size)
+        sender = route[1]
+        sender.packets_sent += 1
+        sender.bytes_sent += size
         probe = self.probe
         if probe is not None:
             probe.emit(
-                route[1].node_id, "net.send", src, dst, type(payload).__name__, size
+                sender.node_id, "net.send", src, dst, type(payload).__name__, size
             )
 
         if not route[2]:
             self._drop(packet, "unreachable")
             return
-        if self._filtered_out(packet):
+        if self._filters and self._filtered_out(packet):
             self._drop(packet, "filtered")
             return
         seg = route[3]
-        rng = self.loop.rng
+        loop = self.loop
+        rng = loop.rng
         if seg.loss > 0.0 and rng.random() < seg.loss:
             self._drop(packet, "loss")
             return
@@ -202,7 +213,12 @@ class DatagramNetwork:
             delay += seg.spike_extra
         if self.trace is not None:
             self.trace(packet, True)
-        self.loop.call_later(delay, self._deliver, packet)
+        if not 0.0 <= delay < math.inf:
+            # What call_later refused: a NaN or infinite key corrupts the heap.
+            raise ValueError(f"delay must be finite and non-negative, got {delay}")
+        heappush(
+            loop._heap, (loop.now + delay, next(loop._seq), None, self._deliver, packet)
+        )
         if seg.duplicate > 0.0 and rng.random() < seg.duplicate:
             # The twin takes an independent (jittered) path, so it may
             # arrive before or after the original — duplication and
@@ -213,14 +229,17 @@ class DatagramNetwork:
             self.packets_duplicated += 1
             if probe is not None:
                 probe.emit(
-                    route[1].node_id,
+                    sender.node_id,
                     "net.dup",
                     src,
                     dst,
                     type(payload).__name__,
                     size,
                 )
-            self.loop.call_later(twin_delay, self._deliver, packet)
+            heappush(
+                loop._heap,
+                (loop.now + twin_delay, next(loop._seq), None, self._deliver, packet),
+            )
 
     def _drop(self, packet: Datagram, where: str = "net") -> None:
         self.packets_dropped += 1
@@ -273,11 +292,13 @@ class DatagramNetwork:
                     "unbound",
                 )
             return
-        route[4].packet_received(packet.size)
+        receiver = route[4]
+        receiver.packets_received += 1
+        receiver.bytes_received += packet.size
         self.packets_delivered += 1
         if probe is not None:
             probe.emit(
-                route[4].node_id,
+                receiver.node_id,
                 "net.deliver",
                 packet.src,
                 dst,

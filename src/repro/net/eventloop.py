@@ -19,7 +19,11 @@ the standard lazy-deletion scheme used by ``asyncio`` and keeps cancellation
 O(1).  A dead entry still costs a push and a pop, so protocol deadlines that
 usually never fire (HUNGRY, retransmit) are kept lazy by their owners: one
 armed handle each, re-armed from the handle when it fires early, never
-cancelled and re-armed per hop (docs/DETERMINISM.md).
+cancelled and re-armed per hop (docs/DETERMINISM.md).  A lazy deadline
+reserves its ordering key when it is set (``EventLoop.reserve_key``)
+and its handle is armed with that key (:meth:`EventLoop.call_at_key`), so
+it fires among same-instant events exactly where a timer armed when the
+deadline was set would have.
 
 The clock
 ---------
@@ -31,20 +35,33 @@ so there is no clock object to reach through.  Time never flows backwards —
 
 Hot-path layout
 ---------------
-The heap stores ``(when, seq, handle)`` tuples rather than bare
-handles, so every sift comparison is a C-level tuple comparison instead of a
-Python ``__lt__`` call — at ~10 comparisons per push/pop this is the single
-largest cost of the loop.  ``run_until`` examines the heap head directly and
-pops each entry exactly once per dispatch (no separate peek-then-pop scan
-over cancelled entries).
+The heap holds tuples keyed by ``(when, seq)``, so every sift comparison
+is a C-level tuple comparison instead of a Python ``__lt__`` call — at ~10
+comparisons per push/pop this is the single largest cost of the loop.
+Keys are unique, so a comparison never reaches the third field.  Entries
+come in two shapes:
+
+* ``(when, seq, handle)`` — a :class:`TimerHandle` from ``call_at`` /
+  ``call_later`` / ``call_at_key``, which its owner may cancel;
+* ``(when, seq, None, callback, arg)`` — a plain entry that runs
+  ``callback(arg)`` and can never be cancelled.  The datagram network
+  schedules every packet arrival this way (nothing cancels a packet in
+  flight), so an arrival allocates no handle.
+
+The third field tells the shapes apart with one identity test, which costs
+the timer-only loop nothing measurable.
+
+``run_until`` examines the heap head directly and pops each entry exactly
+once per dispatch (no separate peek-then-pop scan over cancelled entries).
+Both shapes are dispatched, counted and profiled alike.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import random
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -99,9 +116,17 @@ class EventLoop:
         #: per dispatched event; everyone else reads it.
         self.now = float(start)
         self.rng = random.Random(seed)
-        # Heap entries: (when, seq, handle).
-        self._heap: list[tuple[float, int, TimerHandle]] = []
+        # Heap entries: (when, seq, handle) or (when, seq, None, callback, arg).
+        self._heap: list[tuple] = []
         self._seq = itertools.count()
+        #: ``reserve_key()`` reserves the ordering key a callback scheduled
+        #: now would take: events at one instant fire in the order their
+        #: keys were drawn.  A lazy deadline reserves its key when it is
+        #: set and hands it to :meth:`call_at_key` when it finally arms a
+        #: handle, so it fires where a timer armed at that moment would
+        #: have.  It is the counter's own ``__next__``: reserving (twice
+        #: per token hop) costs no Python frame.
+        self.reserve_key: Callable[[], int] = self._seq.__next__
         self._events_processed = 0
         #: Optional hot-path profiler (repro.obs.prof.Profiler) — the same
         #: zero-cost-when-disabled idiom as the probe bus: one attribute
@@ -139,7 +164,7 @@ class EventLoop:
             raise ValueError(f"cannot schedule in the past: {when} < now={self.now}")
         seq = next(self._seq)
         handle = TimerHandle(when, seq, callback, args)
-        heapq.heappush(self._heap, (when, seq, handle))
+        heappush(self._heap, (when, seq, handle))
         return handle
 
     def call_later(
@@ -154,25 +179,32 @@ class EventLoop:
         when = self.now + delay
         seq = next(self._seq)
         handle = TimerHandle(when, seq, callback, args)
-        heapq.heappush(self._heap, (when, seq, handle))
+        heappush(self._heap, (when, seq, handle))
+        return handle
+
+    def call_at_key(
+        self, when: float, key: int, callback: Callable[..., None], *args: Any
+    ) -> TimerHandle:
+        """:meth:`call_at`, ordered among same-instant events by ``key``.
+
+        ``key`` comes from :attr:`reserve_key`; each key may be armed once.
+        """
+        if not math.isfinite(when):
+            raise ValueError(f"when must be finite, got {when}")
+        if when < self.now:
+            raise ValueError(f"cannot schedule in the past: {when} < now={self.now}")
+        handle = TimerHandle(when, key, callback, args)
+        heappush(self._heap, (when, key, handle))
         return handle
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _pop_live(self) -> TimerHandle | None:
-        heap = self._heap
-        while heap:
-            handle = heapq.heappop(heap)[2]
-            if not handle.cancelled:
-                return handle
-        return None
-
     def peek_time(self) -> float | None:
         """Virtual time of the next live event, or ``None`` if idle."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
+        while heap and heap[0][2] is not None and heap[0][2].cancelled:
+            heappop(heap)
         return heap[0][0] if heap else None
 
     def step(self) -> bool:
@@ -185,21 +217,28 @@ class EventLoop:
         heap = self._heap
         prof = self.profile
         while heap:
-            when, _, handle = heapq.heappop(heap)
-            if handle.cancelled:
+            entry = heappop(heap)
+            handle = entry[2]
+            if handle is not None and handle.cancelled:
                 continue
+            when = entry[0]
             self.now = when
             self._events_processed += 1
             if prof is None:
-                handle.callback(*handle.args)
+                if handle is None:
+                    entry[3](entry[4])
+                else:
+                    handle.callback(*handle.args)
+                return True
+            if handle is None:
+                callback, args = entry[3], (entry[4],)
             else:
-                prof.begin_run()
-                t0 = prof.clock()
-                handle.callback(*handle.args)
-                prof.account(
-                    handle.callback, t0, prof.clock(), len(heap), when
-                )
-                prof.end_run()
+                callback, args = handle.callback, handle.args
+            prof.begin_run()
+            t0 = prof.clock()
+            callback(*args)
+            prof.account(callback, t0, prof.clock(), len(heap), when)
+            prof.end_run()
             return True
         return False
 
@@ -216,7 +255,7 @@ class EventLoop:
             raise ValueError(f"deadline must not be NaN, got {deadline}")
         executed = 0
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
         prof = self.profile
         if prof is not None:
             prof.begin_run()
@@ -224,7 +263,7 @@ class EventLoop:
             while heap:
                 entry = heap[0]
                 handle = entry[2]
-                if handle.cancelled:
+                if handle is not None and handle.cancelled:
                     pop(heap)
                     continue
                 when = entry[0]
@@ -238,13 +277,18 @@ class EventLoop:
                 self.now = when
                 self._events_processed += 1
                 if prof is None:
-                    handle.callback(*handle.args)
+                    if handle is None:
+                        entry[3](entry[4])
+                    else:
+                        handle.callback(*handle.args)
                 else:
+                    if handle is None:
+                        callback, args = entry[3], (entry[4],)
+                    else:
+                        callback, args = handle.callback, handle.args
                     t0 = prof.clock()
-                    handle.callback(*handle.args)
-                    prof.account(
-                        handle.callback, t0, prof.clock(), len(heap), when
-                    )
+                    callback(*args)
+                    prof.account(callback, t0, prof.clock(), len(heap), when)
                 executed += 1
         finally:
             if prof is not None:
@@ -295,3 +339,4 @@ class EventLoop:
             f"EventLoop(now={self.now:.6f}, pending={len(self._heap)}, "
             f"processed={self._events_processed})"
         )
+

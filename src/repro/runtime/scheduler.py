@@ -1,19 +1,23 @@
 """Asyncio-backed scheduler: the real-time twin of the simulation loop.
 
 The protocol core (:class:`~repro.core.session.RaincoreNode` and everything
-under it) consumes only four things from its "loop": ``now``,
+under it) consumes only a few things from its "loop": ``now``,
 ``call_later(delay, cb, *args)`` and ``call_at(when, cb, *args)`` returning
-a cancellable handle, and a seeded ``rng``.  The simulator's :class:`~repro.net.eventloop.EventLoop`
-provides them over virtual time; this adapter provides them over a running
-:mod:`asyncio` loop, which is how the same untouched protocol code runs on
-real UDP sockets (paper deployments ran on real networks — this driver is
-the reproduction's existence proof that nothing in the protocol depends on
-the simulator).
+a cancellable handle, a seeded ``rng``, and ``reserve_key()`` /
+``call_at_key(when, key, cb, *args)``, with which a lazy deadline keeps its
+place among same-instant events (a simulator tie-break that a real clock
+does not have, so here a key only tells deadlines apart).  The simulator's
+:class:`~repro.net.eventloop.EventLoop` provides them over virtual time;
+this adapter provides them over a running :mod:`asyncio` loop, which is how
+the same untouched protocol code runs on real UDP sockets (paper
+deployments ran on real networks — this driver is the reproduction's
+existence proof that nothing in the protocol depends on the simulator).
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import random
 from typing import Any, Callable
 
@@ -26,6 +30,7 @@ class AsyncioScheduler:
     def __init__(self, loop: asyncio.AbstractEventLoop, seed: int = 0):
         self._loop = loop
         self.rng = random.Random(seed)
+        self._keys = itertools.count()
 
     @property
     def now(self) -> float:
@@ -40,3 +45,13 @@ class AsyncioScheduler:
         """Schedule at absolute loop time ``when``; a deadline already past
         runs on the loop's next turn (the token hold relies on that)."""
         return self._loop.call_at(when, callback, *args)
+
+    def reserve_key(self) -> int:
+        """A fresh key: its owner tells its own deadlines apart by it."""
+        return next(self._keys)
+
+    def call_at_key(
+        self, when: float, key: int, callback: Callable[..., None], *args: Any
+    ):
+        """:meth:`call_at`; real time has no same-instant order to keep."""
+        return self.call_at(when, callback, *args)

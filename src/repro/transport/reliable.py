@@ -16,21 +16,44 @@ enumerates, all reflected here:
    Raincore's aggressive membership protocol removes a peer the moment the
    transport gives up on it (paper §2.2).
 
-Duplicate DATA frames (caused by lost acks or PARALLEL multipath) are
-suppressed with a bounded per-peer window, and every DATA frame is re-acked
-so the sender can complete.
+Every DATA frame is re-acked so the sender can complete, and duplicates
+(caused by lost acks or PARALLEL multipath) are suppressed per peer.
+
+Duplicate suppression
+---------------------
+A sender numbers its frames 1, 2, 3, ... and a peer's frames arrive nearly
+in that order, so each peer is remembered as a *floor* (every ``msg_id`` up
+to it has been seen) plus the sorted spans of ids seen above it — the
+seen spans the multicast layer keeps (:mod:`repro.transport.spans`).  The
+next frame in order only raises the floor; a frame past a gap opens a span,
+and the span folds into the floor once the gap fills.  A steady peer costs
+one int, whatever the traffic.
+
+A frame is a duplicate iff its id is at most the floor or inside a span —
+unless it lies :data:`RESTART_HORIZON` or more below the highest id seen
+from that peer.  No retransmission or duplicate arrives that late, so such
+an id is a restarted sender numbering from 1 again (there is no incarnation
+on the wire): the peer's state is dropped and the frame begins its new
+life.  This is the forgetting the old bounded window gave (a 4,096-frame
+set and FIFO per peer): a peer restarted after more than 4,096 frames is
+heard at once, one restarted sooner is ignored until its ids pass the old
+ones.  Gaps that fall :data:`RESTART_HORIZON` below the highest id (frames
+the sender addressed to other peers, or gave up on) are folded into the
+floor, so the spans stay as few as the recent gaps.
 
 Retransmit deadlines
 --------------------
 Nearly every send is acked long before its retransmit deadline, so the
 deadlines live in one FIFO queue per transport rather than one timer per
-send: every transmission appends ``(due, msg_id, pending)`` with
-``due = now + retx_timeout``.  ``retx_timeout`` is constant, so the queue is
-sorted by construction, and one loop timer armed at the head's ``due`` serves
-them all.  When it fires it discards acked or cancelled entries, retransmits
-(or fails) the live ones that are due, and re-arms at the new head.  An ack
-never touches the loop; each deadline still fires at exactly the float the
-per-send timer would have used.
+send: every transmission appends ``(due, key, msg_id, pending)`` with
+``due = now + retx_timeout`` and ``key`` the loop ordering key reserved at
+that moment (``loop.reserve_key()``).  ``retx_timeout`` is constant, so the
+queue is sorted by construction, and one loop timer armed at the head serves
+them all.  When it fires it retransmits (or fails) the head unless it was
+acked or cancelled meanwhile, discards the finished entries behind it, and
+re-arms at the new head with that entry's key (``loop.call_at_key``).  An ack
+never touches the loop, and each deadline fires at exactly the float *and*
+among same-instant events in exactly the place the per-send timer would have.
 """
 
 from __future__ import annotations
@@ -50,20 +73,35 @@ from repro.transport.messages import (
     AckFrame,
     BareFrame,
     DataFrame,
+    _payload_size,
     frame_size,
     trace_context_of,
 )
 from repro.transport.multipath import AddressPlan, SendStrategy, plan_routes
+from repro.transport.spans import add_seen
 
-__all__ = ["TransportConfig", "ReliableUnicast", "ReceiveHandler", "ResultHandler"]
+__all__ = [
+    "RESTART_HORIZON",
+    "TransportConfig",
+    "ReliableUnicast",
+    "ReceiveHandler",
+    "ResultHandler",
+]
 
 #: Upper-layer receive callback: (source node id, payload object).
 ReceiveHandler = Callable[[str, Any], None]
 #: Delivery outcome callback: True = acked, False = failure-on-delivery.
 ResultHandler = Callable[[bool], None]
 
-#: ACK frames carry no payload, so their wire size is a constant.
-_ACK_SIZE = UDP_IP_HEADER + TRANSPORT_HEADER
+#: ACK frames carry no payload, so their wire size is a constant; a DATA
+#: frame is its payload plus the same headers.
+_ACK_SIZE = _DATA_HEADERS = UDP_IP_HEADER + TRANSPORT_HEADER
+
+#: A frame whose ``msg_id`` lies this far below the highest seen from its
+#: peer comes from a restarted sender (see "Duplicate suppression").  The
+#: 4,096 frames are the old per-peer window's size, and far more than a
+#: retransmission or a duplicate can ever trail its sender's newest frame.
+RESTART_HORIZON = 4096
 
 
 @dataclass(slots=True)
@@ -81,7 +119,6 @@ class TransportConfig:
     retx_timeout: float = 0.05
     attempts_per_route: int = 3
     strategy: SendStrategy = SendStrategy.SEQUENTIAL
-    dedup_window: int = 4096
     #: Hard bound on bytes held across in-flight (retransmittable) sends.
     #: A send that would exceed it is shed with an immediate asynchronous
     #: failure-on-delivery — bounded buffers beat unbounded backlog, and
@@ -93,8 +130,6 @@ class TransportConfig:
             raise ValueError("retx_timeout must be positive")
         if self.attempts_per_route < 1:
             raise ValueError("attempts_per_route must be at least 1")
-        if self.dedup_window < 1:
-            raise ValueError("dedup_window must be at least 1")
         if self.max_pending_bytes < 1:
             raise ValueError("max_pending_bytes must be at least 1")
 
@@ -146,13 +181,13 @@ class ReliableUnicast:
         self._msg_ids = itertools.count(1)
         self._pending: dict[int, _PendingSend] = {}
         self._pending_bytes = 0
-        # Retransmit deadlines, FIFO = due order: (due, msg_id, pending).
+        # Retransmit deadlines, FIFO = due order: (due, key, msg_id, pending).
         # Each live send has exactly one entry; done ones drain at the head.
-        self._retx: deque[tuple[float, int, _PendingSend]] = deque()
+        self._retx: deque[tuple[float, int, int, _PendingSend]] = deque()
         self._retx_timer: TimerHandle | None = None
         self.sheds = 0  #: sends refused by the pending-bytes budget
-        # Duplicate suppression: peer -> (set of ids, FIFO of ids).
-        self._seen: dict[str, tuple[set[int], deque[int]]] = {}
+        # Duplicate suppression: peer -> [floor, spans of ids seen above it].
+        self._seen: dict[str, list] = {}
         self._running = False
         # Address plans are pure functions of the static topology (NIC
         # attachments), which bumps ``version`` whenever they change; cache
@@ -223,10 +258,8 @@ class ReliableUnicast:
         msg_id = next(self._msg_ids)
         frame = DataFrame(self.node_id, dst_node, msg_id, payload)
         plan = self._plan_for(dst_node)
-        size = frame_size(frame)
-        pending = _PendingSend(
-            frame=frame, plan=plan, on_result=on_result, size=size
-        )
+        size = _DATA_HEADERS + _payload_size(payload)
+        pending = _PendingSend(frame, plan, on_result, size)
         self._pending[msg_id] = pending
         if self._pending_bytes + size > self.config.max_pending_bytes:
             # Budget shed: refuse to grow the retransmit buffer past its
@@ -236,7 +269,7 @@ class ReliableUnicast:
             self.loop.call_later(0.0, self._finish, msg_id, False)
             return msg_id
         self._pending_bytes += size
-        if not plan:
+        if not plan.pairs:
             # No shared segment at all: immediate (but async) failure.
             self.loop.call_later(0.0, self._finish, msg_id, False)
             return msg_id
@@ -306,9 +339,10 @@ class ReliableUnicast:
             pending.attempts_on_route += 1
         loop = self.loop
         due = loop.now + cfg.retx_timeout
-        self._retx.append((due, frame.msg_id, pending))
+        key = loop.reserve_key()
+        self._retx.append((due, key, frame.msg_id, pending))
         if self._retx_timer is None:
-            self._retx_timer = loop.call_at(due, self._on_retx_due)
+            self._retx_timer = loop.call_at_key(due, key, self._on_retx_due)
 
     def _exhausted(self, pending: _PendingSend) -> bool:
         """True once ``pending`` has no transmission left to try."""
@@ -321,7 +355,8 @@ class ReliableUnicast:
         )
 
     def _on_retx_due(self) -> None:
-        """The head deadline is due: drop finished entries, act on due ones.
+        """The head's deadline is due: act on it, then re-arm at the next
+        entry that is still live.
 
         While this runs ``_retx_timer`` still names the firing handle, so
         the transmissions it makes queue without arming a second timer;
@@ -329,23 +364,20 @@ class ReliableUnicast:
         """
         firing = self._retx_timer
         queue = self._retx
-        now = self.loop.now
-        while queue:
-            due, msg_id, pending = queue[0]
-            if pending.done:
-                queue.popleft()
-                continue
-            if due > now:
-                break
-            queue.popleft()
+        _, _, msg_id, pending = queue.popleft()
+        if not pending.done:
             if self._exhausted(pending):
                 self._finish(msg_id, False)
             else:
                 self._retransmit(msg_id)
         if self._retx_timer is firing:
-            self._retx_timer = (
-                self.loop.call_at(queue[0][0], self._on_retx_due) if queue else None
-            )
+            while queue and queue[0][3].done:
+                queue.popleft()
+            if queue:
+                due, key = queue[0][0], queue[0][1]
+                self._retx_timer = self.loop.call_at_key(due, key, self._on_retx_due)
+            else:
+                self._retx_timer = None
 
     def _retransmit(self, msg_id: int) -> None:
         pending = self._pending.get(msg_id)
@@ -412,13 +444,38 @@ class ReliableUnicast:
             self._receiver(frame.src_node, frame.payload)
 
     def _is_duplicate(self, peer: str, msg_id: int) -> bool:
-        if peer not in self._seen:
-            self._seen[peer] = (set(), deque())
-        ids, fifo = self._seen[peer]
-        if msg_id in ids:
+        """Whether ``peer``'s frame ``msg_id`` was seen ("Duplicate
+        suppression" in the module docstring); records it if not."""
+        seen = self._seen.get(peer)
+        if seen is None:
+            seen = self._seen[peer] = [0, []]
+        floor, above = seen
+        if above:
+            high = above[-1] - 1
+            if msg_id == high + 1 and msg_id - RESTART_HORIZON <= floor:
+                above[-1] = msg_id + 1  # the next frame, past a recent gap
+                return False
+        elif msg_id == floor + 1:  # the next frame in order
+            seen[0] = msg_id
+            return False
+        else:
+            high = floor
+        if msg_id <= high - RESTART_HORIZON:
+            # Far older than any straggler: the peer restarted.
+            floor = 0
+            above.clear()
+        elif msg_id <= floor:
             return True
-        ids.add(msg_id)
-        fifo.append(msg_id)
-        if len(fifo) > self.config.dedup_window:
-            ids.discard(fifo.popleft())
+        if not add_seen(above, msg_id):
+            return True
+        # Fold into the floor the span that now continues it, and any gap
+        # so far below the newest id that only a restart could reach it.
+        bottom = above[-1] - 1 - RESTART_HORIZON
+        if floor < bottom:
+            floor = bottom
+        while above and above[0] <= floor + 1:
+            if above[1] - 1 > floor:
+                floor = above[1] - 1
+            del above[:2]
+        seen[0] = floor
         return False

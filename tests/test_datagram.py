@@ -130,3 +130,27 @@ def test_determinism_same_seed_same_outcome():
         loop.run_until_idle()
         outcomes.append(tuple(got))
     assert outcomes[0] == outcomes[1]
+
+
+def test_a_packet_in_flight_is_a_plain_heap_entry():
+    """An arrival carries no TimerHandle, yet orders, steps, peeks and
+    bills exactly like the timer ``call_later`` would have made: same
+    instant as a timer armed after the send, it fires first."""
+    from repro.obs.prof import Profiler
+
+    loop, topo, net = make_net(latency=0.25)
+    order = []
+    net.bind("B@net0", lambda p: order.append(p.payload))
+    net.send("A@net0", "B@net0", "first", 1)
+    loop.call_later(0.25, order.append, "timer")
+    net.send("A@net0", "B@net0", "second", 1)
+    assert loop.peek_time() == pytest.approx(0.25)
+    assert loop.step() is True
+    assert order == ["first"]
+    prof = Profiler().attach(loop)
+    assert loop.run_until_idle() == 2
+    assert order == ["first", "timer", "second"]
+    assert prof.events == 2
+    names = {row["name"] for row in prof.table()}
+    assert "net.datagram.DatagramNetwork._deliver" in names
+    assert loop.peek_time() is None and loop.step() is False

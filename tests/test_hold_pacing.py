@@ -51,7 +51,8 @@ class _Handle:
 
 
 class ScriptedLoop:
-    """``now`` / ``call_at`` / ``call_later`` / ``rng`` with a scripted clock."""
+    """``now`` / ``call_at`` / ``call_later`` / ``rng`` and the lazy
+    deadlines' ``reserve_key`` / ``call_at_key``, with a scripted clock."""
 
     def __init__(self):
         self.now = 0.0
@@ -78,6 +79,13 @@ class ScriptedLoop:
         if not delay >= 0.0:  # EventLoop's contract; asyncio is laxer
             raise ValueError(f"delay must be non-negative, got {delay}")
         return self.call_at(self.now + delay, callback, *args)
+
+    def reserve_key(self):
+        return next(self._seq)
+
+    def call_at_key(self, when, key, callback, *args):
+        # Lazy deadlines (HUNGRY, retransmit): a key is only told apart here.
+        return self.call_at(when, callback, *args)
 
     def step(self, fabric):
         if self.inbox:

@@ -1,20 +1,21 @@
-"""Lazy protocol deadlines against the parent's cancel-and-re-arm timers.
+"""Lazy protocol deadlines against the cancel-and-re-arm timers they replace.
 
 One hypothesis-drawn fault schedule — loss, duplication, jitter, crashes and
 recoveries, partitions and heals, a destroyed token, multicast bursts — runs
 on a cluster of production nodes (lazy HUNGRY deadline, one retransmit queue
 per transport) and on a cluster of ``timer_reference`` nodes (a HUNGRY timer
 cancelled and re-armed per hop, one retransmit timer per send).  Every
-deadline fires at the same float either way, so everything the protocol
-does must be the same: per-node delivery sequences, view histories, the
-instants each node starts STARVING and regenerates a token, retransmit and
-failure counts, and the multiset of probe events with their timestamps.
-Only the loop's own bookkeeping (which handles exist, heap sequence numbers)
-may differ — and with it the order in which two nodes' deadlines that fall
-on the very same instant fire (a re-armed handle takes a later sequence
-number), which is why cross-node observables are compared per node or as
-multisets.  Three seeded mutants of the lazy rules must each be caught,
-and an idle ring must schedule at most four callbacks per token hop.
+deadline fires at the same float either way, and — because a lazy deadline
+reserves its loop ordering key when it is set and its handle is armed with
+that key — at the same place among the events of its instant.  So everything
+the protocol does must be the same: per-node delivery sequences, view
+histories, the instants each node starts STARVING and regenerates a token,
+retransmit and failure counts, and the whole probe stream in order.  Only
+the loop's own bookkeeping (which handles exist) may differ.  Two zero-jitter
+schedules, where deadlines of different nodes share an instant, are pinned;
+three seeded mutants of the lazy rules must each be caught.  An idle ring
+must push at most four heap entries and build at most two ``TimerHandle``s
+per token hop.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from repro.core.config import RaincoreConfig
 from repro.core.session import RaincoreNode
 from repro.core.states import NodeState
 from repro.core.token import Ordering
+from repro.net import datagram, eventloop
+from repro.net.eventloop import TimerHandle
 from repro.transport.messages import frame_size
 from repro.transport.reliable import ReliableUnicast
 
@@ -114,7 +117,7 @@ def run(schedule: dict, node_cls: type = RaincoreNode) -> dict:
             node for _, node, kind, args in events if kind == "transport.tx" and args[2] > 0
         ),
         "failures": Counter(node for _, node, kind, _ in events if kind == "transport.fail"),
-        "probes": Counter(events),
+        "probes": events,
     }
 
 
@@ -153,6 +156,24 @@ def test_any_fault_schedule_matches_the_reference_timers(schedule):
     assert divergence(schedule) is None
 
 
+@pytest.mark.parametrize("seed", [3, 12])
+def test_same_instant_deadlines_fire_in_the_reference_order(seed):
+    """Zero jitter puts deadlines of different nodes on one instant.  A
+    re-armed handle that took a fresh sequence number fired them out of
+    order: on seed 12 all five nodes went STARVING at 1.51-1.59 s and D
+    regenerated the token, where the reference timers recovered it; on
+    seed 3 the retransmit queue's timer resent B's and A's frames in the
+    wrong order (15 vs 14 and 12 vs 13 retransmits)."""
+    schedule = {
+        "size": 5,
+        "seed": seed,
+        "loss": 0.1,
+        "jitter": 0.0,
+        "ops": [(0.9375, ("lose_token", 0))],
+    }
+    assert divergence(schedule) is None
+
+
 # ----------------------------------------------------------------------
 # seeded mutants: each one must be caught
 # ----------------------------------------------------------------------
@@ -177,7 +198,7 @@ SCHEDULE = {
 def fire_at_the_stale_deadline(monkeypatch):
     """The HUNGRY handle's own firing is taken as the deadline."""
 
-    def on_hungry_timeout(self, epoch):
+    def on_hungry_timeout(self, epoch, key):
         if epoch != self._epoch:
             return
         self._hungry_timer = None
@@ -196,14 +217,15 @@ def keep_acked_entries(monkeypatch):
 
     def on_retx_due(self):
         queue = self._retx
-        while queue and queue[0][0] <= self.loop.now:
-            _, msg_id, pending = queue.popleft()
-            if self._exhausted(pending):
-                self._finish(msg_id, False)
-            else:
-                self._transmit(pending, frame_size(pending.frame))
+        _, _, msg_id, pending = queue.popleft()
+        if self._exhausted(pending):
+            self._finish(msg_id, False)
+        else:
+            self._transmit(pending, frame_size(pending.frame))
         self._retx_timer = (
-            self.loop.call_at(queue[0][0], self._on_retx_due) if queue else None
+            self.loop.call_at_key(queue[0][0], queue[0][1], self._on_retx_due)
+            if queue
+            else None
         )
 
     monkeypatch.setattr(ReliableUnicast, "_on_retx_due", on_retx_due)
@@ -233,7 +255,11 @@ def test_the_unmutated_schedule_agrees():
 )
 def test_seeded_mutant_is_killed(mutant, monkeypatch):
     mutant(monkeypatch)
-    assert divergence(SCHEDULE) is not None
+    try:
+        found = divergence(SCHEDULE)
+    except ValueError as exc:  # the loop refused a deadline in the past
+        found = str(exc)
+    assert found is not None
 
 
 # ----------------------------------------------------------------------
@@ -242,26 +268,42 @@ def test_seeded_mutant_is_killed(mutant, monkeypatch):
 def test_an_idle_ring_schedules_at_most_four_callbacks_per_hop():
     """Token datagram, ack datagram and forward are three; the lazy HUNGRY
     and retransmit re-arms share the fourth.  Cancel-and-re-arm timers
-    scheduled five per hop, two of them dead within the lap."""
+    scheduled five per hop, two of them dead within the lap.  Every push
+    onto the loop's heap is counted, handle or plain packet arrival, and
+    only two per hop may build a ``TimerHandle``: the forward and the
+    lazy re-arms (a handle per event made 3.65 per hop)."""
     ids = list("ABCDEFGH")
     config = RaincoreConfig.tuned(ring_size=len(ids), hop_interval=0.005)
     cluster = RaincoreCluster(ids, seed=5, config=config)
     cluster.start_all()
     cluster.run(1.0)
     loop = cluster.loop
-    scheduled = [0]
+    pushes = [0]
+    handles = [0]
 
-    def counted(schedule):
-        def call(*args, **kwargs):
-            scheduled[0] += 1
-            return schedule(*args, **kwargs)
+    push = eventloop.heappush
 
-        return call
+    def counted_push(heap, entry):
+        pushes[0] += 1
+        push(heap, entry)
 
-    loop.call_at = counted(loop.call_at)
-    loop.call_later = counted(loop.call_later)
+    init = TimerHandle.__init__
+
+    def counted_handle(self, *args):
+        handles[0] += 1
+        init(self, *args)
+
+    queued = len(loop._heap)  # raincheck: disable=RC204 -- the guard counts what the heap held
+    events = loop.events_processed
     first = max(n.local_copy_seq for n in cluster.live_nodes())
-    cluster.run(4.0)
+    with mock.patch.object(eventloop, "heappush", counted_push), mock.patch.object(
+        datagram, "heappush", counted_push
+    ), mock.patch.object(TimerHandle, "__init__", counted_handle):
+        cluster.run(4.0)
     hops = max(n.local_copy_seq for n in cluster.live_nodes()) - first
     assert hops > 700
-    assert scheduled[0] <= 4 * hops, f"{scheduled[0] / hops:.2f} callbacks per hop"
+    # Not vacuous: every event dispatched was either queued already or
+    # pushed while the counters watched.
+    assert loop.events_processed - events <= queued + pushes[0]
+    assert pushes[0] <= 4 * hops, f"{pushes[0] / hops:.2f} heap pushes per hop"
+    assert handles[0] <= 2 * hops, f"{handles[0] / hops:.2f} TimerHandles per hop"

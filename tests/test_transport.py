@@ -71,8 +71,6 @@ def test_config_validation():
         TransportConfig(retx_timeout=0)
     with pytest.raises(ValueError):
         TransportConfig(attempts_per_route=0)
-    with pytest.raises(ValueError):
-        TransportConfig(dedup_window=0)
 
 
 def test_failure_detection_bound():
