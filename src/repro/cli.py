@@ -23,8 +23,8 @@ Installed as ``raincore-repro`` (or ``python -m repro``).  Subcommands:
   contract monitor, replayable traces, automatic shrinking of failures;
 * ``lint`` — raincheck static analysis: determinism and protocol
   invariants checked before any test runs (docs/DETERMINISM.md);
-* ``bench`` — wall-clock throughput of the simulator itself, with
-  optional regression gating against a committed baseline.
+* ``bench`` — the counted-work bill of one fixed ring (calls per layer,
+  events, packets, hops, deliveries), gated exactly against a committed pin.
 
 Everything runs in simulated time — each command finishes in seconds of
 wall clock regardless of how much virtual time it covers — except ``top``,
@@ -346,35 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_arguments(p)
 
     p = sub.add_parser(
-        "bench", help="simulator throughput benchmarks and regression gate"
+        "bench", help="counted-work bill of the simulator and its exact gate"
     )
     p.add_argument(
-        "--out", metavar="REPORT.json",
-        help="write the JSON report here (default: print to stdout only)",
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="reduced workload for CI smoke runs (same rate metrics)",
-    )
-    p.add_argument(
-        "--repeats", type=int, default=None,
-        help="runs per benchmark, best run reported "
-        "(default: 5, or 3 with --quick)",
-    )
-    p.add_argument(
-        "--check", metavar="BASELINE.json",
-        help="compare against a baseline report; exit 1 when a metric is "
-        "more than 30%% worse or a baseline metric is not reported",
-    )
-    p.add_argument(
-        "--record", metavar="HISTORY.json", nargs="?",
-        const="benchmarks/BENCH_history.json",
-        help="append {git_sha, date, metrics} to a bench history file "
-        "(default benchmarks/BENCH_history.json)",
-    )
-    p.add_argument(
-        "--label", default="", metavar="TEXT",
-        help="free-form label stored with the --record history row",
+        "--check", metavar="PIN.json",
+        help="compare the bill exactly with a pinned one; exit 1 naming each "
+        "field that moved, 2 when the pin was made on another Python minor "
+        "version",
     )
 
     return parser
@@ -995,37 +973,27 @@ def cmd_bench(args) -> int:
 
     from repro import perf
 
-    report = perf.run_suite(quick=args.quick, repeats=args.repeats)
-    for name, value in sorted(report["metrics"].items()):
-        print(f"{name:>32}: {value:,}" if isinstance(value, int) else
-              f"{name:>32}: {value}")
-    if args.out:
-        perf.write_report(args.out, report)
-        print(f"report written to {args.out}")
-    if args.record:
-        import subprocess
-
-        try:
-            git_sha = subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                capture_output=True, text=True, check=True,
-            ).stdout.strip()
-        except (OSError, subprocess.CalledProcessError):
-            git_sha = "unknown"
-        row = perf.append_history(
-            args.record, report, git_sha=git_sha, label=args.label
+    bill = perf.count_ring()
+    print(json.dumps(bill, indent=2, sort_keys=True))
+    if not args.check:
+        return 0
+    with open(args.check, encoding="utf-8") as fh:
+        pin = json.load(fh)
+    if pin.get("python") != bill["python"]:
+        print(
+            f"error: {args.check} was pinned on Python {pin.get('python')}, "
+            f"this is Python {bill['python']}: counts differ between minor "
+            "versions, so run the check on the pin's version",
+            file=sys.stderr,
         )
-        print(f"recorded {row['git_sha']} ({row['date']}) in {args.record}")
-    if args.check:
-        with open(args.check, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        problems = perf.compare(report, baseline)
-        if problems:
-            print(f"PERF REGRESSION vs {args.check}:")
-            for problem in problems:
-                print(f"  {problem}")
-            return 1
-        print(f"within {perf.TOLERANCE:.0%} of baseline {args.check}")
+        return 2
+    moved = perf.diff(bill, pin)
+    if moved:
+        print(f"BILL MOVED vs {args.check}:", file=sys.stderr)
+        for line in moved:
+            print(f"  {line}", file=sys.stderr)
+        return 1
+    print(f"bill matches {args.check}", file=sys.stderr)
     return 0
 
 

@@ -18,6 +18,7 @@ would provision them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.transport.reliable import TransportConfig
@@ -95,8 +96,9 @@ class RaincoreConfig:
             "join_retry",
             "bodyodor_interval",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.max_batch_per_visit < 1:
             raise ValueError("max_batch_per_visit must be at least 1")
         if self.max_token_bytes < 1024:

@@ -1,7 +1,7 @@
 """raincheck — AST-based determinism & protocol-invariant linter.
 
 The determinism contract of this reproduction (all randomness from a seeded
-``EventLoop.rng``, no wall clock outside ``repro.perf``, replay-identical
+``EventLoop.rng``, no wall clock outside a short allowlist, replay-identical
 ``(time, seq)`` ordering) and the session protocol's structural
 invariants (exhaustive message dispatch, scheduling primitives contained in
 ``repro.net``/``repro.runtime``, hot-path allocation hygiene) are enforced

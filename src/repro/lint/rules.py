@@ -81,8 +81,8 @@ _meta("RC003", "suppression pragma that suppressed nothing (strict)")
 # ----------------------------------------------------------------------
 # RC1xx — determinism
 # ----------------------------------------------------------------------
-#: Wall-clock reads.  Only repro/perf.py (the wall-clock benchmark harness,
-#: whose entire purpose is measuring real elapsed time) may use these.
+#: Wall-clock reads.  Only the modules in ``_CLOCK_ALLOWED_MODULES`` may
+#: use these.
 _WALL_CLOCK = frozenset(
     {
         "time.time",
@@ -100,11 +100,12 @@ _WALL_CLOCK = frozenset(
         "datetime.date.today",
     }
 )
-#: The only modules allowed to read the wall clock: the perf harness, the
-#: hot-path profiler, and the raintap telemetry plane (shipper, collector,
-#: worker) — all live on the non-deterministic wall-clock side of the
-#: fence and never feed the *simulated* probe stream (docs/PROFILING.md,
-#: docs/TELEMETRY.md).
+#: The only modules allowed to read the wall clock: ``repro.perf`` for its
+#: bare event-loop rate (``bench_event_loop``, which the benchmark ledger
+#: imports; its counted-work bill reads no clock), the hot-path profiler,
+#: and the raintap telemetry plane (shipper, collector, worker) — all live
+#: on the non-deterministic wall-clock side of the fence and never feed the
+#: *simulated* probe stream (docs/PROFILING.md, docs/TELEMETRY.md).
 _CLOCK_ALLOWED_MODULES = (
     "repro/perf.py",
     "repro/obs/prof.py",
@@ -144,9 +145,9 @@ def check_wall_clock(ctx: FileContext) -> Iterator[FileFinding]:
                     node.lineno,
                     node.col_offset,
                     f"wall-clock call {name}() breaks replay determinism; "
-                    "use EventLoop virtual time (loop.now) — real-time "
-                    "measurement belongs in repro/perf.py or "
-                    "repro/obs/prof.py",
+                    "use EventLoop virtual time (loop.now) — count work "
+                    "with repro bench's bill, time it in the benchmark "
+                    "ledger or repro/obs/prof.py",
                 )
 
 

@@ -24,6 +24,7 @@ runs replay deterministically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.net.adversity import GilbertElliott
@@ -63,8 +64,12 @@ class Segment:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {value}")
-        if self.latency < 0 or self.jitter < 0 or self.spike_extra < 0:
-            raise ValueError("latency, jitter and spike_extra must be non-negative")
+        for name in ("latency", "jitter", "spike_extra"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value}"
+                )
 
     def clear_adversities(self) -> None:
         """Reset duplication, spikes and burst loss to the benign model."""

@@ -8,8 +8,9 @@ Every layer of the stack carries an optional ``probe`` attribute (a
         probe.emit(self.node_id, "token.accept", src, gen, seq, n_msgs)
 
 so a disabled probe costs exactly one attribute load and one ``None`` test
-on the hot path — unmeasurable next to the work being observed (the ring
-rates of :mod:`repro.perf` would show it; the enabled cost is priced by
+on the hot path — unmeasurable next to the work being observed (the
+counted-work bill of :mod:`repro.perf` charges it to the emitting layer;
+the enabled cost is priced by
 ``obs.stacked_overhead_ratio`` on the benchmark ledger's
 ``sim_ring_observed``).
 

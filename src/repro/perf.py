@@ -1,67 +1,48 @@
-"""Rate floor for the simulation substrate.
+"""Counted-work bill of the simulator, plus the bare event-loop rate.
 
-The protocol stack is exercised entirely in virtual time, but the repo also
-cares about how fast the *simulator itself* runs: slow hot paths cap how
-much virtual time the chaos campaigns and soak tests can afford.  This
-module measures wall-clock throughput of the three hot paths the substrate
-optimizes — the bare event loop, a loaded 8-node token ring, and the token
-hop pipeline — and reports machine-readable rates for regression tracking.
+The paper's cost model is a count, not a time: each node takes *L* group
+communication wakeups per second (PAPER.md §4.1).  :func:`count_ring`
+prices one fixed ring the same way.  It runs :data:`WORKLOAD` under
+``sys.setprofile`` and charges every Python or builtin call to the
+``repro.<package>`` (the layer) of the frame that makes it.  Calls made
+from stdlib frames are not counted, so a patch release of Python cannot
+move the bill; calls *into* the stdlib from a layer are.  Beside the
+per-layer calls the bill records what the ring did in that window:
+dispatched events, packets and bytes sent, token hops and agreed
+deliveries, and calls per hop and per delivery.
+
+The bill is exact: two runs on the same Python minor version print the
+same bytes, whatever ``PYTHONHASHSEED`` is.  ``repro bench`` prints it as
+sorted JSON and ``repro bench --check benchmarks/BENCH_counts.json`` gates
+on it (exit 1 naming each field that moved, exit 2 when the pin was made
+on another minor version).  End-to-end wall-clock claims belong to the
+benchmark ledger (``benchmarks/ledger``), not here.
 
 .. note::
-   This is the one module under ``src/`` allowed to read the wall clock
-   (``time.perf_counter``): its entire purpose is measuring real elapsed
-   time.  Protocol and simulation code must keep using virtual time only.
-
-Metrics (all higher-is-better except ``wall_clock_per_sim_second``):
-
-* ``event_loop_events_per_sec`` — callbacks dispatched per wall second by
-  an :class:`~repro.net.eventloop.EventLoop` with no protocol on top.
-* ``loaded_ring_events_per_sec`` — events per wall second for an 8-node
-  Raincore ring circulating a token with 50 queued multicasts.
-* ``token_hops_per_sec`` — token forwards per wall second in that ring.
-* ``wall_clock_per_sim_second`` — wall seconds needed to simulate one
-  virtual second of the loaded ring (lower is better).
-
-Disabled probes and a detached profiler are one attribute load and a
-``None`` test per hot-path site, so their cost is covered by the ring
-rates.  What observability, the data service and tracing cost when they
-*are* attached is priced per layer by the benchmark ledger
-(``benchmarks/ledger``), not here.
-
-``repro bench`` (see :mod:`repro.cli`) runs the suite, writes a JSON
-report, appends a row to ``benchmarks/BENCH_history.json`` (``--record``)
-and gates on the floor in ``benchmarks/BENCH_baseline.json`` (``--check``).
+   :func:`bench_event_loop` is the one wall-clock read here (RC101
+   allowlists this module for it); ``benchmarks/ledger/micro.py`` imports
+   it.  The bill itself reads no clock.
 """
 
 from __future__ import annotations
 
-import json
+import sys
 import time
+from collections import Counter
 from typing import Any
 
-__all__ = [
-    "QUICK",
-    "FULL",
-    "TOLERANCE",
-    "bench_event_loop",
-    "bench_loaded_ring",
-    "run_suite",
-    "write_report",
-    "append_history",
-    "compare",
-]
+__all__ = ["WORKLOAD", "bench_event_loop", "count_ring", "diff"]
 
-#: Workload knobs: (bare-loop events, loaded-ring virtual seconds, repeats).
-FULL = {"loop_events": 50_000, "ring_sim_seconds": 1.0, "repeats": 5}
-#: Reduced workload for CI smoke runs; same *rate* metrics, smaller sample.
-QUICK = {"loop_events": 10_000, "ring_sim_seconds": 0.5, "repeats": 3}
-
-#: How much worse than the baseline a metric may read before
-#: :func:`compare` calls it a regression (0.30 = 30%).
-TOLERANCE = 0.30
-
-#: Metrics where smaller values are improvements.
-_LOWER_IS_BETTER = {"wall_clock_per_sim_second"}
+#: The billed ring: 8 nodes, seed 2, a 5 ms hop, 50 multicasts of 200 B
+#: queued once the ring has formed, then this many virtual seconds profiled.
+WORKLOAD = {
+    "nodes": 8,
+    "seed": 2,
+    "hop_interval": 0.005,
+    "multicasts": 50,
+    "multicast_bytes": 200,
+    "sim_seconds": 1.0,
+}
 
 
 def bench_event_loop(n_events: int) -> float:
@@ -78,145 +59,89 @@ def bench_event_loop(n_events: int) -> float:
     return n_events / (t1 - t0)
 
 
-def bench_loaded_ring(sim_seconds: float) -> tuple[float, float, float]:
-    """Run the reference loaded ring; return (events/s, hops/s, wall per sim s).
+def _ring_totals(cluster) -> dict[str, int]:
+    stats = cluster.network.stats
+    return {
+        "events": cluster.loop.events_processed,
+        "packets": stats.total("packets_sent"),
+        "bytes": stats.total("bytes_sent"),
+        "hops": max(cluster.node(nid).local_copy_seq for nid in cluster.node_ids),
+        "deliveries": cluster.total_deliveries(),
+    }
 
-    The workload is fixed — 8 nodes, seed 2, a 5 ms hop interval, and 50
-    multicasts of 200 bytes queued up front — so every row of
-    ``benchmarks/BENCH_history.json`` stays comparable.
-    """
+
+def count_ring() -> dict[str, Any]:
+    """Run :data:`WORKLOAD` once and return its bill (see the module doc)."""
     from repro.cluster.harness import RaincoreCluster
     from repro.core.config import RaincoreConfig
 
+    w = WORKLOAD
     cluster = RaincoreCluster(
-        [f"n{i}" for i in range(8)],
-        seed=2,
-        config=RaincoreConfig.tuned(ring_size=8, hop_interval=0.005),
+        [f"n{i}" for i in range(w["nodes"])],
+        seed=w["seed"],
+        config=RaincoreConfig.tuned(
+            ring_size=w["nodes"], hop_interval=w["hop_interval"]
+        ),
     )
     cluster.start_all()
-    for i in range(50):
-        cluster.node(f"n{i % 8}").multicast(f"m{i}", size=200)
-    t0 = time.perf_counter()
-    cluster.run(sim_seconds)
-    t1 = time.perf_counter()
-    wall = t1 - t0
-    events = cluster.loop.events_processed
-    hops = max(cluster.node(nid).local_copy_seq for nid in cluster.node_ids)
-    return events / wall, hops / wall, wall / sim_seconds
+    for i in range(w["multicasts"]):
+        cluster.node(f"n{i % w['nodes']}").multicast(
+            f"m{i}", size=w["multicast_bytes"]
+        )
+    before = _ring_totals(cluster)
+    calls: Counter[str] = Counter()
 
+    def tally(frame, event, arg) -> None:
+        if event == "call":
+            frame = frame.f_back
+        elif event != "c_call":
+            return
+        module = frame.f_globals.get("__name__", "")
+        # The harness's own two calls (run and setprofile) are not billed.
+        if module.startswith("repro.") and module != __name__:
+            calls[module.split(".", 2)[1]] += 1
 
-def run_suite(quick: bool = False, repeats: int | None = None) -> dict[str, Any]:
-    """Run all benchmarks and return a report dict (see ``write_report``).
-
-    Each benchmark runs ``repeats`` times and reports its best run, the
-    standard way to suppress scheduler noise when measuring a
-    deterministic workload.
-    """
-    knobs = QUICK if quick else FULL
-    if repeats is None:
-        repeats = knobs["repeats"]
-    best_loop = max(bench_event_loop(knobs["loop_events"]) for _ in range(repeats))
-    best_ring = max(
-        (bench_loaded_ring(knobs["ring_sim_seconds"]) for _ in range(repeats)),
-        key=lambda r: r[0],
-    )
-    events_per_s, hops_per_s, wall_per_sim = best_ring
-    return {
-        "schema": 1,
-        "quick": quick,
-        "repeats": repeats,
-        "workload": {
-            "loop_events": knobs["loop_events"],
-            "ring_sim_seconds": knobs["ring_sim_seconds"],
-            "ring_nodes": 8,
-            "ring_multicasts": 50,
-        },
-        "metrics": {
-            "event_loop_events_per_sec": round(best_loop),
-            "loaded_ring_events_per_sec": round(events_per_s),
-            "token_hops_per_sec": round(hops_per_s),
-            "wall_clock_per_sim_second": round(wall_per_sim, 6),
-        },
-    }
-
-
-def write_report(path: str, report: dict[str, Any]) -> None:
-    """Write a report (stable key order, trailing newline) to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def append_history(
-    path: str,
-    report: dict[str, Any],
-    git_sha: str,
-    date: str | None = None,
-    label: str = "",
-) -> dict[str, Any]:
-    """Append one ``{git_sha, date, label, metrics}`` row to a history file.
-
-    The file is a JSON object ``{"schema": 1, "rows": [...]}``; rows are
-    kept in append order (oldest first).  Created if missing.  Returns the
-    appended row.  ``date`` defaults to today — stamped here because
-    perf.py is the one module allowed to read the wall clock (RC101).
-    """
-    if date is None:
-        import datetime
-
-        date = datetime.date.today().isoformat()
+    run = cluster.run
+    sys.setprofile(tally)
     try:
-        with open(path, encoding="utf-8") as fh:
-            history = json.load(fh)
-    except FileNotFoundError:
-        history = {"schema": 1, "rows": []}
-    if "rows" not in history:
-        raise ValueError(f"{path} is not a bench history file (no 'rows')")
-    row = {
-        "git_sha": git_sha,
-        "date": date,
-        "label": label,
-        "quick": bool(report.get("quick", False)),
-        "metrics": dict(report.get("metrics", {})),
-    }
-    history["rows"].append(row)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(history, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return row
+        run(w["sim_seconds"])
+    finally:
+        sys.setprofile(None)
+    after = _ring_totals(cluster)
+    bill: dict[str, Any] = {k: after[k] - before[k] for k in after}
+    total = sum(calls.values())
+    bill.update(
+        python="{}.{}".format(*sys.version_info[:2]),
+        workload=dict(w),
+        calls=dict(sorted(calls.items())),
+        calls_total=total,
+        calls_per_hop=round(total / bill["hops"], 2) if bill["hops"] else None,
+        calls_per_delivery=(
+            round(total / bill["deliveries"], 2) if bill["deliveries"] else None
+        ),
+    )
+    return bill
 
 
-def compare(current: dict[str, Any], baseline: dict[str, Any]) -> list[str]:
-    """Check ``current`` metrics against the ``baseline`` floor.
-
-    Both arguments are report dicts (only their ``"metrics"`` maps are
-    consulted; a bare metrics map is also accepted).  Returns a list of
-    human-readable problems — empty when every baseline metric is reported
-    and at most :data:`TOLERANCE` worse than its floor.  A baseline metric
-    the report lacks is a problem, so the floor of a renamed or retired
-    metric cannot silently stop gating; a metric only the report has is
-    ignored, so a new metric can land before its floor.
-    """
-    cur = current.get("metrics", current)
-    base = baseline.get("metrics", baseline)
-    problems: list[str] = []
-    for name, base_value in base.items():
-        value = cur.get(name)
-        if value is None:
-            problems.append(f"{name}: in baseline, not reported")
-            continue
-        if not isinstance(base_value, (int, float)) or base_value <= 0:
-            continue
-        ratio = value / base_value
-        if name in _LOWER_IS_BETTER:
-            slower = ratio
-            regressed = ratio > 1.0 + TOLERANCE
+def _flatten(bill: dict[str, Any]) -> dict[str, Any]:
+    flat: dict[str, Any] = {}
+    for key, value in bill.items():
+        if isinstance(value, dict):
+            flat.update((f"{key}.{sub}", v) for sub, v in value.items())
         else:
-            slower = 1 / ratio if ratio > 0 else float("inf")
-            regressed = ratio < 1.0 - TOLERANCE
-        if regressed:
-            problems.append(
-                f"{name}: {value} vs baseline {base_value} "
-                f"({slower:.2f}x slower, tolerance {TOLERANCE:.0%})"
-            )
-    return problems
+            flat[key] = value
+    return flat
+
+
+def diff(bill: dict[str, Any], pin: dict[str, Any]) -> list[str]:
+    """One ``"field: pinned -> now"`` line per field of the bill that moved.
+
+    Nested fields read ``calls.net``; a field only one side has reads
+    ``None`` on the other.  Empty when the bill matches the pin exactly.
+    """
+    now, pinned = _flatten(bill), _flatten(pin)
+    return [
+        f"{key}: {pinned.get(key)} -> {now.get(key)}"
+        for key in sorted(now.keys() | pinned.keys())
+        if now.get(key) != pinned.get(key)
+    ]

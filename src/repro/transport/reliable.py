@@ -59,6 +59,7 @@ among same-instant events in exactly the place the per-send timer would have.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -126,8 +127,10 @@ class TransportConfig:
     max_pending_bytes: int = 1_048_576
 
     def __post_init__(self) -> None:
-        if self.retx_timeout <= 0.0:
-            raise ValueError("retx_timeout must be positive")
+        if not 0.0 < self.retx_timeout < math.inf:
+            raise ValueError(
+                f"retx_timeout must be finite and positive, got {self.retx_timeout}"
+            )
         if self.attempts_per_route < 1:
             raise ValueError("attempts_per_route must be at least 1")
         if self.max_pending_bytes < 1:

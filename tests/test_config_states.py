@@ -21,8 +21,9 @@ def test_validation_rejects_nonpositive_timers():
         "join_retry",
         "bodyodor_interval",
     ):
-        with pytest.raises(ValueError):
-            RaincoreConfig(**{field: 0.0})
+        for value in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=field):
+                RaincoreConfig(**{field: value})
 
 
 def test_validation_rejects_zero_batch():

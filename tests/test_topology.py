@@ -98,6 +98,10 @@ def test_segment_validation():
         Segment("s", loss=1.5)
     with pytest.raises(ValueError):
         Segment("s", latency=-1.0)
+    for name in ("latency", "jitter", "spike_extra"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                Segment("s", **{name: value})
 
 
 def test_path_params_returns_shared_segment(topo):

@@ -67,8 +67,9 @@ def test_unsized_payload_rejected():
 # config validation
 # ----------------------------------------------------------------------
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TransportConfig(retx_timeout=0)
+    for value in (0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="retx_timeout"):
+            TransportConfig(retx_timeout=value)
     with pytest.raises(ValueError):
         TransportConfig(attempts_per_route=0)
 
