@@ -27,11 +27,12 @@ follows the Data Service replica discipline (:mod:`repro.data.replica`).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core.session import RaincoreNode
 from repro.data.replica import ReplicaBase
+from repro.data.resync import chain_identity
 
 __all__ = ["NatMapping", "NatOp", "NatSnapshot", "NatTable"]
 
@@ -48,15 +49,26 @@ class NatMapping:
 
 @dataclass(frozen=True)
 class NatOp:
-    """One replicated NAT-table operation."""
+    """One replicated NAT-table operation.
+
+    Its modelled wire ``size`` and chain ``identity`` are derived once,
+    when it is built (see :class:`~repro.data.shared_dict.DictOp`).
+    """
 
     kind: str  # "alloc" | "release"
     flow_id: int
     client: str
     requester: str
+    size: int = field(init=False, repr=False, compare=False)
+    identity: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        size = 24 + len(self.client)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "identity", chain_identity(self, size))
 
     def wire_size(self) -> int:
-        return 24 + len(self.client)
+        return self.size
 
 
 @dataclass(frozen=True)
@@ -81,6 +93,8 @@ class NatTable(ReplicaBase):
     """
 
     SERVICE = "nat-table"
+    OP = NatOp
+    SNAPSHOT = NatSnapshot
 
     def __init__(
         self,
@@ -146,12 +160,6 @@ class NatTable(ReplicaBase):
     # ------------------------------------------------------------------
     # ReplicaBase hooks
     # ------------------------------------------------------------------
-    def _is_op(self, payload: Any) -> bool:
-        return isinstance(payload, NatOp)
-
-    def _is_snapshot(self, payload: Any) -> bool:
-        return isinstance(payload, NatSnapshot)
-
     def _apply_op(self, op: NatOp) -> None:
         if op.kind == "alloc":
             self._apply_alloc(op)

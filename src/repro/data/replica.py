@@ -57,8 +57,15 @@ same discipline:
   the whole group's reconciliation (found by randomized fuzzing; see
   docs/FINDINGS.md §4).
 
-Subclasses implement four hooks: :meth:`_is_op`, :meth:`_apply_op`,
-:meth:`_snapshot_payload`, :meth:`_install_snapshot`.
+Subclasses declare three class attributes and implement three hooks:
+
+* ``SERVICE``, a unique name that namespaces the resync messages;
+* ``OP``, the op type: a delivery of exactly this type is an op.  An op
+  carries its modelled wire ``size`` and its chain ``identity``
+  (:func:`~repro.data.resync.chain_identity` at that size), computed once
+  when it is built, so no replica re-derives them per delivery;
+* ``SNAPSHOT``, the state-transfer payload type;
+* :meth:`_apply_op`, :meth:`_snapshot_payload`, :meth:`_install_snapshot`.
 """
 
 from __future__ import annotations
@@ -117,15 +124,25 @@ class SyncRequest:
         return 24 + len(self.service) + len(self.digest)
 
 
+#: The stream messages of the resync protocol (every one has a ``service``).
+_RESYNC_KINDS = frozenset({ResyncAck, ResyncSnapshot, ResyncDelta, SyncRequest})
+
+
 class ReplicaBase(SessionListener):
     """Common machinery for group-replicated state machines."""
 
     #: Subclasses set a unique name (namespaces snapshots/sync requests).
     SERVICE: str = ""
+    #: Subclasses set the op type (instances carry ``size`` and ``identity``).
+    OP: type | None = None
+    #: Subclasses set the snapshot payload type.
+    SNAPSHOT: type | None = None
 
     def __init__(self, node: RaincoreNode) -> None:
         if not self.SERVICE:
             raise TypeError("subclass must set SERVICE")
+        if self.OP is None or self.SNAPSHOT is None:
+            raise TypeError("subclass must set OP and SNAPSHOT")
         self.node = node
         ensure_composite(node).add(self)
         self._synced: bool | None = None
@@ -144,9 +161,6 @@ class ReplicaBase(SessionListener):
     # ------------------------------------------------------------------
     # subclass hooks
     # ------------------------------------------------------------------
-    def _is_op(self, payload: Any) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _apply_op(self, op: Any) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -155,9 +169,6 @@ class ReplicaBase(SessionListener):
         raise NotImplementedError
 
     def _install_snapshot(self, snap: Any) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def _is_snapshot(self, payload: Any) -> bool:  # pragma: no cover
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -204,40 +215,38 @@ class ReplicaBase(SessionListener):
     # ------------------------------------------------------------------
     def on_deliver(self, delivery: Delivery) -> None:
         payload = delivery.payload
-        # Ops first: they are most of the stream, and no op type is one of
-        # the four resync messages below.
-        if self._is_op(payload):
+        # One type test routes an op, most of the stream.  A second sends
+        # away whatever is no resync message either (a lock op, another
+        # service's op) before any ``isinstance`` arm is walked.
+        kind = type(payload)
+        if kind is self.OP:
             if self._synced:
                 self._apply_and_log(payload)
             else:
                 self._buffer.append(payload)
             return
-        if isinstance(payload, ResyncSnapshot):
-            if payload.service == self.SERVICE:
-                self._handle_snapshot(payload)
-            return
-        if isinstance(payload, ResyncDelta):
-            if payload.service == self.SERVICE:
-                self._handle_delta(payload)
+        if kind not in _RESYNC_KINDS or payload.service != self.SERVICE:
             return
         if isinstance(payload, ResyncAck):
-            if payload.service == self.SERVICE:
-                self._handle_ack(payload)
-            return
-        if isinstance(payload, SyncRequest):
-            if payload.service == self.SERVICE:
-                self._handle_sync_request(payload)
+            self._handle_ack(payload)
+        elif isinstance(payload, ResyncSnapshot):
+            self._handle_snapshot(payload)
+        elif isinstance(payload, ResyncDelta):
+            self._handle_delta(payload)
+        elif isinstance(payload, SyncRequest):
+            self._handle_sync_request(payload)
 
     def _apply_and_log(self, op: Any) -> None:
+        """Apply one op and log it under the size and identity it carries;
+        ack the position when the append seals a segment, and hold the
+        retained window to its budget."""
         self._apply_op(op)
         self._applied_seq += 1
-        wire_size = getattr(op, "wire_size", None)
         log = self._log
-        _entry, sealed = log.append(op, 64 if wire_size is None else int(wire_size()))
-        if sealed:
+        if log.append(op, op.size, op.identity)[1]:
             self._multicast_ack()
         node = self.node
-        if log.buffered_bytes() > node.config.resync_window_bytes:
+        if log.nbytes > node.config.resync_window_bytes:
             self._enforce_budget()
         if node.probe is not None:
             self._emit_buffer_level()
@@ -246,7 +255,7 @@ class ReplicaBase(SessionListener):
     # state transfer: snapshots and deltas
     # ------------------------------------------------------------------
     def _handle_snapshot(self, snap: ResyncSnapshot) -> None:
-        if not self._is_snapshot(snap.inner):
+        if not isinstance(snap.inner, self.SNAPSHOT):
             return  # wrong payload type for this service: drop, don't crash
         probe = self.node.probe
         if probe is not None:

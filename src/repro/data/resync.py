@@ -42,6 +42,7 @@ from repro.transport.messages import stream_message
 __all__ = [
     "GENESIS_DIGEST",
     "chain_digest",
+    "chain_identity",
     "LogEntry",
     "Segment",
     "ContinuationPoint",
@@ -58,17 +59,24 @@ GENESIS_DIGEST = "0" * 16
 
 _DIGEST_HEX = 16
 
+_new_tuple = tuple.__new__  # LogEntry(...) without its generated __new__ frame
 
-def chain_digest(prev: str, seq: int, payload: Any, size: int) -> str:
-    """Fold one applied op into the rolling hash chain.
 
-    Hashes the *modelled identity* of the op — its type, repr and wire
-    size — which is deterministic across same-seed runs (ops are plain
-    frozen dataclasses of JSON-safe values).  One link is one SHA-256
-    over one concatenated buffer.
+def chain_identity(payload: Any, size: int) -> str:
+    """What one op contributes to its chain link: its *modelled identity*.
+
+    The op's type name, repr and wire size, which are deterministic across
+    same-seed runs (ops are plain frozen dataclasses of JSON-safe values).
+    Replicated op types compute it once when they are built (``identity``)
+    so that no replica re-derives it per delivery.
     """
-    link = f"{prev}{seq}{type(payload).__name__}{payload!r}{size}"
-    return sha256(link.encode()).hexdigest()[:_DIGEST_HEX]
+    return f"{type(payload).__name__}{payload!r}{size}"
+
+
+def chain_digest(prev: str, seq: int, identity: str) -> str:
+    """Fold one applied op, given by its :func:`chain_identity`, into the
+    rolling hash chain: one SHA-256 over one concatenated buffer."""
+    return sha256(f"{prev}{seq}{identity}".encode()).hexdigest()[:_DIGEST_HEX]
 
 
 class LogEntry(NamedTuple):
@@ -84,20 +92,18 @@ class LogEntry(NamedTuple):
     digest: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Segment:
     """A run of consecutive log entries, pruned as a unit."""
 
     base_seq: int  # entries cover seqs (base_seq, base_seq + len]
     entries: list[LogEntry] = field(default_factory=list)
     sealed: bool = False
+    nbytes: int = 0  # modelled bytes of the entries, kept as they append
 
     @property
     def last_seq(self) -> int:
         return self.entries[-1].seq if self.entries else self.base_seq
-
-    def bytes(self) -> int:
-        return sum(e.size for e in self.entries)
 
 
 @dataclass(frozen=True)
@@ -120,12 +126,13 @@ class SegmentedLog:
     ``head_seq`` / ``head_digest`` are the certified position of the last
     applied op — the continuation point itself when nothing is retained.
     :meth:`append` and :meth:`adopt` maintain them; pruning never moves
-    them.
+    them.  ``nbytes`` is the retained window in modelled bytes (what
+    :meth:`buffered_bytes` returns), kept as entries append and burn.
     """
 
     __slots__ = (
         "segment_ops", "cont", "head_seq", "head_digest",
-        "_segments", "_open", "_bytes",
+        "nbytes", "_segments", "_open",
     )
 
     def __init__(self, segment_ops: int) -> None:
@@ -139,7 +146,7 @@ class SegmentedLog:
     # ------------------------------------------------------------------
     def buffered_bytes(self) -> int:
         """Retained window size in modelled bytes (incremental)."""
-        return self._bytes
+        return self.nbytes
 
     def segment_count(self) -> int:
         return len(self._segments)
@@ -176,27 +183,34 @@ class SegmentedLog:
     # ------------------------------------------------------------------
     # growth
     # ------------------------------------------------------------------
-    def append(self, payload: Any, size: int) -> tuple[LogEntry, bool]:
+    def append(
+        self, payload: Any, size: int, identity: str | None = None
+    ) -> tuple[LogEntry, bool]:
         """Append the next applied op; returns ``(entry, sealed)``.
 
+        ``identity`` is the payload's :func:`chain_identity` at ``size``,
+        when the caller has it already (a replicated op carries its own).
         ``sealed`` is True when this append completed a segment — the
         replica acknowledges its position around the ring at that moment.
         """
         seq = self.head_seq + 1
-        digest = chain_digest(self.head_digest, seq, payload, size)
-        entry = LogEntry(seq, payload, size, digest)
+        if identity is None:
+            identity = chain_identity(payload, size)
+        digest = chain_digest(self.head_digest, seq, identity)
+        entry = _new_tuple(LogEntry, (seq, payload, size, digest))
         self.head_seq = seq
         self.head_digest = digest
-        entries = self._open
-        if entries is None:
-            segment = Segment(base_seq=seq - 1)
+        segment = self._open
+        if segment is None:
+            segment = self._open = Segment(seq - 1)
             self._segments.append(segment)
-            entries = self._open = segment.entries
+        entries = segment.entries
         entries.append(entry)
-        self._bytes += size
+        segment.nbytes += size
+        self.nbytes += size
         if len(entries) < self.segment_ops:
             return entry, False
-        self._segments[-1].sealed = True
+        segment.sealed = True
         self._open = None
         return entry, True
 
@@ -211,8 +225,8 @@ class SegmentedLog:
         self.head_seq = upto_seq
         self.head_digest = digest
         self._segments: list[Segment] = []
-        self._open: list[LogEntry] | None = None  # the unsealed segment's entries
-        self._bytes = 0
+        self._open: Segment | None = None  # the unsealed segment
+        self.nbytes = 0
 
     # ------------------------------------------------------------------
     # shrink (the "log burning")
@@ -245,7 +259,7 @@ class SegmentedLog:
         """
         dropped = 0
         freed = 0
-        while self._bytes > budget and self._segments:
+        while self.nbytes > budget and self._segments:
             freed += self._drop_oldest()
             dropped += 1
         return dropped, freed
@@ -253,12 +267,12 @@ class SegmentedLog:
     def _drop_oldest(self) -> int:
         """Burn the oldest segment into the continuation point."""
         segment = self._segments.pop(0)
-        if segment.entries is self._open:
+        if segment is self._open:
             self._open = None
         last = segment.entries[-1]
         self.cont = ContinuationPoint(last.seq, last.digest)
-        freed = segment.bytes()
-        self._bytes -= freed
+        freed = segment.nbytes
+        self.nbytes -= freed
         return freed
 
 

@@ -22,15 +22,24 @@ Consistency model
 * **Merge reconciliation**: after a split-brain heals, the snapshot rules
   converge the cluster on the coordinator's state — the lower-group-id
   partition wins, mirroring the merge protocol's own tie-break.
+* **Values are copied per replica.**  A mutable value (a list, dict, set,
+  or a tuple holding one) is copied when the write is built, again into
+  each replica that applies it or installs it from a snapshot, and again
+  out of ``get`` / ``snapshot``.  Mutating the object you passed to
+  ``set``, or one that ``get`` returned, changes no replica: only a
+  multicast write does.  Immutable values (numbers, ``str``, ``bytes``,
+  ``None``) pass through after one type test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator
+from copy import deepcopy
+from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.core.session import RaincoreNode
 from repro.data.replica import ReplicaBase
+from repro.data.resync import chain_identity
 
 __all__ = ["SharedDict", "DictOp", "DictSnapshot"]
 
@@ -46,13 +55,43 @@ def _estimate_size(obj: object) -> int:
     return 8
 
 
+#: Value types immutable all the way down: a replica shares them as they are.
+_ATOMIC = frozenset({int, float, complex, bool, str, bytes, type(None)})
+
+_MISSING = object()
+
+
+def _own(value: object) -> object:
+    """``value`` itself when it is immutable, else a private deep copy
+    (``deepcopy`` hands back a tuple of immutables as it is, too)."""
+    return value if type(value) in _ATOMIC else deepcopy(value)
+
+
 @dataclass(frozen=True)
 class DictOp:
-    """One replicated write: set or delete."""
+    """One replicated write: set or delete.
+
+    Built once by the writer and delivered to every replica, so what each
+    replica needs of it is derived here, once: a private copy of a mutable
+    ``value``, the modelled wire ``size`` and the chain ``identity`` the op
+    log hashes (:func:`~repro.data.resync.chain_identity`).  Neither of
+    the last two travels: the UDP fabric rebuilds an op through
+    ``__init__``.
+    """
 
     kind: str  # "set" | "del"
     key: str
     value: object  # None for del
+    size: int = field(init=False, repr=False, compare=False)
+    identity: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        value = _own(self.value)
+        if value is not self.value:
+            object.__setattr__(self, "value", value)
+        size = 16 + len(self.key) + _estimate_size(value)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "identity", chain_identity(self, size))
 
     def __repr__(self) -> str:
         # The generated repr's exact string (it feeds the chain digest of
@@ -60,7 +99,7 @@ class DictOp:
         return f"DictOp(kind={self.kind!r}, key={self.key!r}, value={self.value!r})"
 
     def wire_size(self) -> int:
-        return 16 + len(self.key) + _estimate_size(self.value)
+        return self.size
 
 
 @dataclass(frozen=True)
@@ -77,6 +116,9 @@ class DictSnapshot:
 class SharedDict(ReplicaBase):
     """A group-replicated ``dict`` with local reads and multicast writes.
 
+    Values are copied per replica: mutating an object passed to ``set`` or
+    returned by ``get`` changes no replica (see the module docstring).
+
     Attach before starting the node (so the first view is observed)::
 
         shared = SharedDict(node)
@@ -87,6 +129,8 @@ class SharedDict(ReplicaBase):
     """
 
     SERVICE = "shared-dict"
+    OP = DictOp
+    SNAPSHOT = DictSnapshot
 
     def __init__(self, node: RaincoreNode) -> None:
         self._state: dict[str, object] = {}
@@ -105,8 +149,12 @@ class SharedDict(ReplicaBase):
         self.node.multicast(DictOp("del", key, None))
 
     def get(self, key: str, default: object = None) -> object:
-        """Local read of this replica."""
-        return self._state.get(key, default)
+        """Local read of this replica (a copy, if the value is mutable)."""
+        value = self._state.get(key, _MISSING)
+        if value is _MISSING:
+            return default
+        # _own(value), inline: a read is the hottest call a caller makes.
+        return value if type(value) in _ATOMIC else deepcopy(value)
 
     def __contains__(self, key: str) -> bool:
         return key in self._state
@@ -119,7 +167,7 @@ class SharedDict(ReplicaBase):
 
     def snapshot(self) -> dict[str, object]:
         """Copy of the local replica state."""
-        return dict(self._state)
+        return {key: _own(value) for key, value in self._state.items()}
 
     @property
     def version(self) -> int:
@@ -129,16 +177,11 @@ class SharedDict(ReplicaBase):
     # ------------------------------------------------------------------
     # ReplicaBase hooks
     # ------------------------------------------------------------------
-    def _is_op(self, payload: Any) -> bool:
-        return isinstance(payload, DictOp)
-
-    def _is_snapshot(self, payload: Any) -> bool:
-        return isinstance(payload, DictSnapshot)
-
     def _apply_op(self, op: DictOp) -> None:
         self._version += 1
         if op.kind == "set":
-            self._state[op.key] = op.value
+            value = op.value  # _own(value), inline: runs at every replica
+            self._state[op.key] = value if type(value) in _ATOMIC else deepcopy(value)
         elif op.kind == "del":
             self._state.pop(op.key, None)
 
@@ -148,5 +191,5 @@ class SharedDict(ReplicaBase):
     def _install_snapshot(self, snap: DictSnapshot) -> None:
         # Everyone applies snapshots in full: a no-op for in-sync members
         # by construction; after a merge it reconciles the partitions.
-        self._state = dict(snap.state)
+        self._state = {key: _own(value) for key, value in snap.state.items()}
         self._version = snap.version

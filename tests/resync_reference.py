@@ -8,8 +8,16 @@ whole replica state, and the cooperative prune taking ``min()`` over every
 member's ack before looking at the horizon.  Standalone on purpose: it
 imports nothing from ``repro.data``, so the production module can change
 under it.  ``tests/test_resync_equivalence.py`` drives both with the same
-schedules and demands equal answers, digests bit for bit.  ``DictOp`` is
-here for its generated ``__repr__``, which those digests hash.
+schedules and demands equal answers, digests bit for bit.  ``DictOp`` and
+``NatOp`` are here for their generated ``__repr__``, which those digests
+hash.
+
+The replica's data path is here too, as it stood before an op carried its
+own size and chain identity: ``reference_on_deliver`` routes through four
+``isinstance`` arms after an ``isinstance`` op check, and
+``reference_apply_and_log`` prices every op again at every replica with
+the parent's size model (:func:`wire_size`), so the log hashes an identity
+rebuilt from the op's repr rather than the one the op carries.
 """
 
 from __future__ import annotations
@@ -248,6 +256,86 @@ class DictOp:
     kind: str
     key: str
     value: object
+
+
+@dataclass(frozen=True)
+class NatOp:
+    """``repro.apps.nat.NatOp`` with its declared fields and generated repr."""
+
+    kind: str
+    flow_id: int
+    client: str
+    requester: str
+
+
+def estimate_size(obj: object) -> int:
+    """The parent's crude wire-size model for replicated values."""
+    if isinstance(obj, (bytes, bytearray, str)):
+        return len(obj)
+    if isinstance(obj, dict):
+        return sum(estimate_size(k) + estimate_size(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return sum(estimate_size(v) for v in obj)
+    return 8
+
+
+def wire_size(op: Any) -> int:
+    """The parent's ``wire_size()`` of a dictionary or NAT op, priced from
+    its fields (the production op now returns the size it was built with)."""
+    name = type(op).__name__
+    if name == "DictOp":
+        return 16 + len(op.key) + estimate_size(op.value)
+    if name == "NatOp":
+        return 24 + len(op.client)
+    return 64 if getattr(op, "wire_size", None) is None else int(op.wire_size())
+
+
+def reference_on_deliver(replica: Any, delivery: Any) -> None:
+    """``ReplicaBase.on_deliver`` as the parent had it; its ``_is_op`` hook
+    was ``isinstance`` against the service's op type."""
+    from repro.data.replica import SyncRequest
+    from repro.data.resync import ResyncAck, ResyncDelta, ResyncSnapshot
+
+    self = replica
+    payload = delivery.payload
+    if isinstance(payload, self.OP):
+        if self._synced:
+            self._apply_and_log(payload)
+        else:
+            self._buffer.append(payload)
+        return
+    if isinstance(payload, ResyncSnapshot):
+        if payload.service == self.SERVICE:
+            self._handle_snapshot(payload)
+        return
+    if isinstance(payload, ResyncDelta):
+        if payload.service == self.SERVICE:
+            self._handle_delta(payload)
+        return
+    if isinstance(payload, ResyncAck):
+        if payload.service == self.SERVICE:
+            self._handle_ack(payload)
+        return
+    if isinstance(payload, SyncRequest):
+        if payload.service == self.SERVICE:
+            self._handle_sync_request(payload)
+
+
+def reference_apply_and_log(replica: Any, op: Any) -> None:
+    """``ReplicaBase._apply_and_log`` as the parent had it: the op is priced
+    here, and the log derives its chain identity from it again."""
+    self = replica
+    self._apply_op(op)
+    self._applied_seq += 1
+    log = self._log
+    _entry, sealed = log.append(op, wire_size(op))
+    if sealed:
+        self._multicast_ack()
+    node = self.node
+    if log.buffered_bytes() > node.config.resync_window_bytes:
+        self._enforce_budget()
+    if node.probe is not None:
+        self._emit_buffer_level()
 
 
 def reference_maybe_prune(replica: Any) -> None:

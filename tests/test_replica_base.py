@@ -1,8 +1,12 @@
 """Tests for the Data Service replica discipline (repro.data.replica)."""
 
+from dataclasses import dataclass, field
+
 import pytest
 
 from repro.data import SharedDict
+from repro.data.replica import ReplicaBase
+from repro.data.resync import chain_identity
 from tests.conftest import make_cluster
 
 pytestmark = pytest.mark.integration
@@ -118,8 +122,81 @@ def test_sync_timer_cancelled_on_view_departure():
 
 
 def test_replica_requires_service_name():
-    from repro.data.replica import ReplicaBase
-
     c = make_cluster("AB")
     with pytest.raises(TypeError):
         ReplicaBase(c.node("A"))
+
+
+# ----------------------------------------------------------------------
+# the subclass contract: SERVICE, OP, SNAPSHOT and three hooks
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Bump:
+    """A counter op: its size and chain identity are fixed when built."""
+
+    amount: int
+    size: int = field(init=False, repr=False, compare=False)
+    identity: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "size", 8)
+        object.__setattr__(self, "identity", chain_identity(self, 8))
+
+
+@dataclass(frozen=True)
+class Total:
+    value: int
+
+
+class Counter(ReplicaBase):
+    """The smallest replica: a replicated integer."""
+
+    SERVICE = "counter"
+    OP = Bump
+    SNAPSHOT = Total
+
+    def __init__(self, node) -> None:
+        self.total = 0
+        super().__init__(node)
+
+    def bump(self, amount: int) -> None:
+        self.node.multicast(Bump(amount))
+
+    def _apply_op(self, op: Bump) -> None:
+        self.total += op.amount
+
+    def _snapshot_payload(self) -> Total:
+        return Total(self.total)
+
+    def _install_snapshot(self, snap: Total) -> None:
+        self.total = snap.value
+
+
+@pytest.mark.parametrize("missing", ["OP", "SNAPSHOT"])
+def test_replica_requires_op_and_snapshot_types(missing):
+    incomplete = type("Incomplete", (Counter,), {missing: None})
+    c = make_cluster("AB")
+    with pytest.raises(TypeError, match="OP and SNAPSHOT"):
+        incomplete(c.node("A"))
+
+
+def test_a_replica_applies_only_its_own_op_type():
+    """Two services on one ring: each routes by its ``OP`` type, logs only
+    its own ops and resyncs a stranded replica by its own ``SNAPSHOT``."""
+    c = make_cluster("ABC")
+    counters = {nid: Counter(c.node(nid)) for nid in "ABC"}
+    dicts = {nid: SharedDict(c.node(nid)) for nid in "ABC"}
+    c.start_all()
+    for amount in (1, 2, 3):
+        counters["A"].bump(amount)
+    dicts["B"].set("k", 1)
+    c.run(1.0)
+    assert [counters[n].total for n in "ABC"] == [6, 6, 6]
+    assert [counters[n].applied_seq for n in "ABC"] == [3, 3, 3]
+    assert all(dicts[n].applied_seq == 1 for n in "ABC")
+    counters["C"].forget()
+    counters["C"].total = 0
+    counters["C"]._arm_sync_timer()
+    c.run(5.0)
+    assert counters["C"].synced and counters["C"].total == 6
+    assert dicts["C"].get("k") == 1

@@ -36,6 +36,7 @@ from repro.data.resync import (
     ResyncDelta,
     SegmentedLog,
     chain_digest,
+    chain_identity,
 )
 from repro.obs.monitor import ContractMonitor, paper_contract_rules, render_alerts
 from repro.obs.probe import ProbeLog, events_to_jsonl
@@ -85,7 +86,7 @@ def test_entries_after_returns_retained_tail():
     # The digests chain: each entry's digest folds the previous one.
     prev = log.digest_at(4)
     for e in tail:
-        assert e.digest == chain_digest(prev, e.seq, e.payload, e.size)
+        assert e.digest == chain_digest(prev, e.seq, chain_identity(e.payload, e.size))
         prev = e.digest
 
 
@@ -128,7 +129,7 @@ def test_adopt_resets_onto_continuation_point():
     assert log.head_digest == "feedfeedfeedfeed"
     entry, sealed = log.append("next", 8)
     assert (entry.seq, sealed) == (41, False)
-    assert entry.digest == chain_digest("feedfeedfeedfeed", 41, "next", 8)
+    assert entry.digest == chain_digest("feedfeedfeedfeed", 41, chain_identity("next", 8))
 
 
 def test_continuation_point_is_monotone():
@@ -143,11 +144,13 @@ def test_continuation_point_is_monotone():
 
 
 def test_chain_digest_is_history_sensitive():
-    a = chain_digest(GENESIS_DIGEST, 1, "op", 10)
-    assert a == chain_digest(GENESIS_DIGEST, 1, "op", 10)
-    assert a != chain_digest(GENESIS_DIGEST, 1, "op!", 10)
-    assert a != chain_digest(GENESIS_DIGEST, 2, "op", 10)
-    assert a != chain_digest(a, 1, "op", 10)
+    op = chain_identity("op", 10)
+    a = chain_digest(GENESIS_DIGEST, 1, op)
+    assert a == chain_digest(GENESIS_DIGEST, 1, op)
+    assert a != chain_digest(GENESIS_DIGEST, 1, chain_identity("op!", 10))
+    assert a != chain_digest(GENESIS_DIGEST, 1, chain_identity("op", 11))
+    assert a != chain_digest(GENESIS_DIGEST, 2, op)
+    assert a != chain_digest(a, 1, op)
 
 
 def test_continuation_point_is_a_position_and_nothing_else():

@@ -138,3 +138,35 @@ def test_writes_during_convergence_not_lost(dict_cluster):
     c.run(5.0)
     for n in "ABD":
         assert sds[n].get("during") == "churn"
+
+
+def test_replicas_never_share_a_mutable_value():
+    """Regression: a container value was one object held by the writer and
+    every replica, so mutating it outside the multicast changed (or, over
+    real UDP, split) the replicas.  Each replica now holds its own copy, and
+    neither the writer's object nor a ``get`` result reaches one."""
+    c = make_cluster("ABC")
+    sds = {nid: SharedDict(c.node(nid)) for nid in "ABC"}
+    c.node("A").start_new_group()
+    c.run_until_converged(2.0, expected={"A"})
+    value = [1, {"nested": [2]}]
+    sds["A"].set("k", value)
+    c.run(0.5)
+    c.node("B").start_joining(["A"])  # B takes its copy by state transfer
+    c.run_until_converged(5.0, expected={"A", "B"})
+    c.node("C").start_joining(["A"])
+    c.run_until_converged(5.0, expected={"A", "B", "C"})
+    c.run(1.0)
+    assert all(sds[n].synced for n in "ABC")
+    value.append(3)
+    value[1]["nested"].append(4)
+    sds["B"].get("k").append(99)
+    sds["C"].snapshot()["k"][1]["nested"].clear()
+    for n in "ABC":
+        assert sds[n].get("k") == [1, {"nested": [2]}], n
+    assert len({id(sds[n]._state["k"]) for n in "ABC"}) == 3
+    # Immutable values are shared as they are: one type test, no copy.
+    text = "x" * 64
+    sds["A"].set("s", text)
+    c.run(0.5)
+    assert all(sds[n].get("s") is text for n in "ABC")
