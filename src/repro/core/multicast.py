@@ -23,10 +23,14 @@ Semantics implemented here (see DESIGN.md §6.2 for the bookkeeping scheme):
   observes the receipt set empty marks it CONFIRMED and re-arms the set,
   and members deliver during the second round.
 
-The hold queue holds the message objects themselves; beside it one set
-names the held SAFE messages still waiting for confirmation, so the common
-all-AGREED visit moves a pack into the queue with one ``extend`` and drains
-it without a per-message flag.
+The hold queue is pack-granular: each entry is a *run*, a pack's fresh
+messages with consecutive ``msg_no``s (a whole pack as a rule; the rare
+pack that duplicate suppression leaves with gaps is split into runs).
+The messages of one pack share one SAFE wait status, so beside the queue
+one set names the first message of each held run still waiting for
+confirmation, and the drain tests one message per run.  Receiving a pack
+appends one entry; draining delivers run by run, and a run leaves the
+queue only once all of it has been delivered.
 
 Duplicate suppression by the wire identity ``(origin, msg_no)`` makes
 delivery idempotent across 911 token regeneration, which may legitimately
@@ -55,7 +59,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["MulticastService", "DeferredPayload"]
 
-#: Default modelled payload size when the payload has no length (bytes).
+#: Default modelled payload size when the payload's type has no ``__len__``
+#: (bytes).
 DEFAULT_PAYLOAD_SIZE = 64
 
 #: ``Delivery(...)`` is ``tuple.__new__(Delivery, fields)`` behind the frame
@@ -93,14 +98,18 @@ class MulticastService:
         self.node = node
         self._msg_no = itertools.count(1)
         self._outbox: deque[Rider] = deque()
-        self._hold: deque[Rider] = deque()
-        #: Identities of held SAFE messages not yet confirmed; the hold
-        #: queue drains up to the first message named here.
+        #: Held runs in token order: each a sequence of one origin's
+        #: messages with consecutive ``msg_no``s and one ordering.
+        self._hold: deque[Sequence[Rider]] = deque()
+        #: Identities of the first messages of held SAFE runs not yet
+        #: confirmed; the hold queue drains up to the first run named here.
         self._waiting: set[tuple[str, int]] = set()
         #: Duplicate suppression: origin -> the msg_nos seen, as a flat
         #: sorted list of half-open spans ``[start0, end0, start1, ...]``,
         #: so ``no`` was seen iff ``bisect_right(spans, no)`` is odd.
         self._seen: dict[str, list[int]] = {}
+        #: A drain is running (see :meth:`_drain_deliverable`).
+        self._draining = False
 
     # ------------------------------------------------------------------
     # public API (called by the application through RaincoreNode)
@@ -116,13 +125,16 @@ class MulticastService:
         The message is attached to the token when it next leaves this
         node: at the end of the current hold if this node holds it now.
         Returns the multicast identity ``(origin, msg_no)``.  ``size`` is
-        the modelled wire size in bytes; defaults to ``len(payload)`` for
-        sized payloads, else ``DEFAULT_PAYLOAD_SIZE``.
+        the modelled wire size in bytes; defaults to ``len(payload)`` when
+        the payload's type has a ``__len__``, else ``DEFAULT_PAYLOAD_SIZE``.
         """
         if size is None:
-            try:
+            # A type test, not ``len()`` and a caught TypeError: most
+            # payloads (the data layer's ops) have no length, and raising
+            # costs more than the multicast itself.
+            if hasattr(type(payload), "__len__"):
                 size = len(payload)  # type: ignore[arg-type]
-            except TypeError:
+            else:
                 size = DEFAULT_PAYLOAD_SIZE
         if size < 0:
             raise ValueError("size must be non-negative")
@@ -240,7 +252,6 @@ class MulticastService:
     def _attach_pass(self, token: Token) -> None:
         node = self.node
         me = node.node_id
-        probe = node.probe
         outbox = self._outbox
         budget = node.config.max_batch_per_visit
         byte_cap = node.config.max_token_bytes
@@ -250,6 +261,7 @@ class MulticastService:
         loaded = bool(token.messages)
         pack: PiggybackedMessage | None = None
         riders: list[Rider] = []
+        run_bytes = 0  # payload bytes of the open pack
         while outbox and budget > 0:
             # Flow control: never grow the token past the byte budget; the
             # head message waits for a later (lighter) visit.  A single
@@ -259,20 +271,24 @@ class MulticastService:
                 break
             msg = outbox.popleft()
             budget -= 1
+            if pack is not None and msg.ordering is not pack.ordering:
+                # An AGREED<->SAFE switch closes the pack before the next
+                # message is materialized.
+                self._couple(token, pack, riders, run_bytes)
+                pack = None
+                riders = []
             if isinstance(msg.payload, DeferredPayload):
                 msg.payload, msg.size = msg.payload.factory()
             wire += MSG_HEADER + msg.size
             loaded = True
-            if pack is None or msg.ordering is not pack.ordering:
-                # The first message of the visit, or an AGREED<->SAFE
-                # switch, opens a pack; the rest of the run rides with it.
-                if pack is not None:
-                    self._couple(token, pack, riders)
-                    riders = []
+            if pack is None:
+                # The first message of the visit, or of an ordering switch,
+                # opens a pack; the rest of the run rides with it.
                 pack = PiggybackedMessage(
                     msg.origin, msg.msg_no, msg.payload, msg.size, msg.ordering,
                     audience, set(others),
                 )
+                run_bytes = msg.size
                 if msg.ordering is Ordering.SAFE and not others:
                     # Singleton group: received by all (just us); confirm
                     # now, deliver via phase 2 on the next self-visit.
@@ -280,34 +296,38 @@ class MulticastService:
                     pack.pending = {me}
             else:
                 riders.append(msg)
-            if probe is not None:
-                # The attach is the root of the multicast's causal span
-                # (origin, msg_no); the token's lineage id links it to the
-                # hops that will carry it.
-                probe.emit(
-                    me,
-                    "mcast.attach",
-                    msg.origin,
-                    msg.msg_no,
-                    msg.ordering.value,
-                    msg.size,
-                    len(audience),
-                    token.gen,
-                )
-                if pack.confirmed:
-                    probe.emit(me, "mcast.confirm", msg.origin, msg.msg_no)
+                run_bytes += msg.size
         if pack is not None:
-            self._couple(token, pack, riders)
+            self._couple(token, pack, riders, run_bytes)
 
     def _couple(
-        self, token: Token, pack: PiggybackedMessage, riders: list[Rider]
+        self,
+        token: Token,
+        pack: PiggybackedMessage,
+        riders: list[Rider],
+        run_bytes: int,
     ) -> None:
         """Close ``pack`` over its ``riders`` and attach it to the token.
 
         The originator receives its own messages at attach time; this
-        keeps local delivery order identical to token order.
+        keeps local delivery order identical to token order.  With a probe
+        attached, one ``mcast.attach`` covers the pack: ``count`` messages
+        from ``msg_no`` on, ``run_bytes`` of payload between them.  It is
+        the root of each covered multicast's causal span; the token's
+        lineage id links it to the hops that will carry it.
         """
         pack.riders = tuple(riders)
+        node = self.node
+        probe = node.probe
+        if probe is not None:
+            me = node.node_id
+            probe.emit(
+                me, "mcast.attach", pack.origin, pack.msg_no, pack.ordering.label,
+                1 + len(riders), run_bytes, len(pack.audience), token.gen,
+            )
+            if pack.confirmed:
+                for msg in pack.unpack():
+                    probe.emit(me, "mcast.confirm", msg.origin, msg.msg_no)
         token.attach_message(pack)
         self._hold_pack(pack, waiting=pack.ordering is Ordering.SAFE)
 
@@ -317,8 +337,10 @@ class MulticastService:
     def _hold_pack(self, pack: PiggybackedMessage, waiting: bool) -> None:
         """Buffer the pack's not-yet-seen messages, in token order.
 
-        ``waiting`` names them as SAFE messages whose confirmation is
-        still to come.
+        The usual fresh pack becomes one run of the hold queue; one that
+        duplicate suppression leaves with gaps becomes one run per
+        consecutive stretch.  ``waiting`` names the runs as SAFE messages
+        whose confirmation is still to come.
         """
         origin = pack.origin
         first = pack.msg_no
@@ -333,14 +355,16 @@ class MulticastService:
                 spans[-1] = end
             else:
                 spans += (first, end)
-            fresh: Sequence[Rider] = msgs
+            self._hold.append(msgs)
+            if waiting:
+                self._waiting.add((origin, first))
         else:
-            fresh = [m for m in msgs if _add_seen(spans, m.msg_no)]
+            for run in _runs([m for m in msgs if _add_seen(spans, m.msg_no)]):
+                self._hold.append(run)
+                if waiting:
+                    self._waiting.add((origin, run[0].msg_no))
         if len(spans) > 2 * SEEN_SPANS:
             del spans[: len(spans) - 2 * SEEN_SPANS]
-        self._hold.extend(fresh)
-        if waiting:
-            self._waiting.update((origin, m.msg_no) for m in fresh)
 
     def _release(self, pack: PiggybackedMessage) -> None:
         """A confirmed SAFE pack: whatever we hold of it may now deliver."""
@@ -349,37 +373,55 @@ class MulticastService:
             waiting.difference_update(m.key() for m in pack.unpack())
 
     def _drain_deliverable(self) -> None:
-        """Deliver the hold queue's deliverable prefix.
+        """Deliver the hold queue's deliverable prefix, run by run.
 
-        Without a probe and with no SAFE message waiting, that is the whole
-        queue, delivered in one loop with no per-message test.
+        The prefix ends at the first run whose first message is a SAFE
+        message still waiting for confirmation.  A run is popped only once
+        it has been delivered whole: a listener may restart the node
+        mid-run, which empties the queue and stops the drain there, and
+        only the deliveries that happened are counted.
 
         With a probe attached, one ``mcast.deliver`` covers each maximal
-        run of consecutive ``msg_no``s from one origin with one ordering:
-        it is emitted when the run closes — before the first delivery that
-        does not continue it, or when the drain stops — so ``count`` only
-        counts deliveries that happened.  Every delivery of a drain shares
-        one ``now``, so expanding the runs gives back each message's
-        delivery exactly.
+        run of consecutive ``msg_no``s from one origin with one ordering
+        (held runs that continue one another join): it is emitted when the
+        run closes — before the first delivery that does not continue it,
+        or when the drain stops — so ``count`` only counts deliveries that
+        happened.  Every delivery of a drain shares one ``now``, so
+        expanding the runs gives back each message's delivery exactly.
         """
+        if self._draining:
+            # A listener re-entered the pipeline (a leave mid-drain runs the
+            # departure half): the drain already running delivers the rest.
+            return
         hold = self._hold
         waiting = self._waiting
         node = self.node
-        stats = node.stats
         on_deliver = node.listener.on_deliver
         now = node.loop.now
         probe = node.probe
-        if probe is None and not waiting:
-            # The common visit: no SAFE message waits and nobody traces
-            # runs, so the whole queue is deliverable as it stands.  Pop
-            # one at a time all the same: a listener may restart the node
-            # mid-drain, which empties the queue, and only the deliveries
-            # that happened are counted.
-            popleft = hold.popleft
-            delivered = 0
-            try:
-                while hold:
-                    msg = popleft()
+        delivered = 0
+        before = 0  # deliveries made before the current held run
+        run: Sequence[Rider] = ()
+        head: Rider | None = None  # the open delivery run's first message
+        end = 0  # the msg_no that would continue it
+        self._draining = True
+        try:
+            while hold:
+                run = hold[0]
+                before = delivered
+                msg = run[0]
+                if waiting and (msg.origin, msg.msg_no) in waiting:
+                    break
+                if probe is not None and (
+                    head is None
+                    or msg.msg_no != end
+                    or msg.origin != head.origin
+                    or msg.ordering is not head.ordering
+                ):
+                    if head is not None:
+                        self._emit_run(probe, head, end)
+                    head = msg
+                for msg in run:
                     delivered += 1
                     on_deliver(
                         _new_tuple(
@@ -387,36 +429,32 @@ class MulticastService:
                             (msg.origin, msg.msg_no, msg.payload, msg.ordering, now),
                         )
                     )
-            finally:
-                stats.messages_delivered += delivered
-            return
-        run: Rider | None = None  # the open run's first message
-        run_end = 0  # the msg_no that would continue it
-        while hold:
-            msg = hold[0]
-            if waiting and (msg.origin, msg.msg_no) in waiting:
-                break
-            hold.popleft()
-            stats.messages_delivered += 1
-            if probe is not None:
-                if (
-                    run is None
-                    or msg.msg_no != run_end
-                    or msg.origin != run.origin
-                    or msg.ordering is not run.ordering
-                ):
-                    if run is not None:
-                        self._emit_run(probe, run, run_end)
-                    run = msg
-                run_end = msg.msg_no + 1
-            on_deliver(Delivery(msg.origin, msg.msg_no, msg.payload, msg.ordering, now))
-        if run is not None:
-            self._emit_run(probe, run, run_end)
+                    if not hold:
+                        break  # the node restarted: nothing is held any more
+                end = run[0].msg_no + delivered - before
+                if not hold:
+                    break
+                hold.popleft()
+        except BaseException:
+            # A listener raised: what it was handed is spent, as when the
+            # queue held single messages popped before their delivery.
+            if hold and hold[0] is run:
+                rest = run[delivered - before :]
+                if rest:
+                    hold[0] = rest
+                else:
+                    hold.popleft()
+            raise
+        finally:
+            self._draining = False
+            node.stats.messages_delivered += delivered
+        if head is not None:
+            self._emit_run(probe, head, end)
 
     def _emit_run(self, probe, first: Rider, end: int) -> None:
         probe.emit(
             self.node.node_id, "mcast.deliver", first.origin, first.msg_no,
-            first.ordering.value, end - first.msg_no,
+            first.ordering.label, end - first.msg_no,
         )
 
 
@@ -427,3 +465,14 @@ def _is_run(msgs: Sequence[Rider], first: int) -> bool:
             return False
         first += 1
     return True
+
+
+def _runs(msgs: list[Rider]) -> list[list[Rider]]:
+    """``msgs`` cut into maximal stretches of consecutive ``msg_no``s."""
+    runs: list[list[Rider]] = []
+    for msg in msgs:
+        if runs and msg.msg_no == runs[-1][-1].msg_no + 1:
+            runs[-1].append(msg)
+        else:
+            runs.append([msg])
+    return runs

@@ -424,7 +424,7 @@ class RaincoreNode:
         self.state = new
         probe = self.probe
         if probe is not None:
-            probe.emit(self.node_id, "node.state", old.value, new.value)
+            probe.emit(self.node_id, "node.state", old.label, new.label)
         self.listener.on_state_change(old, new)
 
     def _arm_hungry_timer(self) -> None:

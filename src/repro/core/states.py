@@ -31,6 +31,9 @@ class NodeState(enum.Enum):
     #: by identity; a dict or set lookup would hash the member through the
     #: Python-level ``Enum.__hash__``, twice per transition on the hop path.
     successors: tuple["NodeState", ...]
+    #: The member's value, as a plain attribute: probes emit it, and
+    #: ``.value`` is a Python-level descriptor call on every read.
+    label: str
 
 
 #: Legal state transitions; the session layer asserts against this map so a
@@ -54,4 +57,5 @@ VALID_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
 
 for _state, _allowed in VALID_TRANSITIONS.items():
     _state.successors = tuple(s for s in NodeState if s in _allowed)
+    _state.label = _state.value
 del _state, _allowed

@@ -93,6 +93,15 @@ class Ordering(enum.Enum):
     AGREED = "agreed"
     SAFE = "safe"
 
+    #: The member's value, as a plain attribute: probes emit it, and
+    #: ``.value`` is a Python-level descriptor call on every read.
+    label: str
+
+
+for _ordering in Ordering:
+    _ordering.label = _ordering.value
+del _ordering
+
 
 def derive_ancestry(*parents: "Token") -> tuple[str, ...]:
     """Ancestry chain for a token forked or merged from ``parents``.

@@ -13,8 +13,8 @@ causal investigation starts.
 Works on anything that contains probe events:
 
 * a JSONL export (``repro obs export``, one ``event_record`` per line);
-* a diagnostic bundle (``repro.obs.bundle/1`` to ``/3``);
-* a raintap collector capture (``repro.obs.capture/1`` or ``/2`` header
+* a diagnostic bundle (``repro.obs.bundle/1`` to ``/4``);
+* a raintap collector capture (``repro.obs.capture/1`` to ``/3`` header
   line, then event records with wall-clock ``at`` — docs/TELEMETRY.md);
 
 via :func:`load_events`, which sniffs the format.  The comparison is
@@ -86,11 +86,11 @@ def canonical_records(events: list) -> list[dict]:
 
 #: Schema-prefix of raintap collector capture files (the header line's
 #: ``schema`` value), and the versions this loader reads (/1's
-#: per-message delivers load as runs of one, via ``check_record``).
-#: Literals, not an import: ``repro.obs`` never imports the runtime
-#: package.
+#: per-message delivers and /1–/2's per-message attaches load as runs of
+#: one, via ``check_record``).  Literals, not an import: ``repro.obs``
+#: never imports the runtime package.
 _CAPTURE_PREFIX = "repro.obs.capture/"
-_CAPTURE_SCHEMAS = (_CAPTURE_PREFIX + "1", _CAPTURE_PREFIX + "2")
+_CAPTURE_SCHEMAS = tuple(_CAPTURE_PREFIX + v for v in ("1", "2", "3"))
 
 
 def _capture_header(text: str) -> dict | None:

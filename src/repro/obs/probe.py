@@ -100,7 +100,10 @@ _SCHEMA: dict[str, str] = {
     "fd.fire": "peer:str seq:int",
     "fd.false_alarm": "peer:str seq:int",
     # -- core: reliable multicast spans (origin, msg_no) --------------------
-    "mcast.attach": "origin:str msg_no:int ordering:str size:int audience:int gen:str",
+    # one attach per pack: msg_no .. msg_no + count - 1, size payload bytes
+    "mcast.attach": (
+        "origin:str msg_no:int ordering:str count:int size:int audience:int gen:str"
+    ),
     # one deliver per run: msg_no .. msg_no + count - 1, delivered in order
     "mcast.deliver": "origin:str msg_no:int ordering:str count:int",
     "mcast.confirm": "origin:str msg_no:int",
@@ -411,7 +414,9 @@ def check_record(item: object) -> dict:
     Raises ``ValueError`` naming what is missing or mistyped, so a file
     loader can say which line or entry it came from.  A per-message
     ``mcast.deliver`` written before delivery runs (bundle /1–/2,
-    capture /1, older exports: three fields) comes back as a run of one.
+    capture /1, older exports: three fields) comes back as a run of one,
+    and so does a per-message ``mcast.attach`` written before attach runs
+    (bundle /1–/3, capture /1–/2: six fields, ``count`` backfilled as 1).
     """
     if not isinstance(item, dict):
         raise ValueError(f"cannot interpret {type(item).__name__} as a probe event")
@@ -429,8 +434,11 @@ def check_record(item: object) -> dict:
     if not abs(item["at"]) <= sys.float_info.max:
         raise ValueError(f"probe event field 'at' is not finite: {item['at']!r}")
     record = {key: item[key] for key, _ in _RECORD_FIELDS}
-    if record["kind"] == "mcast.deliver" and len(record["args"]) == 3:
-        record["args"] = [*record["args"], 1]
+    kind, args = record["kind"], record["args"]
+    if kind == "mcast.deliver" and len(args) == 3:
+        record["args"] = [*args, 1]
+    elif kind == "mcast.attach" and len(args) == 6:
+        record["args"] = [*args[:3], 1, *args[3:]]
     return record
 
 

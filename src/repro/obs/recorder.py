@@ -55,13 +55,18 @@ __all__ = [
 
 #: Bundle format identifier; bump on incompatible layout changes.
 #: /2 added the ``alerts`` section (contract-monitor Alert records); /3
-#: carries one ``mcast.deliver`` per delivery run (its ``count`` field).
-BUNDLE_SCHEMA = "repro.obs.bundle/3"
+#: carries one ``mcast.deliver`` per delivery run (its ``count`` field);
+#: /4 one ``mcast.attach`` per pack (its ``count`` field, ``size`` the
+#: pack's payload bytes).
+BUNDLE_SCHEMA = "repro.obs.bundle/4"
 
 #: Schemas :func:`load_bundle` accepts.  /1 bundles (pre-monitor) load
-#: with an empty ``alerts`` section, and /1–/2 per-message delivers load
-#: as runs of one, so downstream readers see one shape.
-SUPPORTED_SCHEMAS = ("repro.obs.bundle/1", "repro.obs.bundle/2", BUNDLE_SCHEMA)
+#: with an empty ``alerts`` section, /1–/2 per-message delivers and /1–/3
+#: per-message attaches load as runs of one, so downstream readers see
+#: one shape.
+SUPPORTED_SCHEMAS = (
+    "repro.obs.bundle/1", "repro.obs.bundle/2", "repro.obs.bundle/3", BUNDLE_SCHEMA
+)
 
 #: Sections every bundle must carry (``alerts`` is backfilled for /1),
 #: with the JSON type each must have and its name for error messages.
@@ -188,9 +193,9 @@ def load_bundle(path: str | Path) -> dict:
     """Load and validate a diagnostic bundle.
 
     Accepts every schema in :data:`SUPPORTED_SCHEMAS`; /1 bundles gain an
-    empty ``alerts`` section and older per-message delivers become runs
-    of one (:func:`~repro.obs.probe.check_record`), so downstream readers
-    see one shape.  Every failure mode — unreadable file, malformed or too
+    empty ``alerts`` section and older per-message delivers and attaches
+    become runs of one (:func:`~repro.obs.probe.check_record`), so
+    downstream readers see one shape.  Every failure mode — unreadable file, malformed or too
     deeply nested JSON, foreign or unknown schema, missing or mistyped
     sections, malformed event records — raises ``ValueError`` naming the
     path and the problem, never a bare ``KeyError``.
@@ -416,13 +421,16 @@ def _is_token_ctx(ctx: object) -> bool:
 def _span_event(e: ProbeEvent, origin: str, msg_no: int) -> ProbeEvent | None:
     """``e`` as an event of the span ``origin#msg_no``, else None."""
     args = e.args
-    if not e.kind.startswith("mcast.") or args[0] != origin:
+    kind = e.kind
+    if not kind.startswith("mcast.") or args[0] != origin:
         return None
-    if e.kind != "mcast.deliver":
+    if kind == "mcast.confirm":
         return e if args[1] == msg_no else None
-    if args[1] <= msg_no < args[1] + args[3]:
-        return ProbeEvent(e.n, e.at, e.node, e.kind, (origin, msg_no, args[2], 1))
-    return None
+    if not args[1] <= msg_no < args[1] + args[3]:
+        return None
+    if kind == "mcast.attach":
+        return e  # the pack's one attach; its size is the whole pack's
+    return ProbeEvent(e.n, e.at, e.node, kind, (origin, msg_no, args[2], 1))
 
 
 def causal_chain(
@@ -437,7 +445,9 @@ def causal_chain(
     messages, ``token.accept`` on the receiving side, and any
     regeneration/merge the token's lineage went through in that window.
     A delivery run that covers the span (``msg_no <= m < msg_no + count``)
-    appears as the span's own delivery: a run of one at ``msg_no``.
+    appears as the span's own delivery: a run of one at ``msg_no``.  The
+    attach run that covers it appears as it was emitted, as the span's
+    attach: its ``size`` is the pack's, which no one message's is.
     """
     ordered = sorted(events, key=lambda e: e.n)
     own = [_span_event(e, origin, msg_no) for e in ordered]

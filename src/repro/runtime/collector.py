@@ -24,12 +24,12 @@ canonical, time-ordered feed the simulator-era consumers expect:
 * **Prometheus-style ``/metrics``** text exposition
   (:meth:`TelemetryCollector.metrics_text`, optionally served over HTTP
   by :meth:`TelemetryCollector.serve_metrics`).
-* **Capture files**: one JSONL file, a ``repro.obs.capture/2`` header
+* **Capture files**: one JSONL file, a ``repro.obs.capture/3`` header
   line followed by released event records — readable by ``repro obs
   diff`` / ``repro obs timeline`` like any probe export.
 * **Breach postmortems**: on the first fired alert the collector sends
   every worker a ``pull``, gathers their flight-recorder rings, and cuts
-  a standard ``repro.obs.bundle/3`` with the alerts attached.
+  a standard ``repro.obs.bundle/4`` with the alerts attached.
 
 :class:`LiveCluster` at the bottom is what ``repro top`` runs: spawn N
 worker processes, attach the collector, watch, gate.
@@ -148,7 +148,7 @@ class TelemetryCollector:
         simulated clock in tests.
     capture_path:
         Write released events here as a capture file (JSONL with a
-        ``repro.obs.capture/2`` header line).
+        ``repro.obs.capture/3`` header line).
     postmortem_path:
         Where the breach postmortem bundle is written (default
         ``raintap-postmortem.bundle.json`` in the working directory).

@@ -88,19 +88,20 @@ _HEADER = struct.Struct(">4sBI")
 
 #: Schema number carried in ``hello`` frames; collectors refuse sources
 #: speaking a different probe-record schema.  2: ``mcast.deliver`` is one
-#: row per delivery run (its ``count`` field).
-TELEMETRY_SCHEMA = 2
+#: row per delivery run (its ``count`` field); 3: ``mcast.attach`` is one
+#: row per pack (its ``count`` field, ``size`` the pack's payload bytes).
+TELEMETRY_SCHEMA = 3
 
 #: Cap on one encoded telemetry frame (header included) — under the
 #: 65507-byte UDP payload limit with headroom for the sidecar's own use.
 MAX_FRAME_BYTES = 60_000
 
 #: Header schema of collector capture files: a JSONL file whose first
-#: line is ``{"schema": "repro.obs.capture/2", ...}`` and whose remaining
+#: line is ``{"schema": "repro.obs.capture/3", ...}`` and whose remaining
 #: lines are ``event_record`` objects with epoch-wall-clock ``at``.  /2
-#: carries delivery runs; /1 files load with per-message delivers as runs
-#: of one.
-CAPTURE_SCHEMA = "repro.obs.capture/2"
+#: carries delivery runs and /3 attach runs; older files load with their
+#: per-message delivers and attaches as runs of one.
+CAPTURE_SCHEMA = "repro.obs.capture/3"
 
 #: Ring-dump chunking: events per ``ring`` frame (same rows as ``probes``).
 _RING_CHUNK = 24

@@ -14,6 +14,13 @@ points.
 Only protocol constants and the value types that cross the API
 (``Ordering``, ``Delivery``, ``DeferredPayload``) are imported from the
 production tree.
+
+:class:`ParentMulticast` is the other model kept here: production's
+``MulticastService`` with the hold queue, attach and drain it had before
+the queue became pack-granular — one entry and one ``waiting`` identity
+per message, a probed drain that tests every message, and one
+``mcast.attach`` per message.  ``test_multicast_equivalence.py`` runs it
+beside production and demands identical deliveries and counters.
 """
 
 from __future__ import annotations
@@ -23,8 +30,21 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.events import Delivery
-from repro.core.multicast import DEFAULT_PAYLOAD_SIZE, DeferredPayload
-from repro.core.token import MEMBER_ENTRY, MSG_HEADER, TOKEN_HEADER, Ordering
+from repro.core.multicast import (
+    DEFAULT_PAYLOAD_SIZE,
+    SEEN_SPANS,
+    DeferredPayload,
+    MulticastService,
+    _is_run,
+)
+from repro.core.token import (
+    MEMBER_ENTRY,
+    MSG_HEADER,
+    TOKEN_HEADER,
+    Ordering,
+    PiggybackedMessage,
+)
+from repro.transport.spans import add_seen
 
 #: The model's own bound on remembered message uids, as production had it
 #: before seen ``msg_no``s became spans (no schedule here reaches it).
@@ -268,3 +288,132 @@ class ReferenceMulticast:
         if len(self._seen_fifo) > SEEN_WINDOW:
             self._seen.discard(self._seen_fifo.popleft())
         return True
+
+
+class ParentMulticast(MulticastService):
+    """``MulticastService`` with its per-message hold queue and attach.
+
+    The passes it does not override (receive, retire, release, reset) are
+    production's; they only reach the hold queue through the methods
+    below and ``_waiting``, which here names every held SAFE message.
+    """
+
+    def _attach_pass(self, token) -> None:
+        node = self.node
+        me = node.node_id
+        probe = node.probe
+        outbox = self._outbox
+        budget = node.config.max_batch_per_visit
+        byte_cap = node.config.max_token_bytes
+        audience = frozenset(token.membership)
+        others = audience - {me}
+        wire = token.wire_size()
+        loaded = bool(token.messages)
+        pack = None
+        riders: list = []
+        while outbox and budget > 0:
+            if wire + MSG_HEADER + outbox[0].size > byte_cap and loaded:
+                break
+            msg = outbox.popleft()
+            budget -= 1
+            if isinstance(msg.payload, DeferredPayload):
+                msg.payload, msg.size = msg.payload.factory()
+            wire += MSG_HEADER + msg.size
+            loaded = True
+            if pack is None or msg.ordering is not pack.ordering:
+                if pack is not None:
+                    self._couple(token, pack, riders)
+                    riders = []
+                pack = PiggybackedMessage(
+                    msg.origin, msg.msg_no, msg.payload, msg.size, msg.ordering,
+                    audience, set(others),
+                )
+                if msg.ordering is Ordering.SAFE and not others:
+                    pack.confirmed = True
+                    pack.pending = {me}
+            else:
+                riders.append(msg)
+            if probe is not None:
+                probe.emit(
+                    me, "mcast.attach", msg.origin, msg.msg_no,
+                    msg.ordering.value, msg.size, len(audience), token.gen,
+                )
+                if pack.confirmed:
+                    probe.emit(me, "mcast.confirm", msg.origin, msg.msg_no)
+        if pack is not None:
+            self._couple(token, pack, riders)
+
+    def _couple(self, token, pack, riders) -> None:
+        pack.riders = tuple(riders)
+        token.attach_message(pack)
+        self._hold_pack(pack, waiting=pack.ordering is Ordering.SAFE)
+
+    def _hold_pack(self, pack, waiting: bool) -> None:
+        origin = pack.origin
+        first = pack.msg_no
+        msgs = pack.unpack()
+        spans = self._seen.setdefault(origin, [])
+        if (not spans or first >= spans[-1]) and _is_run(msgs, first):
+            end = first + len(msgs)
+            if spans and spans[-1] == first:
+                spans[-1] = end
+            else:
+                spans += (first, end)
+            fresh = msgs
+        else:
+            fresh = [m for m in msgs if add_seen(spans, m.msg_no)]
+        if len(spans) > 2 * SEEN_SPANS:
+            del spans[: len(spans) - 2 * SEEN_SPANS]
+        self._hold.extend(fresh)
+        if waiting:
+            self._waiting.update((origin, m.msg_no) for m in fresh)
+
+    def _drain_deliverable(self) -> None:
+        hold = self._hold
+        waiting = self._waiting
+        node = self.node
+        stats = node.stats
+        on_deliver = node.listener.on_deliver
+        now = node.loop.now
+        probe = node.probe
+        if probe is None and not waiting:
+            popleft = hold.popleft
+            delivered = 0
+            try:
+                while hold:
+                    msg = popleft()
+                    delivered += 1
+                    on_deliver(
+                        Delivery(msg.origin, msg.msg_no, msg.payload, msg.ordering, now)
+                    )
+            finally:
+                stats.messages_delivered += delivered
+            return
+        run = None
+        run_end = 0
+        while hold:
+            msg = hold[0]
+            if waiting and (msg.origin, msg.msg_no) in waiting:
+                break
+            hold.popleft()
+            stats.messages_delivered += 1
+            if probe is not None:
+                if (
+                    run is None
+                    or msg.msg_no != run_end
+                    or msg.origin != run.origin
+                    or msg.ordering is not run.ordering
+                ):
+                    if run is not None:
+                        self._emit_run(probe, run, run_end)
+                    run = msg
+                run_end = msg.msg_no + 1
+            on_deliver(Delivery(msg.origin, msg.msg_no, msg.payload, msg.ordering, now))
+        if run is not None:
+            self._emit_run(probe, run, run_end)
+
+    def _emit_run(self, probe, first, end: int) -> None:
+        probe.emit(
+            self.node.node_id, "mcast.deliver", first.origin, first.msg_no,
+            first.ordering.value, end - first.msg_no,
+        )

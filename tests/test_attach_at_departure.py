@@ -161,6 +161,15 @@ def _attaches(events, node: str, start: float, end: float) -> list:
     ]
 
 
+def _covered(attaches) -> set:
+    """The ``(origin, msg_no)`` of every message the attach runs cover."""
+    return {
+        (e.args[0], no)
+        for e in attaches
+        for no in range(e.args[1], e.args[1] + e.args[3])
+    }
+
+
 def _one_order(cluster: RaincoreCluster, keys: set) -> list:
     orders = {
         nid: [
@@ -181,8 +190,8 @@ def test_merge_mid_hold_packs_carry_the_merged_audience():
     for nid, at in merged:
         attached = _attaches(events, nid, at, at + HOP)
         assert attached, f"{nid} attached nothing as it left the merge"
-        assert {e.args[4] for e in attached} == {4}  # audience size
-        keys = {(e.args[0], e.args[1]) for e in attached}
+        assert {e.args[5] for e in attached} == {4}  # audience size
+        keys = _covered(attached)
         assert sorted(_one_order(cluster, keys)) == sorted(keys)
 
 
@@ -192,8 +201,8 @@ def test_merge_initiator_attaches_to_the_group_the_token_leaves_from():
     for nid, at, ring in initiated:
         attached = _attaches(events, nid, at, at)
         assert attached, (nid, at)
-        assert {e.args[4] for e in attached} == {len(ring)}
-        keys = {(e.args[0], e.args[1]) for e in attached}
+        assert {e.args[5] for e in attached} == {len(ring)}
+        keys = _covered(attached)
         for member in cluster.node_ids:
             got = {
                 (d.origin, d.msg_no) for d in cluster.listener(member).deliveries

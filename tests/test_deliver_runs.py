@@ -9,7 +9,10 @@ joinable.  Seeded clusters drive it through loss, duplication,
 partition/merge, 911 regeneration, a crash that drops a queued outbox
 (an origin's ``msg_no`` gap) and mixed AGREED/SAFE traffic; hand-built
 hold queues pin the four ways a run must close, the duplicate-suppression
-gap among them.  Four seeded mutants of the run rule must each be caught.
+gap among them, and a listener restarting its node mid-run.  The hold
+queue holds one entry per pack (per run of it), so the drain's unit is a
+held run; five seeded mutants of that drain — four of the run rule and
+one that pops a held run before delivering it — must each be caught.
 """
 
 from __future__ import annotations
@@ -20,16 +23,16 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.harness import RaincoreCluster
-from repro.core.events import Delivery
+from repro.core.events import Delivery, RecordingListener
 from repro.core.multicast import MulticastService
 from repro.core.token import Ordering, Rider, Token
 from repro.obs import ProbeBus, ProbeLog
 from repro.obs.recorder import (
     build_bundle,
     bundle_events,
+    causal_chain,
     dump_bundle,
     load_bundle,
-    render_chain,
     trace_rows,
 )
 
@@ -277,8 +280,16 @@ def closes_at_a_waiting_safe(node) -> list[tuple]:
     return [("B", 1, "agreed", 2)]
 
 
+def packs_that_continue_join(node) -> list[tuple]:
+    """B's packs B#1..2 and B#3..4, held as two runs, deliver as one."""
+    hold(node,
+         make_msg("B", 1, "ABC", pending={"A"}, riders=(Rider("B", 2, "B#2", 10),)),
+         make_msg("B", 3, "ABC", pending={"A"}, riders=(Rider("B", 4, "B#4", 10),)))
+    return [("B", 1, "agreed", 4)]
+
+
 HELD = [gap_by_duplicate_suppression, origin_change, ordering_change,
-        closes_at_drain_end, closes_at_a_waiting_safe]
+        closes_at_drain_end, closes_at_a_waiting_safe, packs_that_continue_join]
 
 
 def held_divergence(case) -> str | None:
@@ -297,6 +308,93 @@ def held_divergence(case) -> str | None:
 @pytest.mark.parametrize("case", HELD, ids=lambda c: c.__name__)
 def test_a_run_closes_where_it_must(case):
     assert held_divergence(case) is None
+
+
+class _Restarts(RecordingListener):
+    """Restarts its node (empties the hold queue, as a restart does) from
+    inside its ``at``-th delivery."""
+
+    def __init__(self, node, at: int) -> None:
+        super().__init__()
+        self.node, self.at = node, at
+
+    def on_deliver(self, delivery) -> None:
+        super().on_deliver(delivery)
+        if len(self.deliveries) == self.at:
+            self.node.multicast_service.reset()
+
+
+def restart_divergence(probes: bool = True) -> str | None:
+    """Two held runs, B#1..3 then C#1; the listener restarts the node in
+    the second delivery.  The drain stops there: B#1 and B#2 delivered
+    and counted, one run of two emitted, nothing left held."""
+    node, log = probed_node()
+    if not probes:
+        node.probe = None
+    hold(node,
+         make_msg("B", 1, "ABC", pending={"A"},
+                  riders=(Rider("B", 2, "B#2", 10), Rider("B", 3, "B#3", 10))),
+         make_msg("C", 1, "ABC", pending={"A"}))
+    node.listener = listener = _Restarts(node, 2)
+    counted = node.stats.messages_delivered
+    node.multicast_service._drain_deliverable()
+    got = (
+        listener.delivery_keys,
+        node.stats.messages_delivered - counted,
+        runs_of(log),
+        len(node.multicast_service._hold),
+    )
+    want = ([("B", 1), ("B", 2)], 2, [("B", 1, "agreed", 2)] if probes else [], 0)
+    return None if got == want else f"restart mid-run: {got}, expected {want}"
+
+
+@pytest.mark.parametrize("probes", [True, False], ids=["probes-on", "probes-off"])
+def test_a_restart_mid_run_stops_the_drain(probes):
+    assert restart_divergence(probes) is None
+
+
+def test_a_listener_that_runs_the_departure_half_mid_drain():
+    """A listener that leaves mid-drain runs the departure half inside the
+    drain (attach the outbox, deliver own): every held message and the
+    newly attached one are delivered exactly once, in queue order."""
+    node, log = probed_node()
+    hold(node, make_msg("B", 1, "ABC", pending={"A"},
+                        riders=(Rider("B", 2, "B#2", 10), Rider("B", 3, "B#3", 10))))
+    service = node.multicast_service
+    token = Token(membership=("A", "B", "C"))
+
+    class Departs(RecordingListener):
+        def on_deliver(self, delivery) -> None:
+            super().on_deliver(delivery)
+            if delivery.msg_no == 2 and delivery.origin == "B":
+                service.multicast(b"own")
+                service.on_depart(token)
+
+    node.listener = listener = Departs()
+    service._drain_deliverable()
+    assert listener.delivery_keys == [("B", 1), ("B", 2), ("B", 3), ("A", 1)]
+    assert not service._hold
+    assert runs_of(log) == [("B", 1, "agreed", 3), ("A", 1, "agreed", 1)]
+
+
+def test_a_raising_listener_spends_what_it_was_handed():
+    """A listener that raises in B#2 has been handed B#1 and B#2: the next
+    drain starts at B#3, and the count covers all three once."""
+    node, log = probed_node()
+    hold(node, make_msg("B", 1, "ABC", pending={"A"},
+                        riders=(Rider("B", 2, "B#2", 10), Rider("B", 3, "B#3", 10))))
+
+    class Raises(RecordingListener):
+        def on_deliver(self, delivery) -> None:
+            super().on_deliver(delivery)
+            if delivery.msg_no == 2:
+                raise RuntimeError("listener bug")
+
+    node.listener = Raises()
+    with pytest.raises(RuntimeError):
+        node.multicast_service._drain_deliverable()
+    assert drain(node) == [("B", 3)]
+    assert node.stats.messages_delivered == 3
 
 
 def test_probe_off_drain_delivers_the_same():
@@ -345,39 +443,77 @@ def test_a_v2_bundle_of_per_message_delivers_renders_like_runs(tmp_path):
     spans = sorted({(e.args[0], e.args[1]) for e in delivers[0]})
     assert len(spans) == 9
     for origin, msg_no in spans:
-        assert render_chain(old, origin, msg_no) == render_chain(new, origin, msg_no)
+        assert chain_rows(old, origin, msg_no) == chain_rows(new, origin, msg_no)
+    assert attached_bytes(old) == attached_bytes(new)
+
+
+def chain_rows(events, origin: str, msg_no: int) -> list[tuple]:
+    """The span's causal chain, its attach cut to what a per-message
+    attach and the attach run covering the span have in common."""
+    rows = []
+    for e in causal_chain(events, origin, msg_no):
+        if e.kind == "mcast.attach":
+            _, first, ordering, count, _, audience, gen = e.args
+            assert first <= msg_no < first + count, e.args
+            rows.append((e.at, e.node, e.kind, origin, ordering, audience, gen))
+        else:
+            rows.append((e.at, e.node, e.kind, e.args))
+    return rows
+
+
+def attached_bytes(events) -> dict[tuple, int]:
+    """Payload bytes attached per (time, node, origin), at any granularity."""
+    out: dict[tuple, int] = {}
+    for e in events:
+        if e.kind == "mcast.attach":
+            key = (e.at, e.node, e.args[0])
+            out[key] = out.get(key, 0) + e.args[4]
+    return out
 
 
 # ----------------------------------------------------------------------
 # seeded mutants: each one must be caught
 # ----------------------------------------------------------------------
-def _production(run: Rider, end: int, msg: Rider) -> bool:
-    return msg.msg_no == end and msg.origin == run.origin and msg.ordering is run.ordering
+def _production(head: Rider, end: int, msg: Rider) -> bool:
+    return msg.msg_no == end and msg.origin == head.origin and msg.ordering is head.ordering
 
 
-def mutated_drain(continues, close: bool = True):
-    """The production drain with its run rule (``continues``) and its
-    closing emit (``close``) swappable."""
+def mutated_drain(continues, close: bool = True, pop_first: bool = False):
+    """The production drain with its run rule (``continues``), its closing
+    emit (``close``) and when a held run leaves the queue (``pop_first``)
+    swappable."""
 
     def drain_deliverable(self: MulticastService) -> None:
         hold, waiting, node = self._hold, self._waiting, self.node
         on_deliver, now, probe = node.listener.on_deliver, node.loop.now, node.probe
-        run, end = None, 0
-        while hold:
-            msg = hold[0]
-            if waiting and (msg.origin, msg.msg_no) in waiting:
-                break
-            hold.popleft()
-            node.stats.messages_delivered += 1
-            if probe is not None:
-                if run is None or not continues(run, end, msg):
-                    if run is not None:
-                        self._emit_run(probe, run, end)
-                    run = msg
-                end = msg.msg_no + 1
-            on_deliver(Delivery(msg.origin, msg.msg_no, msg.payload, msg.ordering, now))
-        if run is not None and close:
-            self._emit_run(probe, run, end)
+        head, end, delivered = None, 0, 0
+        try:
+            while hold:
+                run = hold[0]
+                msg = run[0]
+                if waiting and (msg.origin, msg.msg_no) in waiting:
+                    break
+                if pop_first:
+                    hold.popleft()
+                if probe is not None and (head is None or not continues(head, end, msg)):
+                    if head is not None:
+                        self._emit_run(probe, head, end)
+                    head = msg
+                before = delivered
+                for msg in run:
+                    delivered += 1
+                    on_deliver(Delivery(msg.origin, msg.msg_no, msg.payload, msg.ordering, now))
+                    if not hold:
+                        break
+                end = run[0].msg_no + delivered - before
+                if not hold:
+                    break
+                if not pop_first:
+                    hold.popleft()
+        finally:
+            node.stats.messages_delivered += delivered
+        if head is not None and close:
+            self._emit_run(probe, head, end)
 
     return drain_deliverable
 
@@ -385,13 +521,16 @@ def mutated_drain(continues, close: bool = True):
 MUTANTS = {
     "the closing run is never emitted": mutated_drain(_production, close=False),
     "a run continues across an origin change": mutated_drain(
-        lambda run, end, msg: msg.msg_no == end and msg.ordering is run.ordering
+        lambda head, end, msg: msg.msg_no == end and msg.ordering is head.ordering
     ),
     "a run continues across an ordering change": mutated_drain(
-        lambda run, end, msg: msg.msg_no == end and msg.origin == run.origin
+        lambda head, end, msg: msg.msg_no == end and msg.origin == head.origin
     ),
     "a run continues across a msg_no gap": mutated_drain(
-        lambda run, end, msg: msg.origin == run.origin and msg.ordering is run.ordering
+        lambda head, end, msg: msg.origin == head.origin and msg.ordering is head.ordering
+    ),
+    "a held run is popped before it is delivered": mutated_drain(
+        _production, pop_first=True
     ),
 }
 
@@ -399,6 +538,7 @@ MUTANTS = {
 def caught(monkeypatch) -> list[str]:
     """Every divergence the held cases and the scenarios report."""
     found = [d for d in map(held_divergence, HELD) if d is not None]
+    found += [d for d in (restart_divergence(),) if d is not None]
     drains = Drains(monkeypatch)
     found += [d for d in (cluster_divergence(n, drains) for n in SCENARIOS) if d]
     return found

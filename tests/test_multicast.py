@@ -229,3 +229,75 @@ def test_payload_size_defaults():
     assert svc._outbox[1].size == 64
     with pytest.raises(ValueError):
         svc.multicast("x", size=-1)
+
+
+def _parent_size(payload) -> int:
+    """How ``multicast`` sized a payload by calling ``len()`` and catching
+    its TypeError."""
+    try:
+        return len(payload)
+    except TypeError:
+        return 64
+
+
+def test_payload_sizes_match_len_with_its_typeerror_caught():
+    from repro.core.multicast import DeferredPayload
+    from repro.data.lock_manager import LockOp
+    from repro.data.resync import ResyncAck
+    from repro.data.shared_dict import DictOp
+
+    c = make_cluster("AB")
+    c.start_all()
+    svc = c.node("A").multicast_service
+    payloads = [
+        b"", b"12345", bytearray(3), "", "héllo", (), (1, 2, 3), [4, 5], {"k": 1},
+        frozenset("ab"), range(7), object(), 12345, 1.5, None, True,
+        DictOp("set", "k", 1), LockOp("acquire", "db", "A", 1),
+        ResyncAck("dict", "A", 3, "d"), DeferredPayload(lambda: (b"x", 1)),
+    ]
+    for payload in payloads:
+        svc.multicast(payload)
+    assert [m.size for m in svc._outbox] == [_parent_size(p) for p in payloads]
+
+
+def _c_exceptions(action, code) -> int:
+    """Exceptions raised by builtins called from frames of ``code`` while
+    ``action`` runs."""
+    import sys
+
+    raised = 0
+
+    def profile(frame, event, arg) -> None:
+        nonlocal raised
+        if event == "c_exception" and frame.f_code is code:
+            raised += 1
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return raised
+
+
+def test_sizing_a_data_layer_op_raises_nothing():
+    """A ``SharedDict.set`` and a lock acquire multicast ops with no
+    length: sizing them is a type test, not a raised-and-caught
+    TypeError."""
+    from repro.core.multicast import MulticastService
+    from repro.data.lock_manager import DistributedLockManager
+    from repro.data.shared_dict import SharedDict
+
+    c = make_cluster("AB")
+    sd = SharedDict(c.node("A"))
+    locks = DistributedLockManager(c.node("A"))
+    c.start_all()
+    outbox = c.node("A").multicast_service._outbox
+    before = len(outbox)
+    multicast = MulticastService.multicast.__code__
+    assert _c_exceptions(lambda: sd.set("k", 1), multicast) == 0
+    assert _c_exceptions(lambda: locks.acquire("db"), multicast) == 0
+    assert len(outbox) == before + 2  # both calls did multicast
+    # The count sees the len()-and-catch way raise, once per op.
+    for msg in list(outbox)[before:]:
+        assert _c_exceptions(lambda: _parent_size(msg.payload), _parent_size.__code__) == 1

@@ -1,17 +1,24 @@
-"""Per-pack receipt bookkeeping against the per-message reference.
+"""Per-pack receipt bookkeeping and the pack-granular hold queue, against
+two models.
 
 One schedule — multicasts, token visits, member removals, group splits,
 TBM merges, 911-style replays of an old local copy — is driven through
-``repro.core`` (one receipt set per pack) and through
-``multicast_reference`` (one per message).  After every step the tokens
-must agree on wire size, message count and every message's audience,
-pending set and confirmation, in order (so retire points are equal); at
-the end every node must have delivered the same sequence and emitted the
-same ``mcast.*`` probes, argument for argument and at the same time —
-production's delivery runs expanded to the reference's one
-``mcast.deliver`` per message.  A production visit is its arrival half
-then its departure half, back to back: with nothing queued between them
-that is the reference's one whole visit.
+``repro.core`` (one receipt set per pack, one hold-queue entry per run),
+through ``multicast_reference.ReferenceMulticast`` (one receipt set per
+message) and through ``multicast_reference.ParentMulticast`` (production
+with its per-message hold queue, drain and attach).  After every step
+the tokens must agree on wire size, message count and every message's
+audience, pending set and confirmation, in order (so retire points are
+equal); at the end every node must have delivered the same sequence,
+counted the same, and emitted the same ``mcast.*`` probes, argument for
+argument and at the same time.  Production's delivery runs are expanded
+to one deliver per message.  Its ``mcast.attach`` runs are held apart
+from the other rows: expanded, they must cover exactly the models'
+per-message attach rows (origin, msg_no, ordering, audience, gen, time),
+in order, each run's ``size`` the sum of the sizes it covers.  A
+production visit is its arrival half then its departure half, back to
+back: with nothing queued between them that is the reference's one whole
+visit.
 """
 
 from __future__ import annotations
@@ -29,19 +36,26 @@ from repro.core.merge import MergeProtocol
 from repro.core.multicast import DeferredPayload, MulticastService
 from repro.core.token import Ordering, Token
 
-from .multicast_reference import ReferenceMulticast, ReferenceToken, reference_merge
+from .multicast_reference import (
+    ParentMulticast,
+    ReferenceMulticast,
+    ReferenceToken,
+    reference_merge,
+)
 
 NODES = ("A", "B", "C", "D", "E")
 HOP = 0.005
 
 
 class _Probe:
-    """Records ``mcast.*`` probes per message: a production delivery run
-    (``count`` last) becomes one reference-shaped deliver per message."""
+    """Records ``mcast.*`` probes per message: a delivery run (``count``
+    last) becomes one reference-shaped deliver per message.  Attach rows,
+    per message or per pack, are kept apart in ``attaches``."""
 
     def __init__(self, clock) -> None:
         self.clock = clock
         self.events: list[tuple] = []
+        self.attaches: list[tuple] = []
 
     def emit(self, node: str, kind: str, *args: object) -> None:
         if kind == "mcast.deliver" and len(args) == 4:
@@ -50,8 +64,29 @@ class _Probe:
                 (self.clock.now, node, kind, (origin, no, ordering))
                 for no in range(first, first + count)
             )
+        elif kind == "mcast.attach":
+            self.attaches.append((self.clock.now, node, args))
         elif kind.startswith("mcast."):
             self.events.append((self.clock.now, node, kind, args))
+
+
+def attach_runs_cover(runs: list[tuple], rows: list[tuple]) -> str | None:
+    """Where production's attach ``runs`` fail to cover the per-message
+    attach ``rows`` exactly and in order, or None."""
+    rows_left = iter(rows)
+    for at, node, (origin, first, ordering, count, size, audience, gen) in runs:
+        covered = [next(rows_left, None) for _ in range(count)]
+        want = [
+            (at, node, (origin, no, ordering, audience, gen))
+            for no in range(first, first + count)
+        ]
+        got = [r and (r[0], r[1], r[2][:3] + r[2][4:]) for r in covered]
+        if got != want:
+            return f"attach run {origin}#{first}+{count} at {node} covers {covered}"
+        if size != sum(r[2][3] for r in covered):
+            return f"attach run {origin}#{first}+{count} size {size} != {covered}"
+    extra = next(rows_left, None)
+    return None if extra is None else f"attach row {extra} not covered"
 
 
 def _production_state(token: Token) -> list[tuple]:
@@ -92,15 +127,16 @@ class _Restarting(RecordingListener):
 class World:
     """A ring (or several, after a split) stepped by hand, no network.
 
-    ``probes=False`` runs every node without a probe bus; ``restart=(node,
-    k)`` gives that node a listener that restarts it in its k-th delivery.
+    ``service`` is the multicast model every node runs.  ``probes=False``
+    runs every node without a probe bus; ``restart=(node, k)`` gives that
+    node a listener that restarts it in its k-th delivery.
     """
 
     def __init__(
-        self, production: bool, ring: tuple, config: RaincoreConfig,
+        self, service: type, ring: tuple, config: RaincoreConfig,
         probes: bool = True, restart: tuple[str, int] | None = None,
     ) -> None:
-        self.production = production
+        production = self.production = service is not ReferenceMulticast
         self.clock = SimpleNamespace(now=0.0)
         self.probe = _Probe(self.clock)
         self.nodes = {
@@ -119,7 +155,6 @@ class World:
             )
             for nid in ring
         }
-        service = MulticastService if production else ReferenceMulticast
         self.services = {nid: service(node) for nid, node in self.nodes.items()}
         for nid, node in self.nodes.items():
             if isinstance(node.listener, _Restarting):
@@ -145,6 +180,7 @@ class World:
         return {
             "deliveries": {n: node.listener.deliveries for n, node in self.nodes.items()},
             "probes": self.probe.events,
+            "attaches": self.probe.attaches,
             "stats": {n: vars(node.stats) for n, node in self.nodes.items()},
         }
 
@@ -238,20 +274,31 @@ class World:
         target.pos = merged.membership.index(joiner)
 
 
+MODELS = (ParentMulticast, ReferenceMulticast)
+
+
 def run_both(ring: tuple, batch: int, cap: int, steps: list[tuple], **world) -> dict:
+    """Drive ``steps`` through production and both models; demand they agree."""
     config = RaincoreConfig(max_batch_per_visit=batch, max_token_bytes=cap)
-    worlds = [World(True, ring, config, **world), World(False, ring, config, **world)]
+    worlds = [World(s, ring, config, **world) for s in (MulticastService, *MODELS)]
     settle = [("visit", g) for _ in range(6 * len(NODES)) for g in range(len(NODES))]
     for n, (op, *args) in enumerate(steps + settle):
         states = []
         for world in worlds:
             getattr(world, op)(*args)
             states.append(world.token_state())
-        assert states[0] == states[1], f"tokens diverge after step {n}: {op}{tuple(args)}"
-    production, reference = (w.outcome() for w in worlds)
-    assert production["deliveries"] == reference["deliveries"]
-    assert production["probes"] == reference["probes"]
-    assert production["stats"] == reference["stats"]
+        for model, state in zip(MODELS, states[1:]):
+            assert states[0] == state, (
+                f"tokens diverge from {model.__name__} after step {n}: {op}{tuple(args)}"
+            )
+    production, *models = (w.outcome() for w in worlds)
+    for model, outcome in zip(MODELS, models):
+        name = model.__name__
+        assert production["deliveries"] == outcome["deliveries"], name
+        assert production["probes"] == outcome["probes"], name
+        assert production["stats"] == outcome["stats"], name
+        gap = attach_runs_cover(production["attaches"], outcome["attaches"])
+        assert gap is None, f"{name}: {gap}"
     return production
 
 
@@ -370,6 +417,7 @@ def test_drain_matches_reference(probes, restart):
     for node in NODES:
         assert stats[node]["messages_delivered"] == len(deliveries[node]), node
     assert bool(outcome["probes"]) is probes
+    assert bool(outcome["attaches"]) is probes
     counts = {node: len(d) for node, d in deliveries.items()}
     if restart is None:
         assert len(set(counts.values())) == 1, counts

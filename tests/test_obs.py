@@ -184,7 +184,7 @@ def test_failing_chaos_run_builds_bundle(tmp_path):
     assert result.failure == "invariant:token-uniqueness"
     bundle = result.bundle
     assert bundle is not None
-    assert bundle["schema"] == "repro.obs.bundle/3"
+    assert bundle["schema"] == "repro.obs.bundle/4"
     assert isinstance(bundle["alerts"], list)
     assert bundle["reason"] == result.failure
     assert bundle["nodes"] == ["n00", "n01", "n02", "n03"]

@@ -243,18 +243,18 @@ def mutated_hold(inclusive_end=False, fast_for_any=False, coalesce=True, evict_l
                 spans[-1] = end
             else:
                 spans += (first, end)
-            fresh = msgs
+            runs = [msgs]
         else:
-            fresh = [m for m in msgs if add_seen(spans, m.msg_no)]
+            runs = multicast._runs([m for m in msgs if add_seen(spans, m.msg_no)])
         cap = 2 * multicast.SEEN_SPANS
         if len(spans) > cap:
             if evict_lowest:
                 del spans[: len(spans) - cap]
             else:
                 del spans[cap:]
-        self._hold.extend(fresh)
+        self._hold.extend(runs)
         if waiting:
-            self._waiting.update((origin, m.msg_no) for m in fresh)
+            self._waiting.update((origin, run[0].msg_no) for run in runs)
 
     return hold_pack
 

@@ -455,7 +455,7 @@ def test_hello_with_wrong_schema_is_refused():
 def test_a_per_message_deliver_worker_is_refused_at_hello():
     """Schema 1 shipped one 3-field ``mcast.deliver`` row per message: its
     hello is refused, and such a row (built by hand: the encoder has no
-    layout for it) is a ``bad-row``, while a schema 2 run is released."""
+    layout for it) is a ``bad-row``, while a run is released."""
     collector, clock, released = collected()
     peer = ("p", 1)
     collector.on_datagram(
@@ -476,6 +476,34 @@ def test_a_per_message_deliver_worker_is_refused_at_hello():
     collector.flush(force=True)
     assert [e.args for e in released if e.kind == "mcast.deliver"] == [
         ("B", 4, "agreed", 3)
+    ]
+
+
+def test_a_per_message_attach_worker_is_refused_at_hello():
+    """Schema 2 shipped one 6-field ``mcast.attach`` row per message: its
+    hello is refused, and such a row (built by hand: the encoder has no
+    layout for it) is a ``bad-row``, while a schema 3 run is released."""
+    collector, clock, released = collected()
+    peer = ("p", 1)
+    collector.on_datagram(
+        encode_frame({"t": "hello", "src": "A", "addr": "x", "schema": 2}), peer
+    )
+    assert collector.frames_dropped == {"bad-version": 1}
+    collector.on_datagram(
+        probe_frame("A", 1, 1.0, "mcast.attach", ["B", 4, "agreed", 3, 600, 4, "B.1"]),
+        peer,
+    )
+    old_row = struct.pack(">dHHHqHqqH", 1.0, 0, 1, 2, 7, 3, 200, 4, 4)
+    collector.on_datagram(
+        header(raw_body("probes", ["A", "mcast.attach", "B", "agreed", "B.1"],
+                        struct.pack(">Hq", 0, 2), [old_row])),
+        peer,
+    )
+    assert collector.frames_dropped == {"bad-version": 1, "bad-row": 1}
+    clock.now = 5.0
+    collector.flush(force=True)
+    assert [e.args for e in released if e.kind == "mcast.attach"] == [
+        ("B", 4, "agreed", 3, 600, 4, "B.1")
     ]
 
 
@@ -533,7 +561,7 @@ def test_capture_file_has_header_then_records(tmp_path):
     asyncio.run(scenario())
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
-    assert header["schema"] == "repro.obs.capture/2"
+    assert header["schema"] == "repro.obs.capture/3"
     assert header["reorder"] == REORDER_ALLOWANCE
     assert header["silence"] == SILENCE_TIMEOUT
     records = [json.loads(l) for l in lines[1:]]

@@ -345,9 +345,12 @@ def emit_stream(bus: ProbeBus, count: int) -> None:
             bus.emit(node, "core.wakeup")
         elif i % 5 == 2:
             bus.emit(node, "transport.tx", "B", i, 0, "DataFrame", ("tok", "A.1", i, 3, False))
-        else:
+        elif i % 5 == 3:
             run = 1 + i % 3
             bus.emit(node, "mcast.deliver", "A", i, "agreed", run)
+        else:
+            run = 1 + i % 4
+            bus.emit(node, "mcast.attach", "A", i, "safe", run, 200 * run, 2, "A.1")
         loop.run_for(0.001)
 
 
