@@ -91,9 +91,8 @@ class ChaosEngine:
     instrument:
         Optional callback ``instrument(cluster, bus)`` invoked once the
         cluster is built and its probe bus enabled, before formation.
-        The ``repro prof`` CLI uses it to attach a wall-clock profiler
-        and a streaming aggregator to the standard chaos workload; any
-        observational attachment (recorder, extra monitors) fits here.
+        Any observational attachment (a streaming aggregator, a
+        recorder, extra monitors) fits here.
 
     A non-strict run may spend ``max(1.0, 5% of the fault window)``
     cumulative seconds with two tokens: false alarms and ack blackouts

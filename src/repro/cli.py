@@ -9,8 +9,6 @@ Installed as ``raincore-repro`` (or ``python -m repro``).  Subcommands:
   quickstart scenario, and file readers — summary, diagnostic-bundle
   rendering, span-timeline reconstruction, trace diff
   (docs/OBSERVABILITY.md, docs/MONITORING.md);
-* ``prof`` — hot-path wall-clock profiler: per-callback attribution
-  table and Chrome trace-event export (docs/PROFILING.md);
 * ``scaling`` — the Figure 3 Rainwall throughput sweep;
 * ``failover`` — the §3.2 cable-unplug experiment;
 * ``merge`` — split-brain and TBM merge walk-through;
@@ -201,45 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--quiet", action="store_true",
             help="suppress informational output; exit code only (CI use)",
         )
-
-    p = sub.add_parser(
-        "prof",
-        help=(
-            "hot-path wall-clock profiler: attribution table and Chrome "
-            "trace export"
-        ),
-    )
-    p.add_argument("--nodes", type=int, default=8)
-    p.add_argument(
-        "--seconds", type=float, default=10.0,
-        help="virtual seconds of the profiled chaos workload",
-    )
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--segments", type=int, default=2)
-    p.add_argument(
-        "--intensity", type=float, default=1.0,
-        help="fault event rate multiplier of the chaos schedule",
-    )
-    p.add_argument(
-        "--top", type=int, default=12,
-        help="attribution rows to show before folding the tail (default 12)",
-    )
-    p.add_argument(
-        "--trace", metavar="TRACE.json",
-        help="write Chrome trace-event JSON here (chrome://tracing, Perfetto)",
-    )
-    p.add_argument(
-        "--timeline-limit", type=int, default=50_000,
-        help="max per-dispatch spans retained for the trace export",
-    )
-    p.add_argument(
-        "--json", action="store_true",
-        help="print the profiler summary as JSON instead of the table",
-    )
-    p.add_argument(
-        "--quiet", action="store_true",
-        help="suppress the rendered output; exit code only (CI use)",
-    )
 
     p = sub.add_parser("scaling", help="Figure 3: Rainwall throughput sweep")
     p.add_argument("--nodes", type=_positive, nargs="+", default=[1, 2, 4])
@@ -624,57 +583,6 @@ def cmd_obs(args) -> int:
     return 0
 
 
-def cmd_prof(args) -> int:
-    import json as _json
-
-    from repro.chaos import ChaosEngine, ChaosParams, Schedule
-    from repro.obs import StreamAggregator, render_rollup
-    from repro.obs.prof import Profiler
-
-    try:
-        params = ChaosParams(
-            nodes=args.nodes,
-            seconds=args.seconds,
-            seed=args.seed,
-            segments=args.segments,
-            intensity=args.intensity,
-        )
-    except ValueError as exc:
-        return _cli_error(str(exc))
-    schedule = Schedule.generate(params)
-    profiler = Profiler(timeline_limit=args.timeline_limit, label="chaos")
-    aggregator = StreamAggregator()
-
-    def instrument(cluster, bus) -> None:
-        profiler.attach(cluster.loop)
-        aggregator.attach(bus)
-
-    if not args.quiet:
-        print(
-            f"profiling chaos workload: nodes={args.nodes} "
-            f"seconds={args.seconds:g} seed={args.seed} "
-            f"ops={len(schedule.ops)}"
-        )
-    result = ChaosEngine(schedule, instrument=instrument).run()
-    if args.json:
-        summary = dict(profiler.to_dict(), rollup=aggregator.to_dict())
-        print(_json.dumps(summary, indent=2, sort_keys=True))
-    elif not args.quiet:
-        print(profiler.render_table(top=args.top))
-        print(render_rollup(aggregator.to_dict()))
-    if args.trace:
-        try:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write(profiler.trace_json() + "\n")
-        except OSError as exc:
-            return _cli_error(f"cannot write {args.trace}: {exc}")
-        if not args.quiet:
-            print(f"Chrome trace written to {args.trace}")
-    if not result.ok and not args.quiet:
-        print(f"note: chaos run itself failed [{result.failure}] {result.detail}")
-    return 0
-
-
 def cmd_scaling(args) -> int:
     from repro.apps.rainwall import RainwallCluster, RainwallConfig
 
@@ -973,12 +881,21 @@ def cmd_bench(args) -> int:
 
     from repro import perf
 
+    pin = None
+    if args.check:
+        try:
+            with open(args.check, encoding="utf-8") as fh:
+                pin = json.load(fh)
+        except OSError as exc:
+            return _cli_error(f"cannot read {args.check}: {exc}")
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            return _cli_error(f"{args.check} is not JSON: {exc}")
+        if not isinstance(pin, dict):
+            return _cli_error(f"{args.check} is not a bill: not a JSON object")
     bill = perf.count_ring()
     print(json.dumps(bill, indent=2, sort_keys=True))
-    if not args.check:
+    if pin is None:
         return 0
-    with open(args.check, encoding="utf-8") as fh:
-        pin = json.load(fh)
     if pin.get("python") != bill["python"]:
         print(
             f"error: {args.check} was pinned on Python {pin.get('python')}, "
@@ -1002,7 +919,6 @@ _COMMANDS = {
     "quickstart": cmd_quickstart,
     "trace": cmd_trace,
     "obs": cmd_obs,
-    "prof": cmd_prof,
     "scaling": cmd_scaling,
     "failover": cmd_failover,
     "merge": cmd_merge,

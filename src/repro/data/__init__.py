@@ -6,9 +6,7 @@ building blocks the paper's applications (Virtual IP Manager, Rainwall)
 use to share assignment tables and load information.
 """
 
-from repro.data.barrier import BarrierOp, DistributedBarrier
 from repro.data.lock_manager import DistributedLockManager, LockOp
-from repro.data.queue import QueueOp, ReplicatedQueue
 from repro.data.replica import ReplicaBase, SyncRequest
 from repro.data.resync import (
     ContinuationPoint,
@@ -19,7 +17,6 @@ from repro.data.resync import (
     Segment,
     SegmentedLog,
 )
-from repro.data.rwlock import ReadWriteLockManager, RwOp
 from repro.data.shared_dict import DictOp, DictSnapshot, SharedDict
 
 __all__ = [
@@ -30,16 +27,10 @@ __all__ = [
     "ResyncSnapshot",
     "Segment",
     "SegmentedLog",
-    "BarrierOp",
-    "DistributedBarrier",
     "DistributedLockManager",
     "LockOp",
-    "QueueOp",
-    "ReplicatedQueue",
     "ReplicaBase",
     "SyncRequest",
-    "ReadWriteLockManager",
-    "RwOp",
     "DictOp",
     "DictSnapshot",
     "SharedDict",

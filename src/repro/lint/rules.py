@@ -102,13 +102,12 @@ _WALL_CLOCK = frozenset(
 )
 #: The only modules allowed to read the wall clock: ``repro.perf`` for its
 #: bare event-loop rate (``bench_event_loop``, which the benchmark ledger
-#: imports; its counted-work bill reads no clock), the hot-path profiler,
-#: and the raintap telemetry plane (shipper, collector, worker) — all live
-#: on the non-deterministic wall-clock side of the fence and never feed the
-#: *simulated* probe stream (docs/PROFILING.md, docs/TELEMETRY.md).
+#: imports; its counted-work bill reads no clock) and the raintap
+#: telemetry plane (shipper, collector, worker) — all live on the
+#: non-deterministic wall-clock side of the fence and never feed the
+#: *simulated* probe stream (docs/DETERMINISM.md, docs/TELEMETRY.md).
 _CLOCK_ALLOWED_MODULES = (
     "repro/perf.py",
-    "repro/obs/prof.py",
     "repro/runtime/telemetry.py",
     "repro/runtime/collector.py",
     "repro/runtime/worker.py",
@@ -147,7 +146,7 @@ def check_wall_clock(ctx: FileContext) -> Iterator[FileFinding]:
                     f"wall-clock call {name}() breaks replay determinism; "
                     "use EventLoop virtual time (loop.now) — count work "
                     "with repro bench's bill, time it in the benchmark "
-                    "ledger or repro/obs/prof.py",
+                    "ledger",
                 )
 
 

@@ -62,12 +62,30 @@ import itertools
 import math
 import random
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable, Protocol
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.prof import Profiler
+__all__ = ["DispatchHook", "EventLoop", "TimerHandle"]
 
-__all__ = ["EventLoop", "TimerHandle"]
+
+class DispatchHook(Protocol):
+    """What :attr:`EventLoop.profile` must speak (the benchmark ledger's
+    per-layer tracer taps the loop through it).
+
+    ``begin_run`` / ``end_run`` bracket each ``run_until`` / ``step`` /
+    drain; around every dispatched callback the loop reads ``clock()``
+    before and after, then calls ``account(callback, t0, t1, depth, at)``
+    with the heap size after the pop and the event's virtual time.
+    """
+
+    def begin_run(self) -> None: ...  # pragma: no cover
+
+    def end_run(self) -> None: ...  # pragma: no cover
+
+    def clock(self) -> float: ...  # pragma: no cover
+
+    def account(
+        self, callback: Callable[..., Any], t0: float, t1: float, depth: int, at: float
+    ) -> None: ...  # pragma: no cover
 
 
 class TimerHandle:
@@ -128,12 +146,12 @@ class EventLoop:
         #: per token hop) costs no Python frame.
         self.reserve_key: Callable[[], int] = self._seq.__next__
         self._events_processed = 0
-        #: Optional hot-path profiler (repro.obs.prof.Profiler) — the same
+        #: Optional dispatch hook (:class:`DispatchHook`) — the same
         #: zero-cost-when-disabled idiom as the probe bus: one attribute
-        #: load and one None test per dispatch.  The profiler observes
-        #: wall-clock only; it never touches the heap, the clock or the
-        #: rng, so attaching it cannot change a deterministic trace.
-        self.profile: "Profiler | None" = None
+        #: load and one None test per dispatch.  A hook observes wall-clock
+        #: only; it never touches the heap, the clock or the rng, so
+        #: attaching one cannot change a deterministic trace.
+        self.profile: DispatchHook | None = None
         #: Called before every ``run_*``/``step`` call returns — the probe
         #: bus drains its journal here, so consumer work stays inside the
         #: caller's timed region and no reader after a run sees a stale view.
@@ -320,8 +338,8 @@ class EventLoop:
         return executed
 
     def _drain(self) -> None:
-        """Run the drain hooks before a run call returns.  Under a profiler
-        each is timed and accounted like a dispatched callback, so the work
+        """Run the drain hooks before a run call returns.  Under a dispatch
+        hook each is timed and accounted like a dispatched callback, so the work
         it triggers is billed, once, to its own spans."""
         prof = self.profile
         for drain in self.drains:

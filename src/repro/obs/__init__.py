@@ -15,18 +15,15 @@ The pieces (docs/OBSERVABILITY.md, docs/MONITORING.md):
   between two probe exports or bundles.
 * :mod:`repro.obs.scenario` — the shared quickstart scenario used by the
   ``repro obs`` CLI and the determinism tests.
-* :mod:`repro.obs.prof` — the hot-path wall-clock profiler: the separate
-  non-deterministic channel (docs/PROFILING.md).
 * :mod:`repro.obs.spans` — span/episode reconstruction over the probe
   stream (token laps, 911 episodes, merge windows, resync ladders).
 * :mod:`repro.obs.agg` — bounded-state streaming aggregation: the one
-  rollup every bundle, export and profile carries.
+  rollup every bundle and export carries.
 """
 
 from repro.obs.agg import (
     BoundedHistogram,
     StreamAggregator,
-    render_rollup,
     rollup_json,
 )
 from repro.obs.diff import (
@@ -48,7 +45,6 @@ from repro.obs.monitor import (
     realtime_contract_rules,
     render_alerts,
 )
-from repro.obs.prof import Profiler
 from repro.obs.probe import (
     PROBE_CATALOG,
     PROBE_TYPES,
@@ -84,9 +80,7 @@ from repro.obs.spans import Span, SpanTimeline, reconstruct_spans
 __all__ = [
     "BoundedHistogram",
     "StreamAggregator",
-    "render_rollup",
     "rollup_json",
-    "Profiler",
     "Span",
     "SpanTimeline",
     "reconstruct_spans",

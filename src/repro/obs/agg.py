@@ -42,7 +42,6 @@ __all__ = [
     "BoundedHistogram",
     "StreamAggregator",
     "rollup_json",
-    "render_rollup",
 ]
 
 #: Geometric bucket edges (seconds) for latency-ish observations: 100 µs
@@ -275,38 +274,3 @@ def _finalize(state: dict[str, Any], top_k: int) -> dict[str, Any]:
 def rollup_json(rollup: dict[str, Any]) -> str:
     """Canonical byte-stable serialization (compact, key-sorted)."""
     return json.dumps(rollup, sort_keys=True, separators=(",", ":"))
-
-
-def render_rollup(rollup: dict[str, Any], top: int = 8) -> str:
-    """Human-readable rollup summary for the CLI."""
-    totals = rollup["totals"]
-    lines = [
-        f"rollup: {rollup['events']} probe events over "
-        f"{totals['nodes']} nodes",
-        f"  traffic: {totals['packets_sent']} pkts / "
-        f"{totals['bytes_sent']} bytes sent, "
-        f"{totals['packets_dropped']} dropped, "
-        f"{totals['token_accepts']} token accepts",
-    ]
-    if rollup["drops_by_where"]:
-        lines.append(
-            "  drops: "
-            + " ".join(
-                f"{w}={c}" for w, c in sorted(rollup["drops_by_where"].items())
-            )
-        )
-    if rollup["top_talkers"]:
-        lines.append(
-            "  top talkers: "
-            + " ".join(
-                f"{t['node']}={t['bytes_sent']}B"
-                for t in rollup["top_talkers"][:top]
-            )
-        )
-    top_kinds = sorted(
-        rollup["by_kind"].items(), key=lambda kv: (-kv[1], kv[0])
-    )[:top]
-    lines.append(
-        "  top kinds: " + " ".join(f"{k}={c}" for k, c in top_kinds)
-    )
-    return "\n".join(lines)

@@ -42,7 +42,7 @@ its kind's declared types decodes as ``None`` for the collector to count
 as a ``bad-row`` drop.
 
 This module runs on the wall-clock side of the determinism fence (like
-:mod:`repro.obs.prof`): it reads ``time.time`` to compute the epoch
+:mod:`repro.perf`): it reads ``time.time`` to compute the epoch
 offset.  It never feeds the *simulated* probe stream — only the collector
 feed, which is wall-clock by definition.
 """

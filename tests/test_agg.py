@@ -13,7 +13,6 @@ import pytest
 from repro.obs.agg import (
     BoundedHistogram,
     StreamAggregator,
-    render_rollup,
     rollup_json,
 )
 from repro.obs.probe import ProbeEvent
@@ -136,4 +135,3 @@ def test_rollup_json_is_canonical():
     text = rollup_json(agg.to_dict())
     assert text == rollup_json(agg.to_dict())
     assert ": " not in text  # compact separators
-    assert render_rollup(agg.to_dict()).startswith("rollup: 1 probe events")

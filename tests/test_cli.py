@@ -184,7 +184,7 @@ def test_trace_quiet_suppresses_output(capsys):
         ["obs", "timeline", "x.jsonl", "--limit", "-2"],
         ["obs", "timeline"],
         ["obs", "summary"],
-        ["prof", "--aggregate"],
+        ["prof"],  # the wall-clock profiler command is gone
         ["chaos", "--campaign", "0"],
         ["chaos", "--campaign", "-2", "--fail-on-alerts"],
         ["trace", "--nodes", "0"],
@@ -219,15 +219,39 @@ def test_bad_options_exit_two(capsys, argv):
         (["chaos", "--intensity", "inf"], "intensity must be non-negative"),
         (["chaos", "--partition", "n00:nan"], "bad --partition spec"),
         (["chaos", "--partition", "n00:5:inf"], "bad --partition spec"),
-        (["prof", "--seconds", "nan"], "seconds must be positive and finite"),
-        (["prof", "--seconds", "inf", "--json"], "seconds must be positive and finite"),
+        (["top", "--seconds", "nan"], "seconds must be positive and finite"),
+        (["top", "--seconds", "inf"], "seconds must be positive and finite"),
     ],
 )
 def test_non_finite_run_inputs_exit_two(capsys, argv, message):
     # Regression: NaN and inf passed the ``<= 0`` / ``< 0`` checks and then
     # crashed (or, for NaN seconds, never stopped) the simulation; each
-    # must be refused before the run starts.
+    # must be refused before the run starts (``top``: before any spawn).
     code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read"),
+        (b"{not json", "is not JSON"),
+        (b"[1, 2]", "is not a bill"),
+    ],
+    ids=["missing", "malformed", "not-an-object"],
+)
+def test_bad_bench_pin_exits_two(capsys, tmp_path, content, message):
+    # Regression: a lost or broken pin raised a traceback and exited 1,
+    # which CI reads as "BILL MOVED".  It is a usage error: exit 2, before
+    # the bill runs.
+    pin = tmp_path / "pin.json"
+    if content is not None:
+        pin.write_bytes(content)
+    code = main(["bench", "--check", str(pin)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.harness import RaincoreCluster
-from repro.data import DistributedLockManager, ReplicatedQueue, SharedDict
+from repro.data import DistributedLockManager, SharedDict
 
 NODES = ["A", "B", "C", "D"]
 
@@ -108,39 +108,3 @@ def test_lock_tables_identical_and_owner_unique(schedule, seed):
     if owner is not None:
         # Exactly the nodes still logically holding can be the owner.
         assert holding[owner]
-
-
-@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    pushes=st.lists(st.integers(0, 3), min_size=1, max_size=10),
-    pops=st.lists(st.integers(0, 3), min_size=1, max_size=10),
-    seed=st.integers(0, 2**16),
-)
-def test_queue_items_never_lost_or_duplicated(pushes, pops, seed):
-    cluster, queues = build_cluster(
-        seed, lambda node: ReplicatedQueue(node, "q")
-    )
-    received: list[int] = []
-    for i, node_idx in enumerate(pushes):
-        queues[NODES[node_idx]].push(i)
-    for node_idx in pops:
-        queues[NODES[node_idx]].pop(received.append)
-    cluster.run(4.0)
-    handed = min(len(pushes), len(pops))
-    logs = [queues[nid].assignments for nid in NODES]
-    assert all(log == logs[0] for log in logs)
-    assert len(logs[0]) == handed
-    items = [item for _, item in logs[0]]
-    # Exactly-once: no duplicates, nothing invented.
-    assert len(items) == len(set(items))
-    assert set(items) <= set(range(len(pushes)))
-    # The queue is FIFO in the *agreed* (token) order, which need not match
-    # wall-clock call order across nodes — but pushes from the same origin
-    # attach in submission order, so per-origin FIFO must hold.
-    for origin_idx in sorted(set(pushes)):
-        origin = NODES[origin_idx]
-        mine = [i for i, p in enumerate(pushes) if p == origin_idx]
-        handed_mine = [item for item in items if item in mine]
-        assert handed_mine == sorted(handed_mine)
-    # Nothing leaked: handed + still-queued accounts for every push.
-    assert handed + queues["A"].depth() == len(pushes)

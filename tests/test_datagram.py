@@ -136,7 +136,7 @@ def test_a_packet_in_flight_is_a_plain_heap_entry():
     """An arrival carries no TimerHandle, yet orders, steps, peeks and
     bills exactly like the timer ``call_later`` would have made: same
     instant as a timer armed after the send, it fires first."""
-    from repro.obs.prof import Profiler
+    from tests.test_eventloop import StubHook
 
     loop, topo, net = make_net(latency=0.25)
     order = []
@@ -147,10 +147,8 @@ def test_a_packet_in_flight_is_a_plain_heap_entry():
     assert loop.peek_time() == pytest.approx(0.25)
     assert loop.step() is True
     assert order == ["first"]
-    prof = Profiler().attach(loop)
+    hook = loop.profile = StubHook()
     assert loop.run_until_idle() == 2
     assert order == ["first", "timer", "second"]
-    assert prof.events == 2
-    names = {row["name"] for row in prof.table()}
-    assert "net.datagram.DatagramNetwork._deliver" in names
+    assert [cb for cb, _, _ in hook.accounted] == [order.append, net._deliver]
     assert loop.peek_time() is None and loop.step() is False

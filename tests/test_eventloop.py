@@ -208,3 +208,129 @@ def test_time_cannot_flow_backwards():
     with pytest.raises(ValueError):
         loop.call_at(9.999, lambda: None)
     assert loop.now == 10.0
+
+
+# ----------------------------------------------------------------------
+# the dispatch hook (``EventLoop.profile``), which the benchmark ledger's
+# per-layer tracer taps; a stub hook stands in for it
+# ----------------------------------------------------------------------
+class StubHook:
+    """A :class:`~repro.net.eventloop.DispatchHook` that records what the
+    loop hands it.  Its clock counts reads instead of telling time."""
+
+    def __init__(self):
+        self.reads = 0
+        self.open = 0  # run brackets begun and not yet ended
+        self.runs = 0
+        self.accounted = []  # (callback, depth, at)
+
+    def begin_run(self):
+        self.open += 1
+        self.runs += 1
+
+    def end_run(self):
+        self.open -= 1
+
+    def clock(self):
+        self.reads += 1
+        return float(self.reads)
+
+    def account(self, callback, t0, t1, depth, at):
+        # Inside a run bracket, between two reads of this hook's clock.
+        assert self.open > 0 and t1 > t0
+        self.accounted.append((callback, depth, at))
+
+
+def test_hook_accounts_every_dispatch_once():
+    loop = EventLoop(seed=1)
+    hook = StubHook()
+    loop.profile = hook
+
+    def drain():
+        pass
+
+    loop.drains.append(drain)
+    hits = []
+    for i in range(50):
+        loop.call_later(i * 0.001, hits.append, i)
+    loop.run_until(0.0245)
+    loop.run_until_idle()
+    assert hits == list(range(50))
+    dispatched = [cb for cb, _, _ in hook.accounted if cb is not drain]
+    assert dispatched == [hits.append] * 50 == [hits.append] * loop.events_processed
+    # The drain runs once per run call and is accounted like a callback.
+    assert [cb for cb, _, _ in hook.accounted if cb is drain] == [drain, drain]
+    assert hook.open == 0
+
+
+def test_hook_accounts_a_step():
+    loop = EventLoop(seed=1)
+    hook = StubHook()
+    loop.profile = hook
+    hits = []
+    loop.call_later(0.0, hits.append, "x")
+    assert loop.step() is True
+    assert hits == ["x"]
+    assert [cb for cb, _, _ in hook.accounted] == [hits.append]
+    assert hook.runs == 1 and hook.open == 0
+    assert loop.step() is False
+    assert len(hook.accounted) == 1
+
+
+def test_hook_sees_heap_depth_and_virtual_time():
+    loop = EventLoop(seed=1)
+    hook = StubHook()
+    loop.profile = hook
+    for i in range(5):
+        loop.call_later(0.1 * (i + 1), lambda: None)
+    loop.run_until_idle()
+    # ``depth`` is the heap size after the pop; ``at`` the event's time.
+    assert [(d, at) for _, d, at in hook.accounted] == [
+        (4 - i, 0.1 * (i + 1)) for i in range(5)
+    ]
+
+
+def test_hook_is_off_by_default():
+    loop = EventLoop(seed=1)
+    assert loop.profile is None
+    seen = []
+    loop.call_later(0.1, lambda: seen.append(loop.profile))
+    loop.run_until(0.2)
+    assert seen == [None]
+
+
+def test_clearing_the_hook_restores_the_unprofiled_loop():
+    loop = EventLoop(seed=1)
+    hook = StubHook()
+    loop.profile = hook
+    loop.profile = None
+    loop.call_later(0.0, lambda: None)
+    loop.run_until_idle()
+    assert hook.accounted == [] and hook.runs == 0 and hook.reads == 0
+
+
+def test_probe_stream_identical_with_a_hook_attached():
+    from repro.cluster.harness import RaincoreCluster
+    from repro.obs import events_to_jsonl
+
+    def quickstart(hook):
+        # The quickstart scenario, the hook attached before any dispatch.
+        ids = [chr(ord("A") + i) for i in range(4)]
+        cluster = RaincoreCluster(ids, seed=2024)
+        cluster.loop.profile = hook
+        events = []
+        cluster.enable_probes().subscribe(events.extend)
+        cluster.start_all()
+        cluster.node(ids[0]).multicast(b"probe-me")
+        cluster.run(1.0)
+        victim = ids[-1]
+        cluster.faults.crash_node(victim)
+        cluster.run_until_converged(5.0, expected=set(ids) - {victim})
+        cluster.faults.recover_node(victim)
+        cluster.run_until_converged(8.0, expected=set(ids))
+        return events
+
+    hook = StubHook()
+    hooked = quickstart(hook)
+    assert hook.accounted
+    assert events_to_jsonl(hooked) == events_to_jsonl(quickstart(None))

@@ -119,6 +119,14 @@ def test_rc101_allowed_in_perf_module():
     assert report.ok, format_human(report)
 
 
+def test_rc101_allowlist_names_only_existing_modules():
+    # A module cut from src/ takes its wall-clock exemption with it.
+    from repro.lint.rules import _CLOCK_ALLOWED_MODULES
+
+    missing = [m for m in _CLOCK_ALLOWED_MODULES if not (ROOT / "src" / m).is_file()]
+    assert missing == []
+
+
 def test_rc102_ambient_entropy():
     report = lint_paths(FIXTURES / "rc102_entropy.py")
     assert fired(report) == {"RC102"}

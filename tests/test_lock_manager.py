@@ -105,16 +105,19 @@ def test_queued_request_can_be_withdrawn(locked_cluster):
 def test_owner_crash_releases_lock(locked_cluster):
     c, lms = locked_cluster
     granted = []
-    lms["B"].acquire("x")
+    lms["B"].acquire("x", on_granted=lambda: granted.append("B"))
     lms["C"].acquire("x", on_granted=lambda: granted.append("C"))
     c.run(1.0)
     owner = lms["A"].owner("x")
+    assert granted == [owner]
     waiter = "C" if owner == "B" else "B"
     c.faults.crash_node(owner)
     c.run(4.0)
     survivors = [n for n in "ABCD" if n != owner]
     owners = {lms[n].owner("x") for n in survivors}
     assert owners == {waiter}
+    # The purge hands the lock on: the promoted waiter hears its grant.
+    assert granted == [owner, waiter]
 
 
 def test_crash_of_waiter_cleans_queue(locked_cluster):
